@@ -42,6 +42,10 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
 
+# run --utility default per utility direction that fits the mode: large
+# e-values and small p-values are the promising ones
+_DEFAULT_UTILITY = {"direct": "log1p", "inverse": "log_inverse"}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is 1
@@ -123,8 +127,9 @@ def build_parser() -> _Parser:
                      default="active")
     run.add_argument("--budget", type=float, default=None)
     run.add_argument("--beta", type=float, default=0.5)
-    run.add_argument("--utility", default="log_inverse",
-                     help="identity, log1p, inverse, or log_inverse (active method)")
+    run.add_argument("--utility", default=None,
+                     help="identity, log1p, inverse, or log_inverse (active method); "
+                          "default log1p for --mode e, log_inverse for the p modes")
     run.add_argument("--eps", type=float, default=1e-8)
     run.add_argument("--sup-h", type=float, default=1.0)
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -201,7 +206,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_run(args) -> int:
     table = _read_run_input(args.input)
     mode = StatMode.from_name(args.mode, sup_h=args.sup_h)
-    utility = UtilitySpec.from_name(args.utility, eps=args.eps)
+    fitting = "direct" if mode.is_e else "inverse"
+    utility_name = args.utility or _DEFAULT_UTILITY[fitting]
+    utility = UtilitySpec.from_name(utility_name, eps=args.eps)
+    if args.method == "active" and utility.direction != fitting:
+        print(f"{PROG}: warning: utility {utility_name!r} is {utility.direction}, but "
+              f"--mode {args.mode} wants a {fitting} family; the budget goes to the "
+              f"least promising hypotheses", file=sys.stderr)
     method = MethodSpec(args.method, beta=args.beta)
     needs_budget = args.method in ("active", "active-xu", "random")
     if needs_budget and args.budget is None:
@@ -221,7 +232,7 @@ def _cmd_run(args) -> int:
         "method": args.method,
         "budget": args.budget,
         "beta": args.beta,
-        "utility": args.utility,
+        "utility": utility_name,
         "eps": args.eps,
         "sup_h": args.sup_h,
         "seed": args.seed,

@@ -176,12 +176,14 @@ class HypothesisSet:
         return LazyValues(fetch, n)
 
     def stream_keys(self) -> np.ndarray:
-        """uint64 stream indices: id-hash when ids exist, position otherwise."""
+        """Read-only uint64 stream indices: id-hash when ids exist, position otherwise."""
         if self._stream_keys is None:
             if self.ids is None:
-                self._stream_keys = np.arange(len(self), dtype=np.uint64)
+                keys = np.arange(len(self), dtype=np.uint64)
             else:
-                self._stream_keys = keys_for_ids(self.ids)
+                keys = keys_for_ids(self.ids)
+            keys.flags.writeable = False
+            self._stream_keys = keys
         return self._stream_keys
 
 
@@ -398,7 +400,8 @@ def run_xu(records, beta: float, mode: StatMode, seed: int = DEFAULT_SEED, rep: 
     )
 
 
-def run_random(records, n_b: int, seed: int = DEFAULT_SEED, rep: int = 0) -> RunOutput:
+def run_random(records, n_b: int, seed: int = DEFAULT_SEED, rep: int = 0,
+               mode: Optional[StatMode] = None) -> RunOutput:
     """Query a uniform random subset of exactly ``n_b`` hypotheses.
 
     Queried hypotheses report the exact statistic unchanged; the rest report
@@ -435,11 +438,15 @@ def run_random(records, n_b: int, seed: int = DEFAULT_SEED, rep: int = 0) -> Run
         n_queries=lazy.eval_count,
         seed=seed,
         ids=hs.ids,
+        mode=mode,
     )
 
 
-def run_all(records) -> RunOutput:
-    """Query every hypothesis and report the raw exact statistics."""
+def run_all(records, seed: int = DEFAULT_SEED, mode: Optional[StatMode] = None) -> RunOutput:
+    """Query every hypothesis and report the raw exact statistics.
+
+    Nothing is drawn; ``seed`` and ``mode`` are only recorded in the output.
+    """
     hs = as_hypothesis_set(records)
     n = len(hs)
     lazy = hs.lazy()
@@ -451,7 +458,9 @@ def run_all(records) -> RunOutput:
         scales=np.ones(n),
         h=np.ones(n),
         n_queries=lazy.eval_count,
-        seed=0,
+        seed=seed,
+        ids=hs.ids,
+        mode=mode,
     )
 
 
@@ -472,7 +481,7 @@ def run_method(records, method: MethodSpec, *, mode: StatMode, n_b: float,
     elif method.variant == "xu":
         out = run_xu(hs, method.beta, mode, seed=seed, rep=rep)
     elif method.variant == "random":
-        out = run_random(hs, n_b, seed=seed, rep=rep)
+        out = run_random(hs, n_b, seed=seed, rep=rep, mode=mode)
     else:
-        out = run_all(hs)
+        out = run_all(hs, seed=seed, mode=mode)
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -134,11 +134,26 @@ class AlignedPair:
     The target statistics are private: runs read them through the lazy query
     ledger via ``to_hypotheses``; ``oracle_stats`` is the sanctioned
     ledger-exempt full view used for the oracle pass.
+
+    Per-id work is done once per pair: ``to_hypotheses`` returns one memoized
+    HypothesisSet (whose id-hashed stream keys are cached), and the oracle
+    rejection set is memoized per ``alpha``.  Both statistic columns are
+    read-only copies, so no write through the pair can desync those caches.
     """
 
     keys: tuple
     aux_stats: np.ndarray
     target_stats: np.ndarray
+    _hypotheses: Optional[HypothesisSet] = field(default=None, init=False, repr=False,
+                                                 compare=False)
+    _oracles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", tuple(self.keys))
+        for name in ("aux_stats", "target_stats"):
+            stats = np.array(getattr(self, name), dtype=np.float64)
+            stats.flags.writeable = False
+            object.__setattr__(self, name, stats)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -152,7 +167,19 @@ class AlignedPair:
         return self.target_stats
 
     def to_hypotheses(self) -> HypothesisSet:
-        return HypothesisSet(aux=self.aux_stats, exact=self.target_stats, ids=self.keys)
+        if self._hypotheses is None:
+            hs = HypothesisSet(aux=self.aux_stats, exact=self.target_stats, ids=self.keys)
+            object.__setattr__(self, "_hypotheses", hs)
+        return self._hypotheses
+
+    def _oracle(self, alpha: float) -> np.ndarray:
+        """Read-only BY rejection set on every target p-value, per alpha."""
+        rejected = self._oracles.get(alpha)
+        if rejected is None:
+            rejected = by(self.oracle_stats, alpha).rejected
+            rejected.flags.writeable = False
+            self._oracles[alpha] = rejected
+        return rejected
 
 
 def align(target: SummaryTable, aux: SummaryTable, strategy: str = "hash") -> AlignedPair:
@@ -192,11 +219,7 @@ def align(target: SummaryTable, aux: SummaryTable, strategy: str = "hash") -> Al
                 aux_vals.append(aux.stats[j])
     if not keys:
         raise DataError("no keys in common between target and auxiliary tables")
-    return AlignedPair(
-        keys=tuple(keys),
-        aux_stats=np.asarray(aux_vals, dtype=np.float64),
-        target_stats=np.asarray(tgt_vals, dtype=np.float64),
-    )
+    return AlignedPair(keys=keys, aux_stats=aux_vals, target_stats=tgt_vals)
 
 
 def conformal_p(calibration_scores, test_scores) -> np.ndarray:
@@ -247,11 +270,13 @@ def oracle_recovery(
     for random), and its outputs go through the same BY procedure.
     Efficiency is |recovered and oracle| / n_queries (0 when nothing was
     queried).  Both tables of p-values are assumed to come from distinct
-    sources, hence the independent construction default.
+    sources, hence the independent construction default.  Repeated calls
+    on one pair reuse its hashed ids and its oracle for ``alpha``; each call
+    still keeps its own query ledger.
     """
     if n_b <= 0:
         raise DomainError(f"budget must be positive, got {n_b!r}")
-    oracle = by(aligned.oracle_stats, alpha).rejected
+    oracle = aligned._oracle(alpha)
     spec = method if isinstance(method, MethodSpec) else MethodSpec(str(method), beta=beta)
     hs = aligned.to_hypotheses()
     out = run_method(

@@ -10,6 +10,8 @@ the [0, 1) contract and keeps inverse-CDF samplers away from the u = 0 corner.
 
 from __future__ import annotations
 
+from hashlib import blake2b
+
 import numpy as np
 
 # Purpose tags.  Distinct tags yield independent streams for the same
@@ -85,17 +87,25 @@ def standard_normals(seed, rep, index, purpose, draw=0) -> np.ndarray:
     return ndtri(uniforms(seed, rep, index, purpose, draw))
 
 
+def _id_digest(hypothesis_id: str) -> bytes:
+    return blake2b(hypothesis_id.encode("utf-8"), digest_size=8).digest()
+
+
 def key_for_id(hypothesis_id: str) -> int:
     """Stable 64-bit stream index for a hypothesis id.
 
     Keying per-hypothesis draws by id (rather than by position) makes engine
     outputs invariant to input row order.
     """
-    import hashlib
-
-    digest = hashlib.blake2b(hypothesis_id.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return int.from_bytes(_id_digest(hypothesis_id), "little")
 
 
 def keys_for_ids(ids) -> np.ndarray:
-    return np.asarray([key_for_id(i) for i in ids], dtype=np.uint64)
+    """``key_for_id`` over a sequence of ids, as a uint64 array.
+
+    Each 8-byte digest is copied into the array as it is made and the buffer
+    is read as little-endian words: no per-id Python int, and no list of
+    digests held at once (joining them first would hold ~50 bytes per id).
+    """
+    digests = np.fromiter(map(_id_digest, ids), dtype="S8", count=len(ids))
+    return digests.view("<u8")

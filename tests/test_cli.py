@@ -190,6 +190,49 @@ class TestRun:
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert all(",true,query," in l for l in body[1:])
 
+    def test_all_writes_input_ids_in_input_order(self, tmp_path):
+        rows = ["id,aux,exact\n"] + [f"snp{i},0.5,{(i + 1) / 40}\n" for i in (7, 3, 11, 0)]
+        inp = write(tmp_path / "ids.csv", "".join(rows))
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", inp, "--mode", "p-independent", "--method", "all",
+                "--out", str(out)]
+        assert main(args) == 0
+        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert [l.split(",")[0] for l in body[1:]] == ["snp7", "snp3", "snp11", "snp0"]
+
+    @pytest.mark.parametrize("mode,family", [
+        ("e", "log1p"), ("p-independent", "log_inverse"), ("p-general", "log_inverse"),
+    ])
+    def test_utility_default_fits_mode(self, tmp_path, capsys, mode, family):
+        rows = ["id,aux,exact\n"] + [f"h{i},{(i + 1) / 50},{(i + 1) / 45}\n" for i in range(40)]
+        inp = write(tmp_path / "p.csv", "".join(rows))
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", inp, "--mode", mode, "--method", "active",
+                "--budget", "8", "--out", str(out)]
+        assert main(args) == 0
+        assert parse_config_header(out.read_text())["utility"] == family
+        assert "warning" not in capsys.readouterr().err
+
+    def test_e_default_matches_explicit_log1p(self, tmp_path):
+        inp = self.make_input(tmp_path)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["run", "--input", inp, "--mode", "e", "--method", "active", "--budget", "10"]
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--utility", "log1p", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("mode,family", [("e", "log_inverse"), ("p-independent", "identity")])
+    def test_utility_against_mode_warns(self, tmp_path, capsys, mode, family):
+        rows = ["id,aux,exact\n"] + [f"h{i},{(i + 1) / 50},{(i + 1) / 45}\n" for i in range(40)]
+        inp = write(tmp_path / "p.csv", "".join(rows))
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", inp, "--mode", mode, "--method", "active",
+                "--budget", "8", "--utility", family, "--out", str(out)]
+        assert main(args) == 0
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and "warning" in err_lines[0] and family in err_lines[0]
+        assert parse_config_header(out.read_text())["utility"] == family
+
     def test_bad_header_exits_2(self, tmp_path, capsys):
         inp = write(tmp_path / "bad.csv", "key,aux,exact\nk,1,1\n")
         args = ["run", "--input", inp, "--mode", "e", "--method", "all",

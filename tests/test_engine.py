@@ -100,6 +100,15 @@ class TestRunAll:
         np.testing.assert_array_equal(out.values, exact)
         assert np.all(out.queried)
 
+    def test_carries_ids_mode_and_seed(self):
+        hs = HypothesisSet(aux=[0.5, 0.5, 0.5], exact=np.array([0.1, 0.2, 0.3]),
+                           ids=["c", "a", "b"])
+        out = run_method(hs, MethodSpec("all"), mode=P_INDEPENDENT, n_b=3.0, seed=9)
+        assert out.ids == ["c", "a", "b"]
+        assert out.mode == P_INDEPENDENT
+        assert out.seed == 9
+        assert out.to_csv().splitlines()[1].startswith("c,")
+
 
 class TestRunRandom:
     def test_zero_budget(self):
@@ -115,6 +124,12 @@ class TestRunRandom:
         out = run_random(records, n_b=4, seed=1)
         np.testing.assert_array_equal(out.values, exact)
         assert out.n_queries == 4
+
+    def test_carries_ids_and_mode(self):
+        hs = HypothesisSet(aux=[0.5, 0.5], exact=np.array([0.1, 0.2]), ids=["x", "y"])
+        out = run_method(hs, MethodSpec("random"), mode=P_GENERAL, n_b=1.0, seed=3)
+        assert out.ids == ["x", "y"]
+        assert out.mode == P_GENERAL
 
     def test_partial_subset_reproducible(self):
         records, calls = counted_records([1.0] * 4, [2.0, 3.0, 4.0, 5.0])

@@ -285,6 +285,86 @@ class TestOracleRecovery:
         assert res.n_queries > 0
 
 
+class TestAlignedPairMemo:
+    METHODS = ("active", "active-xu", "xu", "random", "all")
+
+    def test_to_hypotheses_is_memoized(self):
+        joined = synthetic_pair()
+        assert joined.to_hypotheses() is joined.to_hypotheses()
+
+    def test_runs_on_one_pair_keep_separate_ledgers(self):
+        joined = synthetic_pair()
+        first = oracle_recovery(joined, n_b=100, beta=0.5, method="active", alpha=0.1, seed=1)
+        second = oracle_recovery(joined, n_b=100, beta=0.5, method="active", alpha=0.1, seed=2)
+        fresh = oracle_recovery(synthetic_pair(), n_b=100, beta=0.5, method="active",
+                                alpha=0.1, seed=2)
+        assert first.n_queries > 0
+        assert second.n_queries == fresh.n_queries
+        assert second.n_queries == int(np.count_nonzero(second.run.queried))
+
+    def test_reused_pair_matches_fresh_pair(self):
+        reused = synthetic_pair(seed=4)
+        for alpha in (0.05, 0.1, 0.2):
+            for seed in (0, 1, 7):
+                for method in self.METHODS:
+                    got = oracle_recovery(reused, n_b=60, beta=0.5, method=method,
+                                          alpha=alpha, seed=seed)
+                    want = oracle_recovery(synthetic_pair(seed=4), n_b=60, beta=0.5,
+                                           method=method, alpha=alpha, seed=seed)
+                    np.testing.assert_array_equal(got.oracle, want.oracle)
+                    np.testing.assert_array_equal(got.recovered, want.recovered)
+                    np.testing.assert_array_equal(got.run.values, want.run.values)
+                    np.testing.assert_array_equal(got.run.queried, want.run.queried)
+                    assert got.efficiency == want.efficiency
+                    assert got.n_queries == want.n_queries
+                    assert got.run.ids == want.run.ids == list(reused.keys)
+
+    def test_ids_hashed_once_per_pair(self, monkeypatch):
+        import activetest.engine
+
+        hashed = []
+        original = activetest.engine.keys_for_ids
+
+        def counting(ids):
+            hashed.append(len(ids))
+            return original(ids)
+
+        monkeypatch.setattr(activetest.engine, "keys_for_ids", counting)
+        joined = synthetic_pair()
+        for seed in range(3):
+            for method in ("active", "active-xu", "xu"):
+                oracle_recovery(joined, n_b=50, beta=0.5, method=method, alpha=0.1, seed=seed)
+        assert hashed == [len(joined)]
+
+    def test_oracle_memoized_per_alpha(self):
+        joined = synthetic_pair()
+        a = oracle_recovery(joined, n_b=50, beta=0.5, method="active", alpha=0.1)
+        b = oracle_recovery(joined, n_b=50, beta=0.5, method="random", alpha=0.1)
+        c = oracle_recovery(joined, n_b=50, beta=0.5, method="random", alpha=0.2)
+        assert a.oracle is b.oracle
+        np.testing.assert_array_equal(c.oracle, by(joined.target_stats, 0.2).rejected)
+
+    def test_writes_through_the_pair_raise(self):
+        joined = synthetic_pair()
+        res = oracle_recovery(joined, n_b=50, beta=0.5, method="active", alpha=0.1)
+        assert res.oracle.size > 0
+        with pytest.raises(ValueError):
+            joined.target_stats[0] = 0.5
+        with pytest.raises(ValueError):
+            joined.aux_stats[0] = 0.5
+        with pytest.raises(ValueError):
+            res.oracle[0] = 0
+        with pytest.raises(ValueError):
+            joined.to_hypotheses().stream_keys()[0] = 0
+
+    def test_pair_copies_caller_arrays(self):
+        target = np.array([0.01, 0.5, 0.9])
+        pair = AlignedPair(keys=("a", "b", "c"), aux_stats=np.array([0.1, 0.2, 0.3]),
+                           target_stats=target)
+        target[0] = 0.99
+        assert pair.target_stats[0] == 0.01
+
+
 class TestReadScoreColumn:
     def test_plain_column(self, tmp_path):
         f = tmp_path / "s.csv"

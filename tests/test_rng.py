@@ -90,3 +90,23 @@ class TestIdKeys:
         keys = keys_for_ids(ids)
         for i, s in enumerate(ids):
             assert keys[i] == key_for_id(s)
+
+    @pytest.mark.parametrize("ids", [
+        [],
+        ["rs1"],
+        ["β-catenin", "日本語", "naïve", "emoji-\U0001F9EC", "a,b", ""],
+        [f"snp_{i}" for i in range(2_000)],
+    ], ids=["empty", "single", "non-ascii", "many"])
+    def test_bulk_keys_equal_scalar_keys(self, ids):
+        keys = keys_for_ids(ids)
+        assert keys.dtype == np.uint64
+        assert keys.shape == (len(ids),)
+        assert keys.tolist() == [key_for_id(i) for i in ids]
+
+    def test_bulk_keys_keep_the_top_and_bottom_bytes(self):
+        ids = [f"rs{i}" for i in range(2_000)]
+        scalar = [key_for_id(i) for i in ids]
+        # a wrap to negative int64 or a dropped zero byte would show here
+        assert any(k >= 1 << 63 for k in scalar)
+        assert any(k >> 56 == 0 for k in scalar) and any(k & 0xFF == 0 for k in scalar)
+        assert keys_for_ids(ids).tolist() == scalar
