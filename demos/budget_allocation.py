@@ -10,12 +10,7 @@ Run as: python3 demos/budget_allocation.py
 
 import numpy as np
 
-from activetest.allocation import (
-    BudgetConfig,
-    UtilitySpec,
-    allocate,
-    budget_concentration_bound,
-)
+from activetest.allocation import BudgetConfig, UtilitySpec, allocate
 
 rng = np.random.default_rng(7)
 
@@ -45,11 +40,3 @@ p_aux = np.array([1e-8, 1e-4, 0.05, 0.5, 0.99])
 res = allocate(p_aux, UtilitySpec.log_inverse(eps=1e-8), BudgetConfig(2.0, 5))
 for p, h in zip(p_aux, res.h):
     print(f"   p_aux {p:8.2e} -> h {h:.4f}")
-
-print()
-print("== how tightly realized counts track the expectation ==")
-# the printed condition asks whether this problem size is large enough for
-# the count to sit within eps of its mean w.p. 1 - delta
-for n, eps, delta in ((10_000, 50.0, 0.05), (500, 50.0, 0.05)):
-    ok = budget_concentration_bound(100.0, n, eps, delta)
-    print(f"   N={n:>6}: |count - mean| <= {eps:.0f} w.p. >= {1-delta}: {ok}")

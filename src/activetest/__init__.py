@@ -11,12 +11,10 @@ from .allocation import (
     UtilitySpec,
     allocate,
     allocate_utilities,
-    budget_concentration_bound,
     eval_utility,
 )
 from .core import (
     ActiveOutcome,
-    ControlValue,
     E_VALUES,
     P_GENERAL,
     P_INDEPENDENT,
@@ -28,18 +26,12 @@ from .core import (
     mc_pvalue_superuniformity,
 )
 from .engine import (
-    ActiveConfig,
     HypothesisRecord,
     HypothesisSet,
     LazyValues,
     MethodSpec,
     RunOutput,
-    run_active_default,
-    run_active_xu,
-    run_all,
     run_method,
-    run_random,
-    run_xu,
 )
 from .errors import (
     ActiveTestError,
@@ -76,14 +68,12 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveConfig",
     "ActiveOutcome",
     "ActiveTestError",
     "AggregateMetrics",
     "AlignedPair",
     "AllocationResult",
     "BudgetConfig",
-    "ControlValue",
     "DataError",
     "DEFAULT_SEED",
     "DegenerateUtilitiesError",
@@ -113,7 +103,6 @@ __all__ = [
     "allocate",
     "allocate_utilities",
     "bh",
-    "budget_concentration_bound",
     "by",
     "conformal_p",
     "default_construction",
@@ -128,13 +117,8 @@ __all__ = [
     "oracle_recovery",
     "read_summary_table",
     "rng_stream",
-    "run_active_default",
-    "run_active_xu",
-    "run_all",
     "run_experiment",
     "run_method",
-    "run_random",
-    "run_xu",
     "uniforms",
     "utility_defaults",
 ]

@@ -14,7 +14,6 @@ LogInverse) exist.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +29,6 @@ __all__ = [
     "eval_utility",
     "allocate",
     "allocate_utilities",
-    "budget_concentration_bound",
 ]
 
 _FAMILIES = ("identity", "log1p", "inverse", "log_inverse", "custom")
@@ -202,20 +200,3 @@ def allocate_utilities(utilities, budget: BudgetConfig) -> AllocationResult:
 def allocate(aux, spec: UtilitySpec, budget: BudgetConfig) -> AllocationResult:
     """Evaluate the utility map on the auxiliaries and normalize to the budget."""
     return allocate_utilities(eval_utility(spec, np.asarray(aux, dtype=np.float64)), budget)
-
-
-def budget_concentration_bound(n_b: float, n: int, epsilon: float, delta: float) -> bool:
-    """Whether the sample-size condition n >= 2*epsilon^2 / log(2/delta) holds.
-
-    Annotation only: reports whether realized query counts concentrate within
-    epsilon of their expectation with probability 1 - delta at this scale.
-    """
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n_b <= 0.0:
-        raise DomainError(f"budget must be positive, got {n_b!r}")
-    return n >= 2.0 * epsilon**2 / math.log(2.0 / delta)

@@ -30,13 +30,13 @@ from .errors import DomainError, InternalLogicError
 from .rng import MC_BRANCH, uniforms
 
 __all__ = [
-    "ControlValue",
     "ActiveOutcome",
     "StatMode",
     "E_VALUES",
     "P_INDEPENDENT",
     "P_GENERAL",
     "check_beta",
+    "check_exact_domain",
     "active_e",
     "active_p",
     "active_values",
@@ -51,26 +51,6 @@ def check_beta(beta: float) -> float:
     if not 0.0 < beta < 1.0 or not np.isfinite(beta):
         raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
     return beta
-
-
-@dataclass(frozen=True)
-class ControlValue:
-    """Allocation level for one hypothesis.
-
-    ``h`` is kept unclamped (it may exceed 1); the query probability is
-    min(1, h).  Values above 1 spend a sure query while the query-branch
-    scaling keeps using the raw h, which preserves validity.
-    """
-
-    h: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.h) or self.h < 0.0:
-            raise DomainError(f"allocation level must be finite and >= 0, got {self.h!r}")
-
-    @property
-    def query_prob(self) -> float:
-        return min(1.0, self.h)
 
 
 @dataclass(frozen=True)
@@ -133,10 +113,6 @@ P_GENERAL = StatMode("p_general")
 Lazy = Union[float, Callable[[], float]]
 
 
-def _as_control(h: Union[ControlValue, float]) -> ControlValue:
-    return h if isinstance(h, ControlValue) else ControlValue(float(h))
-
-
 def _check_u(u: float) -> float:
     u = float(u)
     if not 0.0 <= u < 1.0:
@@ -148,60 +124,36 @@ def _evaluate(lazy: Lazy) -> float:
     return float(lazy()) if callable(lazy) else float(lazy)
 
 
-def active_e(e_exact: Lazy, h: Union[ControlValue, float], beta: float, u: float) -> ActiveOutcome:
-    """Active e-value for one hypothesis.
+def _active_one(exact: Lazy, h: float, beta: float, mode: StatMode, u: float) -> ActiveOutcome:
+    """``active_values`` on one hypothesis; ``exact`` is evaluated only on query."""
+    u = _check_u(u)
+    values, queried, scales = active_values(
+        np.array([float(h)]), np.array([u]), lambda idx: [_evaluate(exact) for _ in idx],
+        mode, beta,
+    )
+    return ActiveOutcome(value=float(values[0]), queried=bool(queried[0]), scale=float(scales[0]))
 
+
+def active_e(e_exact: Lazy, h: float, beta: float, u: float) -> ActiveOutcome:
+    """Active e-value for one hypothesis at allocation level ``h``.
+
+    ``h`` may exceed 1 (a sure query; the query scale keeps the raw h).
     ``e_exact`` may be a callable; it is invoked only on the query branch,
     so no-query outcomes never spend the query.
     """
-    beta = check_beta(beta)
-    ctrl = _as_control(h)
-    u = _check_u(u)
-    if u < ctrl.query_prob:
-        if ctrl.h == 0.0:
-            raise InternalLogicError("query branch reached with h = 0")
-        value = _evaluate(e_exact)
-        if not np.isfinite(value) or value < 0.0:
-            raise DomainError(f"exact e-value must be finite and >= 0, got {value!r}")
-        scale = (1.0 - beta) / ctrl.h
-        return ActiveOutcome(value=scale * value, queried=True, scale=scale)
-    if ctrl.h >= 1.0:
-        raise InternalLogicError("no-query branch reached with h >= 1")
-    return ActiveOutcome(value=beta / (1.0 - ctrl.h), queried=False, scale=0.0)
+    return _active_one(e_exact, h, beta, E_VALUES, u)
 
 
-def active_p(
-    p_exact: Lazy,
-    h: Union[ControlValue, float],
-    beta: float,
-    mode: StatMode,
-    u: float,
-) -> ActiveOutcome:
+def active_p(p_exact: Lazy, h: float, beta: float, mode: StatMode, u: float) -> ActiveOutcome:
     """Active p-value for one hypothesis, clamped to [0, 1].
 
     ``mode`` selects the query-branch scale: h / (1 - beta) when the
     auxiliary is independent of the exact p-value, min(1, sup_h) / (1 - beta)
     under arbitrary dependence.
     """
-    beta = check_beta(beta)
     if not mode.is_p:
         raise DomainError("active_p requires a p-type mode")
-    ctrl = _as_control(h)
-    u = _check_u(u)
-    if u < ctrl.query_prob:
-        if ctrl.h == 0.0:
-            raise InternalLogicError("query branch reached with h = 0")
-        value = _evaluate(p_exact)
-        if not np.isfinite(value) or not 0.0 <= value <= 1.0:
-            raise DomainError(f"exact p-value must lie in [0, 1], got {value!r}")
-        if mode.kind == "p_independent":
-            scale = ctrl.h / (1.0 - beta)
-        else:
-            scale = min(1.0, mode.sup_h) / (1.0 - beta)
-        return ActiveOutcome(value=min(1.0, scale * value), queried=True, scale=scale)
-    if ctrl.h >= 1.0:
-        raise InternalLogicError("no-query branch reached with h >= 1")
-    return ActiveOutcome(value=min(1.0, (1.0 - ctrl.h) / beta), queried=False, scale=0.0)
+    return _active_one(p_exact, h, beta, mode, u)
 
 
 def active_values(
@@ -216,7 +168,7 @@ def active_values(
     ``fetch_exact`` receives the integer indices of the query branch only
     and returns the exact statistics for those positions.  Returns
     (values, queried, scales) aligned with ``h``; ``scales`` is 0.0 on the
-    no-query branch.  Agrees elementwise with ``active_e`` / ``active_p``.
+    no-query branch.  ``active_e`` / ``active_p`` are its one-element form.
     """
     beta = check_beta(beta)
     h = np.asarray(h, dtype=np.float64)
@@ -237,13 +189,13 @@ def active_values(
     if mode.is_e:
         values[no_query] = beta / (1.0 - h[no_query])
         if query_idx.size:
-            _check_exact_domain(exact, mode, query_idx)
+            check_exact_domain(exact, mode, query_idx)
             scales[query_idx] = (1.0 - beta) / h[query_idx]
             values[query_idx] = scales[query_idx] * exact
     else:
         values[no_query] = np.minimum(1.0, (1.0 - h[no_query]) / beta)
         if query_idx.size:
-            _check_exact_domain(exact, mode, query_idx)
+            check_exact_domain(exact, mode, query_idx)
             if mode.kind == "p_independent":
                 scales[query_idx] = h[query_idx] / (1.0 - beta)
             else:
@@ -252,7 +204,7 @@ def active_values(
     return values, queried, scales
 
 
-def _check_exact_domain(exact: np.ndarray, mode: StatMode, idx: np.ndarray) -> None:
+def check_exact_domain(exact: np.ndarray, mode: StatMode, idx: np.ndarray) -> None:
     if mode.is_e:
         bad = ~np.isfinite(exact) | (exact < 0.0)
         label = "e-value"

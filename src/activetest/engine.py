@@ -9,21 +9,23 @@ Methods
 
 Exact statistics are evaluated lazily through a counting wrapper, so
 ``n_queries`` is the number of distinct hypotheses whose exact statistic was
-actually touched.  Per-hypothesis randomness is keyed by the hypothesis id
-when ids are given (by position otherwise), which makes outputs invariant to
-input row order; the Random baseline draws a subset of positions by design.
+actually touched.  ``run_method`` is the one entry point for all five.
+Per-hypothesis randomness is keyed by the hypothesis id when ids are given
+(by position otherwise), which makes outputs invariant to input row order;
+the Random baseline draws a subset of positions by design.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .allocation import AllocationResult, BudgetConfig, UtilitySpec, allocate_utilities, eval_utility
-from .core import ActiveOutcome, StatMode, active_values, check_beta
+from .core import StatMode, active_values, check_beta, check_exact_domain
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
 
@@ -32,16 +34,9 @@ __all__ = [
     "HypothesisSet",
     "LazyValues",
     "MethodSpec",
-    "ActiveConfig",
     "RunOutput",
-    "run_active_default",
-    "run_active_xu",
-    "run_xu",
-    "run_random",
-    "run_all",
     "run_method",
     "xu_query_prob",
-    "xu_implied_utility",
 ]
 
 METHOD_NAMES = ("active", "active-xu", "xu", "random", "all")
@@ -92,8 +87,9 @@ class HypothesisSet:
 
     ``exact`` may be a numpy array (values fetched lazily per index), a
     callable mapping an index array to values, or a sequence of per-record
-    callables.  ``lazy()`` wraps it in a fresh counting view, so each run
-    keeps its own query ledger.
+    values or zero-argument callables.  ``lazy()`` wraps it in a fresh
+    counting view, so each run keeps its own query ledger.  ``ids`` is a
+    tuple, so no run can rewrite the ids its stream keys were hashed from.
     """
 
     def __init__(self, aux, exact, ids=None, truth=None):
@@ -101,7 +97,7 @@ class HypothesisSet:
         if self.aux.ndim != 1 or self.aux.size == 0:
             raise DomainError("aux must be a nonempty vector")
         n = self.aux.size
-        self.ids = None if ids is None else [str(i) for i in ids]
+        self.ids = None if ids is None else tuple(str(i) for i in ids)
         if self.ids is not None:
             if len(self.ids) != n:
                 raise DomainError("ids must align with aux")
@@ -126,23 +122,9 @@ class HypothesisSet:
             if any(r.truth is None for r in records):
                 raise DomainError("truth labels must be all present or all absent")
             truth = [bool(r.truth) for r in records]
-        exacts = [r.exact for r in records]
-
-        def fetch(indices: np.ndarray) -> np.ndarray:
-            out = np.empty(indices.size)
-            for j, i in enumerate(indices):
-                item = exacts[i]
-                try:
-                    out[j] = float(item()) if callable(item) else float(item)
-                except Exception as exc:
-                    raise DomainError(
-                        f"exact statistic evaluation failed for id {records[i].id!r}: {exc}"
-                    ) from exc
-            return out
-
         return cls(
             aux=[r.aux for r in records],
-            exact=fetch,
+            exact=[r.exact for r in records],
             ids=[r.id for r in records],
             truth=truth,
         )
@@ -170,7 +152,12 @@ class HypothesisSet:
             out = np.empty(indices.size)
             for j, i in enumerate(indices):
                 item = items[i]
-                out[j] = float(item()) if callable(item) else float(item)
+                try:
+                    out[j] = float(item()) if callable(item) else float(item)
+                except Exception as exc:
+                    raise DomainError(
+                        f"exact statistic evaluation failed for id {self.id_of(i)!r}: {exc}"
+                    ) from exc
             return out
 
         return LazyValues(fetch, n)
@@ -199,28 +186,10 @@ class MethodSpec:
 
     variant: str
     beta: float = 0.5
-    utility: Optional[UtilitySpec] = None
 
     def __post_init__(self) -> None:
         if self.variant not in METHOD_NAMES:
             raise DomainError(f"unknown method {self.variant!r}; expected one of {METHOD_NAMES}")
-        check_beta(self.beta)
-        if self.utility is not None and self.variant != "active":
-            raise DomainError("only the active method takes a utility spec")
-
-
-@dataclass(frozen=True)
-class ActiveConfig:
-    """Configuration for a single active run."""
-
-    mode: StatMode
-    n_b: float
-    utility: UtilitySpec
-    beta: float = 0.5
-    seed: int = DEFAULT_SEED
-    rep: int = 0
-
-    def __post_init__(self) -> None:
         check_beta(self.beta)
 
 
@@ -232,6 +201,9 @@ class RunOutput:
     for the active methods, the per-hypothesis query probability for xu,
     n_b / n for random, and 1.0 for all.  ``scales`` is the multiplier
     applied to the exact statistic where queried and 0.0 elsewhere.
+    ``ids`` is this run's own list, copied from the hypothesis set's id
+    tuple ``source_ids`` on first read: no write into it reaches another
+    run, and a run whose ids nobody reads never pays for the copy.
     """
 
     method: str
@@ -241,31 +213,26 @@ class RunOutput:
     h: np.ndarray
     n_queries: int
     seed: int
-    ids: Optional[list] = None
+    source_ids: Optional[tuple] = field(default=None, repr=False)
     mode: Optional[StatMode] = None
     allocation: Optional[AllocationResult] = field(default=None, repr=False)
+
+    @cached_property
+    def ids(self) -> Optional[list]:
+        return None if self.source_ids is None else list(self.source_ids)
 
     def __len__(self) -> int:
         return self.values.size
 
-    def id_of(self, i: int) -> str:
-        return self.ids[i] if self.ids is not None else str(i)
-
-    def outcome(self, i: int) -> ActiveOutcome:
-        return ActiveOutcome(
-            value=float(self.values[i]),
-            queried=bool(self.queried[i]),
-            scale=float(self.scales[i]),
-        )
-
     def to_csv(self) -> str:
+        ids = self.ids if self.ids is not None else range(len(self))
         buf = io.StringIO()
         buf.write("id,value,queried,branch,h\n")
         for i in range(len(self)):
             branch = "query" if self.queried[i] else "no_query"
             flag = "true" if self.queried[i] else "false"
             buf.write(
-                f"{self.id_of(i)},{float(self.values[i])!r},{flag},{branch},{float(self.h[i])!r}\n"
+                f"{ids[i]},{float(self.values[i])!r},{flag},{branch},{float(self.h[i])!r}\n"
             )
         return buf.getvalue()
 
@@ -281,56 +248,33 @@ def _check_aux_domain(hs: HypothesisSet, mode: StatMode) -> None:
         raise DomainError(f"{kind}: offending id {hs.id_of(i)!r} has aux {aux[i]!r}")
 
 
-def _draws(hs: HypothesisSet, seed: int, rep: int, purpose: int) -> np.ndarray:
-    return uniforms(seed, rep, hs.stream_keys(), purpose)
-
-
-def run_active_default(records, config: ActiveConfig, *, u=None) -> RunOutput:
-    """Allocation-driven active run.
-
-    ``u`` overrides the per-hypothesis branch draws (replay/testing hook);
-    by default they come from the counter-based stream keyed by id.
-    """
-    hs = as_hypothesis_set(records)
-    _check_aux_domain(hs, config.mode)
-    alloc = allocate_utilities(
-        eval_utility(config.utility, hs.aux), BudgetConfig(config.n_b, len(hs))
-    )
-    return _run_allocated(hs, alloc, config, u, method="active")
-
-
-def run_active_xu(records, beta: float, mode: StatMode, n_b: float, seed: int = DEFAULT_SEED,
-                  rep: int = 0, *, u=None) -> RunOutput:
-    """Active run whose utility is the one implied by the Xu query rule."""
-    hs = as_hypothesis_set(records)
-    _check_aux_domain(hs, mode)
-    alloc = allocate_utilities(
-        xu_implied_utility(hs.aux, beta, mode), BudgetConfig(n_b, len(hs))
-    )
-    config = ActiveConfig(mode=mode, n_b=n_b, utility=None, beta=beta, seed=seed, rep=rep)
-    return _run_allocated(hs, alloc, config, u, method="active-xu")
-
-
-def _run_allocated(hs: HypothesisSet, alloc: AllocationResult, config: ActiveConfig,
-                   u, method: str) -> RunOutput:
+def _branch_draws(hs: HypothesisSet, seed: int, rep: int, u) -> np.ndarray:
     if u is None:
-        u = _draws(hs, config.seed, config.rep, QUERY_DRAW)
-    else:
-        u = np.asarray(u, dtype=np.float64)
-    lazy = hs.lazy()
-    values, queried, scales = active_values(alloc.h, u, lazy.take, config.mode, config.beta)
-    return RunOutput(
-        method=method,
-        values=values,
-        queried=queried,
-        scales=scales,
-        h=alloc.h,
-        n_queries=lazy.eval_count,
-        seed=config.seed,
-        ids=hs.ids,
-        mode=config.mode,
-        allocation=alloc,
-    )
+        return uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (len(hs),):
+        raise DomainError("u must hold one branch draw per hypothesis")
+    return u
+
+
+def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
+    """Query mask of a uniform subset of exactly ``n_b`` positions.
+
+    Partial Fisher-Yates over positions, driven by its own purpose tag.
+    """
+    if int(n_b) != n_b:
+        raise DomainError(f"random baseline needs an integer budget, got {n_b!r}")
+    n_b = int(n_b)
+    if n_b < 0 or n_b > n:
+        raise DomainError(f"budget must lie in [0, {n}], got {n_b}")
+    perm = np.arange(n)
+    draws = uniforms(seed, rep, np.arange(n_b, dtype=np.uint64), SUBSET_DRAW)
+    for i in range(n_b):
+        j = i + int(draws[i] * (n - i))
+        perm[i], perm[j] = perm[j], perm[i]
+    queried = np.zeros(n, dtype=bool)
+    queried[perm[:n_b]] = True
+    return queried
 
 
 def xu_query_prob(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
@@ -349,139 +293,80 @@ def xu_query_prob(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
     return np.maximum(0.0, 1.0 - beta * aux)
 
 
-def xu_implied_utility(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
-    """The Xu query probability reused as a utility for budgeted allocation."""
-    return xu_query_prob(aux, beta, mode)
+def _fixed_rule(lazy: LazyValues, mode: StatMode, queried: np.ndarray, values: np.ndarray,
+                scale: float, on_query: Callable[[np.ndarray], np.ndarray]):
+    """Shared kernel of xu, random and all: one scale for every queried row.
 
-
-def run_xu(records, beta: float, mode: StatMode, seed: int = DEFAULT_SEED, rep: int = 0,
-           *, u=None) -> RunOutput:
-    """Independent Bernoulli queries with probability given by the Xu rule.
-
-    No global budget: the expected number of queries is the sum of the
-    per-hypothesis probabilities and can be any fraction of n.  On no-query
-    the auxiliary itself is reported; on query the exact statistic is scaled
-    by (1 - beta) in e-mode and 1 / (1 - beta) in p-mode (p-values clamped).
+    ``values`` holds the no-query values and is overwritten where queried
+    with ``on_query(exact)``.  Returns (values, scales).
     """
-    beta = check_beta(beta)
-    hs = as_hypothesis_set(records)
-    _check_aux_domain(hs, mode)
-    prob = xu_query_prob(hs.aux, beta, mode)
-    if u is None:
-        u = _draws(hs, seed, rep, QUERY_DRAW)
-    else:
-        u = np.asarray(u, dtype=np.float64)
-    queried = u < prob
-    lazy = hs.lazy()
     idx = np.nonzero(queried)[0]
     exact = lazy.take(idx)
-    values = hs.aux.astype(np.float64).copy()
-    scales = np.zeros(len(hs))
-    if mode.is_e:
-        if np.any(exact < 0.0) or np.any(~np.isfinite(exact)):
-            raise DomainError("exact e-values must be finite and >= 0")
-        scales[idx] = 1.0 - beta
-        values[idx] = (1.0 - beta) * exact
-    else:
-        if np.any(exact < 0.0) or np.any(exact > 1.0) or np.any(~np.isfinite(exact)):
-            raise DomainError("exact p-values must lie in [0, 1]")
-        scales[idx] = 1.0 / (1.0 - beta)
-        values[idx] = np.minimum(1.0, exact / (1.0 - beta))
-    return RunOutput(
-        method="xu",
-        values=values,
-        queried=queried,
-        scales=scales,
-        h=prob,
-        n_queries=lazy.eval_count,
-        seed=seed,
-        ids=hs.ids,
-        mode=mode,
-    )
-
-
-def run_random(records, n_b: int, seed: int = DEFAULT_SEED, rep: int = 0,
-               mode: Optional[StatMode] = None) -> RunOutput:
-    """Query a uniform random subset of exactly ``n_b`` hypotheses.
-
-    Queried hypotheses report the exact statistic unchanged; the rest report
-    the non-informative value 1.  Subset sampling is a partial Fisher-Yates
-    over positions driven by its own purpose tag.
-    """
-    hs = as_hypothesis_set(records)
-    n = len(hs)
-    if int(n_b) != n_b:
-        raise DomainError(f"random baseline needs an integer budget, got {n_b!r}")
-    n_b = int(n_b)
-    if n_b < 0 or n_b > n:
-        raise DomainError(f"budget must lie in [0, {n}], got {n_b}")
-    perm = np.arange(n)
-    draws = uniforms(seed, rep, np.arange(n_b, dtype=np.uint64), SUBSET_DRAW)
-    for i in range(n_b):
-        j = i + int(draws[i] * (n - i))
-        perm[i], perm[j] = perm[j], perm[i]
-    chosen = perm[:n_b]
-    lazy = hs.lazy()
-    exact = lazy.take(chosen)
-    values = np.ones(n)
-    values[chosen] = exact
-    queried = np.zeros(n, dtype=bool)
-    queried[chosen] = True
-    scales = np.zeros(n)
-    scales[chosen] = 1.0
-    return RunOutput(
-        method="random",
-        values=values,
-        queried=queried,
-        scales=scales,
-        h=np.full(n, n_b / n),
-        n_queries=lazy.eval_count,
-        seed=seed,
-        ids=hs.ids,
-        mode=mode,
-    )
-
-
-def run_all(records, seed: int = DEFAULT_SEED, mode: Optional[StatMode] = None) -> RunOutput:
-    """Query every hypothesis and report the raw exact statistics.
-
-    Nothing is drawn; ``seed`` and ``mode`` are only recorded in the output.
-    """
-    hs = as_hypothesis_set(records)
-    n = len(hs)
-    lazy = hs.lazy()
-    values = lazy.take(np.arange(n)).copy()
-    return RunOutput(
-        method="all",
-        values=values,
-        queried=np.ones(n, dtype=bool),
-        scales=np.ones(n),
-        h=np.ones(n),
-        n_queries=lazy.eval_count,
-        seed=seed,
-        ids=hs.ids,
-        mode=mode,
-    )
+    check_exact_domain(exact, mode, idx)
+    values[idx] = on_query(exact)
+    scales = np.zeros(values.size)
+    scales[idx] = scale
+    return values, scales
 
 
 def run_method(records, method: MethodSpec, *, mode: StatMode, n_b: float,
                seed: int = DEFAULT_SEED, rep: int = 0,
-               utility: Optional[UtilitySpec] = None) -> RunOutput:
-    """Dispatch one named method under a common interface."""
+               utility: Optional[UtilitySpec] = None, u=None) -> RunOutput:
+    """Run one named method on the hypotheses.
+
+    Each method picks a query mask, the no-query values and the query
+    scale; the exact statistics are then read through one fresh query
+    ledger.  ``utility`` drives the active method's allocation.  ``u``
+    replays the per-hypothesis branch draws of active, active-xu and xu;
+    by default they come from the counter-based stream keyed by id.
+    """
     hs = as_hypothesis_set(records)
-    if method.variant == "active":
-        util = method.utility if method.utility is not None else utility
-        if util is None:
-            raise DomainError("the active method requires a utility spec")
-        config = ActiveConfig(mode=mode, n_b=n_b, utility=util, beta=method.beta,
-                              seed=seed, rep=rep)
-        out = run_active_default(hs, config)
-    elif method.variant == "active-xu":
-        out = run_active_xu(hs, method.beta, mode, n_b, seed=seed, rep=rep)
-    elif method.variant == "xu":
-        out = run_xu(hs, method.beta, mode, seed=seed, rep=rep)
-    elif method.variant == "random":
-        out = run_random(hs, n_b, seed=seed, rep=rep, mode=mode)
+    _check_aux_domain(hs, mode)
+    variant, beta = method.variant, method.beta
+    if u is not None and variant in ("random", "all"):
+        raise DomainError(f"method {variant!r} draws no branch coins to replay")
+    n = len(hs)
+    lazy = hs.lazy()
+    alloc = None
+    if variant in ("active", "active-xu"):
+        if variant == "active":
+            if utility is None:
+                raise DomainError("the active method requires a utility spec")
+            scores = eval_utility(utility, hs.aux)
+        else:
+            scores = xu_query_prob(hs.aux, beta, mode)
+        alloc = allocate_utilities(scores, BudgetConfig(n_b, n))
+        h = alloc.h
+        values, queried, scales = active_values(h, _branch_draws(hs, seed, rep, u), lazy.take,
+                                                mode, beta)
+    elif variant == "xu":
+        # no global budget: on no-query the auxiliary itself is reported
+        h = xu_query_prob(hs.aux, beta, mode)
+        queried = _branch_draws(hs, seed, rep, u) < h
+        if mode.is_e:
+            values, scales = _fixed_rule(lazy, mode, queried, hs.aux.copy(), 1.0 - beta,
+                                         lambda exact: (1.0 - beta) * exact)
+        else:
+            values, scales = _fixed_rule(lazy, mode, queried, hs.aux.copy(), 1.0 / (1.0 - beta),
+                                         lambda exact: np.minimum(1.0, exact / (1.0 - beta)))
     else:
-        out = run_all(hs, seed=seed, mode=mode)
-    return out
+        # random and all report the exact statistic unchanged, 1 elsewhere
+        if variant == "random":
+            queried = _random_subset(n, n_b, seed, rep)
+            h = np.full(n, int(n_b) / n)
+        else:
+            queried = np.ones(n, dtype=bool)
+            h = np.ones(n)
+        values, scales = _fixed_rule(lazy, mode, queried, np.ones(n), 1.0, lambda exact: exact)
+    return RunOutput(
+        method=variant,
+        values=values,
+        queried=queried,
+        scales=scales,
+        h=h,
+        n_queries=lazy.eval_count,
+        seed=seed,
+        source_ids=hs.ids,
+        mode=mode,
+        allocation=alloc,
+    )

@@ -159,10 +159,6 @@ class AlignedPair:
         return len(self.keys)
 
     @property
-    def target_part(self) -> SummaryTable:
-        return SummaryTable(keys=self.keys, stats=self.target_stats, source="aligned")
-
-    @property
     def oracle_stats(self) -> np.ndarray:
         return self.target_stats
 
@@ -182,41 +178,16 @@ class AlignedPair:
         return rejected
 
 
-def align(target: SummaryTable, aux: SummaryTable, strategy: str = "hash") -> AlignedPair:
-    """Inner join on key; output rows follow the target table's order.
-
-    ``strategy='merge'`` walks both tables with two pointers and requires
-    both key columns to be pre-sorted (cheaper than hashing at very large
-    scale); ``'hash'`` takes them as they come.
-    """
-    if strategy not in ("hash", "merge"):
-        raise DomainError(f"unknown join strategy {strategy!r}")
-    if strategy == "merge":
-        if list(target.keys) != sorted(target.keys) or list(aux.keys) != sorted(aux.keys):
-            raise DataError("merge join requires both tables sorted by key")
-        t_keys, a_keys = target.keys, aux.keys
-        ti = ai = 0
-        keys, aux_vals, tgt_vals = [], [], []
-        while ti < len(t_keys) and ai < len(a_keys):
-            if t_keys[ti] == a_keys[ai]:
-                keys.append(t_keys[ti])
-                tgt_vals.append(target.stats[ti])
-                aux_vals.append(aux.stats[ai])
-                ti += 1
-                ai += 1
-            elif t_keys[ti] < a_keys[ai]:
-                ti += 1
-            else:
-                ai += 1
-    else:
-        index = {k: i for i, k in enumerate(aux.keys)}
-        keys, aux_vals, tgt_vals = [], [], []
-        for i, k in enumerate(target.keys):
-            j = index.get(k)
-            if j is not None:
-                keys.append(k)
-                tgt_vals.append(target.stats[i])
-                aux_vals.append(aux.stats[j])
+def align(target: SummaryTable, aux: SummaryTable) -> AlignedPair:
+    """Inner join on key; output rows follow the target table's order."""
+    index = {k: i for i, k in enumerate(aux.keys)}
+    keys, aux_vals, tgt_vals = [], [], []
+    for i, k in enumerate(target.keys):
+        j = index.get(k)
+        if j is not None:
+            keys.append(k)
+            tgt_vals.append(target.stats[i])
+            aux_vals.append(aux.stats[j])
     if not keys:
         raise DataError("no keys in common between target and auxiliary tables")
     return AlignedPair(keys=keys, aux_stats=aux_vals, target_stats=tgt_vals)

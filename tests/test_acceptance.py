@@ -316,18 +316,17 @@ def test_09_alignment_recovery_at_scale(tmp_path):
     rc = main(["gwas", "--target", target_path, "--aux", aux_path,
                "--budget", str(int(n_b)), "--method", "active",
                "--seed", str(DEFAULT_SEED), "--out", str(out_path)])
-    elapsed = time.perf_counter() - t0
+    cli_elapsed = time.perf_counter() - t0
     failures = []
     if rc != 0:
         failures.append(f"exit code {rc}")
-    if elapsed >= 30.0:
-        failures.append(f"runtime {elapsed:.1f}s")
     lines = out_path.read_text().splitlines()
     cli_queries = int(next(l for l in lines if l.startswith("# n_queries")).split("=")[1])
     flags = sum(1 for l in lines if l.endswith(",true"))
     if flags != cli_queries:
         failures.append(f"ledger header {cli_queries} vs {flags} flagged rows")
 
+    t0 = time.perf_counter()
     joined = align(read_summary_table(target_path, "rsid", "pval"),
                    read_summary_table(aux_path, "rsid", "pval"))
     base = oracle_recovery(joined, n_b=n_b, beta=0.5, method="active", alpha=0.1,
@@ -353,12 +352,18 @@ def test_09_alignment_recovery_at_scale(tmp_path):
         r = oracle_recovery(joined, n_b=n_b, beta=0.5, method="random", alpha=0.1,
                             seed=seed)
         diffs.append(a.efficiency - r.efficiency)
+    lib_elapsed = time.perf_counter() - t0
+    # one bound over everything the check runs: the CLI call and the library
+    # read, join and every recovery run
+    if cli_elapsed + lib_elapsed >= 30.0:
+        failures.append(f"runtime {cli_elapsed + lib_elapsed:.1f}s")
     mean_diff = float(np.mean(diffs))
     if mean_diff < 0.0:
         failures.append(f"efficiency gap {mean_diff:+.4f}")
     _report("09 recovery at scale", not failures,
             f"{n} rows, {n_signal} planted signals, budget {int(n_b)}: "
-            f"{elapsed:.1f}s (limit 30s), {cli_queries} queries ledgered exactly, "
+            f"CLI {cli_elapsed:.1f}s + library {lib_elapsed:.1f}s (limit 30s together), "
+            f"{cli_queries} queries ledgered exactly, "
             f"allocation beats random by {mean_diff:+.4f} over 20 seeds"
             + ("" if not failures else f"; failed: {failures}"))
 

@@ -10,7 +10,6 @@ from activetest.allocation import (
     UtilitySpec,
     allocate,
     allocate_utilities,
-    budget_concentration_bound,
     eval_utility,
 )
 from activetest.errors import DegenerateUtilitiesError, DomainError
@@ -183,27 +182,6 @@ class TestBudgetConfig:
             warnings.simplefilter("error")
             cfg = BudgetConfig(10.0, 10)
         assert cfg.n_b == 10.0
-
-
-class TestConcentrationBound:
-    def test_worked_example(self):
-        # 2*50^2 / ln(40) = 5000/3.6889 ~ 1355.3 <= 10000
-        assert budget_concentration_bound(100.0, 10_000, epsilon=50.0, delta=0.05)
-
-    def test_threshold_edges(self):
-        need = 2.0 * 50.0**2 / math.log(2.0 / 0.05)
-        assert not budget_concentration_bound(100.0, int(need) - 400, 50.0, 0.05)
-        assert budget_concentration_bound(100.0, int(need) + 1, 50.0, 0.05)
-
-    def test_epsilon_precondition(self):
-        with pytest.raises(DomainError):
-            budget_concentration_bound(100.0, 1000, epsilon=0.0, delta=0.05)
-
-    def test_delta_precondition(self):
-        with pytest.raises(DomainError):
-            budget_concentration_bound(100.0, 1000, epsilon=50.0, delta=1.0)
-        with pytest.raises(DomainError):
-            budget_concentration_bound(100.0, 1000, epsilon=50.0, delta=0.0)
 
 
 def test_allocation_result_is_plain_accounting():

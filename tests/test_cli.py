@@ -200,6 +200,16 @@ class TestRun:
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert [l.split(",")[0] for l in body[1:]] == ["snp7", "snp3", "snp11", "snp0"]
 
+    @pytest.mark.parametrize("method", ["random", "all"])
+    def test_out_of_domain_exact_exits_2(self, tmp_path, capsys, method):
+        inp = write(tmp_path / "p.csv", "id,aux,exact\na,0.5,0.2\nb,0.5,1.5\n")
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", inp, "--mode", "p-independent", "--method", method,
+                "--budget", "2", "--out", str(out)]
+        assert main(args) == 2
+        assert "p-value" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode,family", [
         ("e", "log1p"), ("p-independent", "log_inverse"), ("p-general", "log_inverse"),
     ])

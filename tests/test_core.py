@@ -6,7 +6,6 @@ from activetest.core import (
     P_GENERAL,
     P_INDEPENDENT,
     ActiveOutcome,
-    ControlValue,
     StatMode,
     active_e,
     active_p,
@@ -360,13 +359,16 @@ class TestDominance:
 
 class TestTypes:
     def test_control_value_clamps_query_prob(self):
-        assert ControlValue(0.3).query_prob == 0.3
-        assert ControlValue(2.5).query_prob == 1.0
-        assert ControlValue(0.0).query_prob == 0.0
+        # the query probability of control value h is min(1, h)
+        assert active_e(1.0, 0.3, beta=0.5, u=0.2999).queried
+        assert not active_e(1.0, 0.3, beta=0.5, u=0.3).queried
+        assert active_e(1.0, 2.5, beta=0.5, u=0.9999).queried
+        assert not active_e(1.0, 0.0, beta=0.5, u=0.0).queried
 
     def test_control_value_rejects_negative(self):
-        with pytest.raises(DomainError):
-            ControlValue(-0.1)
+        for h in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                active_e(1.0, h, beta=0.5, u=0.1)
 
     def test_stat_mode_names(self):
         assert StatMode.from_name("e") == E_VALUES

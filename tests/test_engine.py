@@ -4,19 +4,11 @@ import pytest
 from activetest.allocation import UtilitySpec
 from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT
 from activetest.engine import (
-    ActiveConfig,
     HypothesisRecord,
     HypothesisSet,
     LazyValues,
     MethodSpec,
-    RunOutput,
-    run_active_default,
-    run_active_xu,
-    run_all,
     run_method,
-    run_random,
-    run_xu,
-    xu_implied_utility,
     xu_query_prob,
 )
 from activetest.errors import DegenerateUtilitiesError, DomainError
@@ -41,11 +33,32 @@ def counted_records(aux, exact):
     return records, calls
 
 
+def run_active(records, mode, n_b, utility, beta=0.5, **kw):
+    return run_method(records, MethodSpec("active", beta=beta), mode=mode, n_b=n_b,
+                      utility=utility, **kw)
+
+
+def run_active_xu(records, beta, mode, n_b, **kw):
+    return run_method(records, MethodSpec("active-xu", beta=beta), mode=mode, n_b=n_b, **kw)
+
+
+def run_xu(records, beta, mode, **kw):
+    return run_method(records, MethodSpec("xu", beta=beta), mode=mode, n_b=0.0, **kw)
+
+
+def run_random(records, n_b, mode=E_VALUES, **kw):
+    return run_method(records, MethodSpec("random"), mode=mode, n_b=n_b, **kw)
+
+
+def run_all(records, mode=E_VALUES, **kw):
+    return run_method(records, MethodSpec("all"), mode=mode, n_b=float(len(records)), **kw)
+
+
 class TestActiveDefaultTrace:
     def test_worked_trace(self):
         records, calls = counted_records([1.0, 2.0, 3.0], [5.0, 20.0, 30.0])
-        cfg = ActiveConfig(mode=E_VALUES, n_b=3.0, utility=UtilitySpec.identity(), beta=0.5)
-        out = run_active_default(records, cfg, u=np.array([0.9, 0.9, 0.1]))
+        out = run_active(records, E_VALUES, 3.0, UtilitySpec.identity(),
+                         u=np.array([0.9, 0.9, 0.1]))
         np.testing.assert_allclose(out.h, [0.5, 1.0, 1.5])
         assert out.values[0] == 1.0 and not out.queried[0]
         assert out.values[1] == 0.5 * 20.0 and out.queried[1]
@@ -57,16 +70,15 @@ class TestActiveDefaultTrace:
     def test_full_budget_reduces_to_always_query(self):
         n = 6
         records, _ = counted_records([2.0] * n, np.arange(1.0, n + 1.0))
-        cfg = ActiveConfig(mode=E_VALUES, n_b=float(n), utility=UtilitySpec.identity(), beta=0.5)
-        out = run_active_default(records, cfg)
+        out = run_active(records, E_VALUES, float(n), UtilitySpec.identity())
         np.testing.assert_allclose(out.h, np.ones(n))
         assert out.n_queries == n
         np.testing.assert_allclose(out.values, 0.5 * np.arange(1.0, n + 1.0))
 
     def test_p_general_trace(self):
         records, _ = counted_records([0.5, 0.5], [0.02, 0.8])
-        cfg = ActiveConfig(mode=P_GENERAL, n_b=1.0, utility=UtilitySpec.custom([0, 1], [1, 1]), beta=0.5)
-        out = run_active_default(records, cfg, u=np.array([0.1, 0.1]))
+        out = run_active(records, P_GENERAL, 1.0, UtilitySpec.custom([0, 1], [1, 1]),
+                         u=np.array([0.1, 0.1]))
         np.testing.assert_allclose(out.h, [0.5, 0.5])
         assert out.values[0] == pytest.approx(0.04)
         assert out.values[1] == 1.0
@@ -76,18 +88,24 @@ class TestActiveDefaultTrace:
             HypothesisRecord("ok", 0.5, 0.5),
             HypothesisRecord("bad", 1.5, 0.5),
         ]
-        cfg = ActiveConfig(mode=P_INDEPENDENT, n_b=1.0, utility=UtilitySpec.log_inverse(), beta=0.5)
         with pytest.raises(DomainError, match="bad"):
-            run_active_default(records, cfg)
+            run_active(records, P_INDEPENDENT, 1.0, UtilitySpec.log_inverse())
 
     def test_evaluation_failure_names_id(self):
         def boom():
             raise RuntimeError("storage offline")
 
         records = [HypothesisRecord("fine", 4.0, 2.0), HypothesisRecord("broken", 4.0, boom)]
-        cfg = ActiveConfig(mode=E_VALUES, n_b=2.0, utility=UtilitySpec.identity(), beta=0.5)
         with pytest.raises(DomainError, match="broken"):
-            run_active_default(records, cfg, u=np.array([0.0, 0.0]))
+            run_active(records, E_VALUES, 2.0, UtilitySpec.identity(), u=np.array([0.0, 0.0]))
+
+    def test_evaluation_failure_names_id_in_a_sequence(self):
+        def boom():
+            raise RuntimeError("storage offline")
+
+        hs = HypothesisSet([4.0, 4.0], [2.0, boom], ids=["fine", "broken"])
+        with pytest.raises(DomainError, match="broken"):
+            run_all(hs)
 
 
 class TestRunAll:
@@ -108,6 +126,24 @@ class TestRunAll:
         assert out.mode == P_INDEPENDENT
         assert out.seed == 9
         assert out.to_csv().splitlines()[1].startswith("c,")
+
+    @pytest.mark.parametrize("method", ["random", "all"])
+    def test_exact_domain_checked(self, method):
+        hs = HypothesisSet(aux=[0.5, 0.5], exact=np.array([0.2, 1.5]))
+        with pytest.raises(DomainError, match="p-value"):
+            run_method(hs, MethodSpec(method), mode=P_INDEPENDENT, n_b=2.0)
+
+    @pytest.mark.parametrize("method", ["random", "all"])
+    def test_aux_domain_checked(self, method):
+        hs = HypothesisSet(aux=[0.5, -1.0], exact=np.array([2.0, 3.0]), ids=["ok", "neg"])
+        with pytest.raises(DomainError, match="neg"):
+            run_method(hs, MethodSpec(method), mode=E_VALUES, n_b=2.0)
+
+    @pytest.mark.parametrize("method", ["random", "all"])
+    def test_no_branch_draws_to_replay(self, method):
+        records, _ = counted_records([1.0] * 2, [1.0] * 2)
+        with pytest.raises(DomainError, match="replay"):
+            run_method(records, MethodSpec(method), mode=E_VALUES, n_b=1.0, u=[0.5, 0.5])
 
 
 class TestRunRandom:
@@ -234,12 +270,13 @@ class TestRunActiveXu:
         np.testing.assert_allclose(out.h, [2.0 / 3.0, 1.0 / 3.0])
 
     def test_implied_utility_formulas(self):
+        # active-xu allocates with the Xu query probability as its utility
         aux = np.array([0.2, 1.0, 4.0])
         np.testing.assert_allclose(
-            xu_implied_utility(aux, 0.5, E_VALUES), [0.0, 0.5, 0.875]
+            xu_query_prob(aux, 0.5, E_VALUES), [0.0, 0.5, 0.875]
         )
         np.testing.assert_allclose(
-            xu_implied_utility(np.array([0.0, 0.5, 1.0]), 0.5, P_INDEPENDENT),
+            xu_query_prob(np.array([0.0, 0.5, 1.0]), 0.5, P_INDEPENDENT),
             [1.0, 0.75, 0.5],
         )
 
@@ -293,11 +330,8 @@ class TestBudgetAdherence:
         counts = []
         expected = None
         for rep in range(200):
-            cfg = ActiveConfig(
-                mode=E_VALUES, n_b=float(n_b), utility=UtilitySpec.log1p(), beta=0.5,
-                seed=41, rep=rep,
-            )
-            out = run_active_default(records, cfg)
+            out = run_active(records, E_VALUES, float(n_b), UtilitySpec.log1p(),
+                             seed=41, rep=rep)
             counts.append(out.n_queries)
             expected = out.allocation.expected_queries
         counts = np.asarray(counts, dtype=float)
@@ -319,9 +353,7 @@ class TestOrderIndependence:
         def run(a, e, idlist):
             hs = HypothesisSet(a, e, ids=idlist)
             if runner == "active":
-                cfg = ActiveConfig(mode=E_VALUES, n_b=20.0, utility=UtilitySpec.log1p(),
-                                   beta=0.5, seed=47, rep=2)
-                return run_active_default(hs, cfg)
+                return run_active(hs, E_VALUES, 20.0, UtilitySpec.log1p(), seed=47, rep=2)
             if runner == "active-xu":
                 return run_active_xu(hs, beta=0.5, mode=E_VALUES, n_b=20.0, seed=47, rep=2)
             return run_xu(hs, beta=0.5, mode=E_VALUES, seed=47, rep=2)
@@ -347,6 +379,11 @@ class TestRecordsAndOutput:
         with pytest.raises(DomainError):
             HypothesisSet.from_records(records)
 
+    def test_replayed_draws_must_align(self):
+        records, _ = counted_records([1.0, 2.0], [3.0, 4.0])
+        with pytest.raises(DomainError, match="branch draw"):
+            run_xu(records, beta=0.5, mode=E_VALUES, u=np.array([0.1, 0.2, 0.3]))
+
     def test_truth_labels_untouched(self):
         records = [
             HypothesisRecord("a", 1.0, 3.0, truth=True),
@@ -358,8 +395,7 @@ class TestRecordsAndOutput:
 
     def test_to_csv_shape(self):
         records, _ = counted_records([1.0, 2.0], [3.0, 4.0])
-        cfg = ActiveConfig(mode=E_VALUES, n_b=1.0, utility=UtilitySpec.identity(), beta=0.5)
-        out = run_active_default(records, cfg, u=np.array([0.9, 0.1]))
+        out = run_active(records, E_VALUES, 1.0, UtilitySpec.identity(), u=np.array([0.9, 0.1]))
         lines = out.to_csv().strip().split("\n")
         assert lines[0] == "id,value,queried,branch,h"
         assert len(lines) == 3
@@ -369,10 +405,6 @@ class TestRecordsAndOutput:
     def test_method_spec_validation(self):
         with pytest.raises(DomainError):
             MethodSpec("bogus")
-        with pytest.raises(DomainError):
-            MethodSpec("random", utility=UtilitySpec.identity())
-        spec = MethodSpec("active", beta=0.3, utility=UtilitySpec.log1p())
-        assert spec.utility.family == "log1p"
 
     def test_run_method_requires_utility_for_active(self):
         records, _ = counted_records([1.0], [1.0])
@@ -386,9 +418,3 @@ class TestRecordsAndOutput:
             utility=UtilitySpec.identity(),
         )
         np.testing.assert_allclose(out.h, [0.25, 0.75])
-
-    def test_run_output_outcome_view(self):
-        records, _ = counted_records([1.0, 2.0], [3.0, 4.0])
-        out = run_all(records)
-        oc = out.outcome(1)
-        assert oc.value == 4.0 and oc.queried and oc.branch == "query"

@@ -125,33 +125,10 @@ class TestAlign:
         target = table([f"k{i}" for i in range(20)], np.linspace(0.01, 0.99, 20))
         aux = table([f"k{i}" for i in range(5, 25)], np.linspace(0.99, 0.01, 20))
         once = align(target, aux)
-        twice = align(once.target_part, aux)
+        twice = align(SummaryTable(keys=once.keys, stats=once.target_stats), aux)
         assert twice.keys == once.keys
         np.testing.assert_array_equal(twice.target_stats, once.target_stats)
         np.testing.assert_array_equal(twice.aux_stats, once.aux_stats)
-
-    def test_merge_matches_hash_on_sorted_input(self):
-        rng = np.random.default_rng(5)
-        t_keys = sorted(f"rs{i:04d}" for i in rng.permutation(100)[:60])
-        a_keys = sorted(f"rs{i:04d}" for i in rng.permutation(100)[:60])
-        target = table(t_keys, rng.uniform(size=60))
-        aux = table(a_keys, rng.uniform(size=60))
-        h = align(target, aux, strategy="hash")
-        m = align(target, aux, strategy="merge")
-        assert h.keys == m.keys
-        np.testing.assert_array_equal(h.target_stats, m.target_stats)
-        np.testing.assert_array_equal(h.aux_stats, m.aux_stats)
-
-    def test_merge_requires_sorted(self):
-        target = table(["b", "a"], [0.1, 0.2])
-        aux = table(["a", "b"], [0.3, 0.4])
-        with pytest.raises(DataError, match="sorted"):
-            align(target, aux, strategy="merge")
-
-    def test_unknown_strategy(self):
-        t = table(["a"], [0.1])
-        with pytest.raises(DomainError):
-            align(t, t, strategy="nested-loop")
 
 
 class TestConformal:
@@ -356,6 +333,19 @@ class TestAlignedPairMemo:
             res.oracle[0] = 0
         with pytest.raises(ValueError):
             joined.to_hypotheses().stream_keys()[0] = 0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_run_owns_its_ids(self, method):
+        joined = synthetic_pair()
+        first = oracle_recovery(joined, n_b=50, beta=0.5, method=method, alpha=0.1, seed=3)
+        first.run.ids[0] = "zzz"
+        again = oracle_recovery(joined, n_b=50, beta=0.5, method=method, alpha=0.1, seed=3)
+        fresh = oracle_recovery(synthetic_pair(), n_b=50, beta=0.5, method=method, alpha=0.1,
+                                seed=3)
+        assert again.run.ids == list(joined.keys)
+        assert joined.to_hypotheses().ids == joined.keys
+        np.testing.assert_array_equal(again.run.values, fresh.run.values)
+        np.testing.assert_array_equal(again.run.queried, fresh.run.queried)
 
     def test_pair_copies_caller_arrays(self):
         target = np.array([0.01, 0.5, 0.9])
