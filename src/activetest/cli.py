@@ -17,13 +17,14 @@ from importlib.metadata import PackageNotFoundError, version as _pkg_version
 import numpy as np
 
 from .core import StatMode
-from .engine import MethodSpec, run_method
+from .engine import HypothesisSet, MethodSpec, csv_text, run_method
 from .errors import ActiveTestError
 from .allocation import UtilitySpec
 from .pipeline import (
     align,
     conformal_p,
     oracle_recovery,
+    read_columns,
     read_score_column,
     read_summary_table,
 )
@@ -242,37 +243,9 @@ def _cmd_run(args) -> int:
     return _EXIT_OK
 
 
-def _read_run_input(path: str):
-    import csv as _csv
-
-    from .engine import HypothesisSet
-    from .errors import DataError
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file")
-        try:
-            id_idx = header.index("id")
-            aux_idx = header.index("aux")
-            exact_idx = header.index("exact")
-        except ValueError as exc:
-            raise DataError(f"{path}: header must contain id,aux,exact: {exc}") from exc
-        ids, aux, exact = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                aux.append(float(row[aux_idx]))
-                exact.append(float(row[exact_idx]))
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            ids.append(row[id_idx])
-    if not ids:
-        raise DataError(f"{path}: no data rows")
-    return HypothesisSet(aux=aux, exact=np.asarray(exact), ids=ids)
+def _read_run_input(path: str) -> HypothesisSet:
+    ids, (aux, exact) = read_columns(path, "id", ("aux", "exact"), delimiter=",")
+    return HypothesisSet(aux=aux, exact=exact, ids=ids)
 
 
 def _cmd_gwas(args) -> int:
@@ -305,12 +278,9 @@ def _cmd_gwas(args) -> int:
         f"# recovered_size = {result.recovered.size}\n"
         f"# efficiency = {result.efficiency!r}\n"
     )
-    run = result.run
-    lines = ["key,active_p,queried\n"]
-    for i in range(len(run)):
-        flag = "true" if run.queried[i] else "false"
-        lines.append(f"{aligned.keys[i]},{float(run.values[i])!r},{flag}\n")
-    atomic_write_text(args.out, config_header(config) + summary + "".join(lines))
+    body = csv_text("key,active_p,queried\n",
+                    [aligned.keys, result.run.values, result.run.queried])
+    atomic_write_text(args.out, config_header(config) + summary + body)
     return _EXIT_OK
 
 
@@ -325,10 +295,8 @@ def _cmd_conformal(args) -> int:
         "n_calibration": cal.size,
         "n_test": test.size,
     })
-    lines = ["index,p_value\n"]
-    for i, value in enumerate(p):
-        lines.append(f"{i},{float(value)!r}\n")
-    atomic_write_text(args.out, config_header(config) + "".join(lines))
+    body = csv_text("index,p_value\n", [np.arange(p.size), p])
+    atomic_write_text(args.out, config_header(config) + body)
     return _EXIT_OK
 
 

@@ -17,7 +17,6 @@ the Random baseline draws a subset of positions by design.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
@@ -35,6 +34,7 @@ __all__ = [
     "LazyValues",
     "MethodSpec",
     "RunOutput",
+    "csv_text",
     "run_method",
     "xu_query_prob",
 ]
@@ -97,12 +97,16 @@ class HypothesisSet:
         if self.aux.ndim != 1 or self.aux.size == 0:
             raise DomainError("aux must be a nonempty vector")
         n = self.aux.size
-        self.ids = None if ids is None else tuple(str(i) for i in ids)
+        self.ids = None if ids is None else tuple(map(str, ids))
         if self.ids is not None:
             if len(self.ids) != n:
                 raise DomainError("ids must align with aux")
             if len(set(self.ids)) != n:
-                raise DomainError("ids must be unique")
+                first = {}
+                for i, hid in enumerate(self.ids):
+                    j = first.setdefault(hid, i)
+                    if j != i:
+                        raise DomainError(f"ids must be unique: {hid!r} at indices {j} and {i}")
         if truth is None:
             self.truth = None
         else:
@@ -225,16 +229,51 @@ class RunOutput:
         return self.values.size
 
     def to_csv(self) -> str:
-        ids = self.ids if self.ids is not None else range(len(self))
-        buf = io.StringIO()
-        buf.write("id,value,queried,branch,h\n")
-        for i in range(len(self)):
-            branch = "query" if self.queried[i] else "no_query"
-            flag = "true" if self.queried[i] else "false"
-            buf.write(
-                f"{ids[i]},{float(self.values[i])!r},{flag},{branch},{float(self.h[i])!r}\n"
-            )
-        return buf.getvalue()
+        ids = self.ids if self.ids is not None else np.arange(len(self))
+        branch = list(map(_BRANCH_TEXT.__getitem__, self.queried.tolist()))
+        return csv_text("id,value,queried,branch,h\n",
+                        [ids, self.values, self.queried, branch, self.h])
+
+
+_BRANCH_TEXT = ("no_query", "query")
+# array columns: dtype kind -> text of one element
+_FORMATS = {"f": repr, "b": ("false", "true").__getitem__, "i": str}
+_QUOTED_CHARS = (",", '"', "\r", "\n")
+# rows formatted per join: bounds the row strings alive at once
+_ROWS_PER_JOIN = 1 << 14
+
+
+def _quote(field: str) -> str:
+    if any(c in field for c in _QUOTED_CHARS):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def csv_text(header: str, columns: Sequence) -> str:
+    """Comma-separated text: ``header``, then one line per row of ``columns``.
+
+    A float array is written with ``repr`` (the shortest string that reads
+    back to the same float), a bool array as true/false, an integer array
+    as its integers, and any other column as text, quoted the way
+    ``csv.writer`` quotes a field holding a comma, a quote or a line break.
+    The quoting check runs once per column, so plain text is written as is.
+    Rows are formatted a block at a time.
+    """
+    texts = []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            texts.append((column, _FORMATS[column.dtype.kind]))
+            continue
+        if any(c in "".join(column) for c in _QUOTED_CHARS):
+            column = list(map(_quote, column))
+        texts.append((column, None))
+    parts = [header]
+    for start in range(0, len(texts[0][0]), _ROWS_PER_JOIN):
+        stop = start + _ROWS_PER_JOIN
+        rows = zip(*[column[start:stop] if fmt is None else map(fmt, column[start:stop].tolist())
+                     for column, fmt in texts])
+        parts += ("\n".join(map(",".join, rows)), "\n")
+    return "".join(parts)
 
 
 def _check_aux_domain(hs: HypothesisSet, mode: StatMode) -> None:
@@ -245,7 +284,7 @@ def _check_aux_domain(hs: HypothesisSet, mode: StatMode) -> None:
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         kind = "p-type auxiliaries must lie in [0, 1]" if mode.is_p else "e-type auxiliaries must be >= 0"
-        raise DomainError(f"{kind}: offending id {hs.id_of(i)!r} has aux {aux[i]!r}")
+        raise DomainError(f"{kind}: offending id {hs.id_of(i)!r} has aux {float(aux[i])!r}")
 
 
 def _branch_draws(hs: HypothesisSet, seed: int, rep: int, u) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Real-data workflows: summary-table alignment, conformal p-values, and
-budgeted recovery against a full-information oracle.
+"""Real-data workflows: delimited-table reading, summary-table alignment,
+conformal p-values, and budgeted recovery against a full-information oracle.
 
 The target table holds the expensive exact p-values and the auxiliary table
 the cheap proxies.  After an inner join on the key column, the target p-value
@@ -12,9 +12,8 @@ full read and is exempt from the ledger.
 from __future__ import annotations
 
 import csv
-import io
-import math
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -30,6 +29,7 @@ __all__ = [
     "SummaryTable",
     "AlignedPair",
     "RecoveryResult",
+    "read_columns",
     "read_summary_table",
     "align",
     "conformal_p",
@@ -56,8 +56,8 @@ class SummaryTable:
             raise DataError("summary table is empty")
         if np.any(~np.isfinite(stats)) or np.any(stats < 0.0) or np.any(stats > 1.0):
             raise DataError("summary statistics must lie in [0, 1]")
-        dup = _duplicates(self.keys)
-        if dup:
+        if len(set(self.keys)) != len(self.keys):
+            dup = _duplicates(self.keys)
             raise DataError(f"duplicate keys in {self.source or 'table'}: {dup}")
         object.__setattr__(self, "keys", tuple(self.keys))
         object.__setattr__(self, "stats", stats)
@@ -82,49 +82,190 @@ def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def read_summary_table(path: str, key_col: str, stat_col: str,
-                       delimiter: Optional[str] = None) -> SummaryTable:
-    """Parse a delimited text file into a SummaryTable.
+def read_columns(path: str, key_col: str, value_cols: Sequence[str],
+                 delimiter: Optional[str] = None,
+                 unit_interval: bool = False) -> tuple[list, list]:
+    """Read a key column and numeric value columns from a delimited UTF-8 file.
 
-    The delimiter is sniffed from the header (tab wins over comma) unless
-    given.  Malformed numeric fields are reported with their line number.
+    Returns ``(keys, values)``: the key strings in file order and one float64
+    array per name in ``value_cols``.  The delimiter is sniffed from the
+    header (tab wins over comma) unless given.  Blank lines are skipped,
+    extra columns ignored and quoted fields accepted.  With
+    ``unit_interval`` every value must lie in [0, 1].  Keys must be unique.
+    Bad input raises DataError naming the file and the line.
+
+    Plain blocks of lines (no quote character, the header's field count on
+    every nonblank line) are split in bulk; anything else, including every
+    fault, sends the whole file through the per-row ``csv.reader`` loop,
+    which is the reference for values and the only source of messages.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first:
-            raise DataError(f"{path}: empty file")
-        delim = delimiter or _sniff_delimiter(first)
+    try:
+        # universal newlines: the bulk path sees every line end as "\n", and
+        # the lines are the ones csv.reader gets from a newline="" file
+        with open(path, "r", encoding="utf-8") as fh:
+            delim, header, key_idx, value_idxs = _read_header(fh, path, key_col, value_cols,
+                                                              delimiter)
+            table = _parse_blocks(fh, delim, len(header), key_idx, value_idxs, unit_interval)
+        if table is None:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                delim, header, key_idx, value_idxs = _read_header(fh, path, key_col,
+                                                                  value_cols, delimiter)
+                table = _parse_rows(fh, path, delim, header, key_col, key_idx, value_idxs,
+                                    unit_interval)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
+    if not table[0]:
+        raise DataError(f"{path}: no data rows after the header on line 1")
+    return table
+
+
+def _read_header(fh, path: str, key_col: str, value_cols: Sequence[str],
+                 delimiter: Optional[str]):
+    first = fh.readline()
+    if not first:
+        raise DataError(f"{path}: line 1: empty file")
+    delim = delimiter or _sniff_delimiter(first)
+    try:
         header = next(csv.reader([first], delimiter=delim))
+    except csv.Error as exc:
+        raise DataError(f"{path}: line 1: {exc}") from exc
+    try:
+        key_idx = header.index(key_col)
+        value_idxs = [header.index(name) for name in value_cols]
+    except ValueError as exc:
+        raise DataError(
+            f"{path}: line 1: missing column in header {header!r}, expected "
+            f"{','.join([key_col, *value_cols])}: {exc}"
+        ) from exc
+    return delim, header, key_idx, value_idxs
+
+
+# characters read per block: no larger than csv's default field limit, so a
+# block within it needs no per-field length check
+_BLOCK_CHARS = 1 << 16
+
+
+def _blocks(fh):
+    """Blocks of whole lines, each ending in "\n", with blank lines removed."""
+    carry = ""
+    while True:
+        chunk = fh.read(_BLOCK_CHARS)
+        if chunk:
+            chunk = carry + chunk
+            cut = chunk.rfind("\n") + 1
+            block, carry = chunk[:cut], chunk[cut:]
+        elif carry:
+            block, carry = carry + "\n", ""
+        else:
+            return
+        if block.startswith("\n") or "\n\n" in block:
+            lines = [line for line in block.split("\n") if line]
+            block = "\n".join(lines) + "\n" if lines else ""
+        if block:
+            yield block
+
+
+def _parse_blocks(fh, delim: str, k: int, key_idx: int, value_idxs: list,
+                  unit_interval: bool):
+    """Bulk path: the table's (keys, values), or None to send the file to
+    ``_parse_rows``.
+
+    A block qualifies when it has no quote and every line holds the
+    header's k fields.  It is split once, with each line end kept on the
+    line's last field, so field j of row i is at i * k + j.  Every line
+    has k fields exactly when the n line ends all fall in the n last-field
+    slots.  ``float`` ignores the line end like any surrounding whitespace;
+    a key in the last column has it stripped.
+    """
+    limit = csv.field_size_limit()
+    keys = []
+    columns = [[] for _ in value_idxs]
+    for block in _blocks(fh):
+        if '"' in block:
+            return None
+        n = block.count("\n")
+        fields = block.replace("\n", "\n" + delim).split(delim)
+        fields.pop()
+        if len(fields) != n * k or "".join(fields[k - 1::k]).count("\n") != n:
+            return None
+        if len(block) > limit and max(map(len, fields)) > limit:
+            return None
         try:
-            key_idx = header.index(key_col)
-            stat_idx = header.index(stat_col)
-        except ValueError as exc:
-            raise DataError(
-                f"{path}: missing column in header {header!r}: {exc}"
-            ) from exc
-        keys = []
-        stats = []
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
+            for column, idx in zip(columns, value_idxs):
+                values = np.fromiter(map(float, fields[idx::k]), np.float64, count=n)
+                if unit_interval and not ((values >= 0.0) & (values <= 1.0)).all():
+                    return None
+                column.append(values)
+        except ValueError:
+            return None
+        block_keys = fields[key_idx::k]
+        if key_idx == k - 1:
+            block_keys = list(map(str.rstrip, block_keys, repeat("\n")))
+        keys += block_keys
+    if len(set(keys)) != len(keys):
+        return None
+    return keys, [np.concatenate(c) if c else np.empty(0) for c in columns]
+
+
+def _parse_rows(fh, path: str, delim: str, header: list, key_col: str, key_idx: int,
+                value_idxs: list, unit_interval: bool):
+    """Reference path: one ``csv.reader`` row at a time, raising on the
+    first faulty line."""
+    need = max(key_idx, *value_idxs)
+    keys = []
+    values = [[] for _ in value_idxs]
+    first_line = {}
+    reader = csv.reader(fh, delimiter=delim)
+    try:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) <= max(key_idx, stat_idx):
+            if len(row) <= need:
                 raise DataError(f"{path}: line {lineno}: expected {len(header)} fields")
-            raw = row[stat_idx]
-            try:
-                value = float(raw)
-            except ValueError as exc:
+            for column, idx in zip(values, value_idxs):
+                raw = row[idx]
+                try:
+                    value = float(raw)
+                except ValueError as exc:
+                    raise DataError(
+                        f"{path}: line {lineno}: malformed numeric value {raw!r}"
+                    ) from exc
+                if unit_interval and not 0.0 <= value <= 1.0:
+                    raise DataError(
+                        f"{path}: line {lineno}: statistic {raw!r} outside [0, 1]"
+                    )
+                column.append(value)
+            key = row[key_idx]
+            first = first_line.setdefault(key, lineno)
+            if first != lineno:
                 raise DataError(
-                    f"{path}: line {lineno}: malformed numeric value {raw!r}"
-                ) from exc
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise DataError(
-                    f"{path}: line {lineno}: statistic {raw!r} outside [0, 1]"
+                    f"{path}: line {lineno}: duplicate {key_col} {key!r}, first on line {first}"
                 )
-            keys.append(row[key_idx])
-            stats.append(value)
-    if not keys:
-        raise DataError(f"{path}: no data rows")
-    return SummaryTable(keys=tuple(keys), stats=np.asarray(stats), source=path)
+            keys.append(key)
+    except csv.Error as exc:
+        # the reader started after the header line
+        raise DataError(f"{path}: line {reader.line_num + 1}: {exc}") from exc
+    return keys, [np.asarray(column, dtype=np.float64) for column in values]
+
+
+def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
+    """DataError naming the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    lineno = 1
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            break
+    return DataError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})")
+
+
+def read_summary_table(path: str, key_col: str, stat_col: str,
+                       delimiter: Optional[str] = None) -> SummaryTable:
+    """Parse a delimited text file into a SummaryTable (see ``read_columns``)."""
+    keys, (stats,) = read_columns(path, key_col, (stat_col,), delimiter, unit_interval=True)
+    return SummaryTable(keys=keys, stats=stats, source=path)
 
 
 @dataclass(frozen=True)
@@ -180,17 +321,15 @@ class AlignedPair:
 
 def align(target: SummaryTable, aux: SummaryTable) -> AlignedPair:
     """Inner join on key; output rows follow the target table's order."""
-    index = {k: i for i, k in enumerate(aux.keys)}
-    keys, aux_vals, tgt_vals = [], [], []
-    for i, k in enumerate(target.keys):
-        j = index.get(k)
-        if j is not None:
-            keys.append(k)
-            tgt_vals.append(target.stats[i])
-            aux_vals.append(aux.stats[j])
+    index = dict(zip(aux.keys, range(len(aux))))
+    pos = np.fromiter(map(index.get, target.keys, repeat(-1)), np.intp, count=len(target))
+    hit = pos >= 0
+    keys, tgt_vals = target.keys, target.stats
+    if not hit.all():
+        keys, tgt_vals, pos = tuple(compress(keys, hit.tolist())), tgt_vals[hit], pos[hit]
     if not keys:
         raise DataError("no keys in common between target and auxiliary tables")
-    return AlignedPair(keys=keys, aux_stats=aux_vals, target_stats=tgt_vals)
+    return AlignedPair(keys=keys, aux_stats=aux.stats[pos], target_stats=tgt_vals)
 
 
 def conformal_p(calibration_scores, test_scores) -> np.ndarray:
@@ -274,18 +413,21 @@ def oracle_recovery(
 def read_score_column(path: str) -> np.ndarray:
     """Read a single-column numeric file, tolerating one optional header row."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            field = text.split(",")[0].strip()
-            try:
-                values.append(float(field))
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise DataError(f"{path}: line {lineno}: malformed numeric value {field!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                field = text.split(",")[0].strip()
+                try:
+                    values.append(float(field))
+                except ValueError:
+                    if lineno == 1:
+                        continue  # header row
+                    raise DataError(f"{path}: line {lineno}: malformed numeric value {field!r}")
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
     if not values:
         raise DataError(f"{path}: no numeric rows")
     return np.asarray(values, dtype=np.float64)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import subprocess
 import sys
@@ -356,3 +358,139 @@ class TestAtomicity:
         assert out.read_text() == "precious\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
         assert leftovers == []
+
+
+def _late_fault(header, row, bad, n=30_000):
+    """A table whose one fault sits on line n + 2, far past the first read block."""
+    return (header + "".join(row(i) for i in range(n)) + bad).encode()
+
+
+RUN_HEADER = "id,aux,exact\n"
+GWAS_HEADER = "rsid,pval\n"
+
+# (case, input bytes, line the message must name)
+RUN_MALFORMED = [
+    ("empty file", b"", 1),
+    ("header only", RUN_HEADER.encode(), 1),
+    ("BOM header", b"\xef\xbb\xbf" + RUN_HEADER.encode() + b"a,0.5,0.5\n", 1),
+    ("ragged row", (RUN_HEADER + "a,0.5,0.5\nb,0.5\n").encode(), 3),
+    ("ragged rows that balance", (RUN_HEADER + "1,0.1,0.2,9\n2,0.3\n").encode(), 3),
+    ("bad number", (RUN_HEADER + "a,0.5,0.5\nb,0.5,x\n").encode(), 3),
+    ("non-UTF-8", RUN_HEADER.encode() + b"a,0.5,0.5\nb\xff,0.5,0.5\n", 3),
+    ("duplicate id", (RUN_HEADER + "a,0.5,0.5\nb,0.5,0.5\na,0.5,0.5\n").encode(), 4),
+    ("field over csv limit",
+     (RUN_HEADER + "a,0.5,0.5\n" + "b" * 200_000 + ",0.5,0.5\n").encode(), 3),
+    ("late bad number", _late_fault(RUN_HEADER, lambda i: f"h{i},0.5,0.25\n", "z,0.5,oops\n"),
+     30_002),
+    ("late duplicate id", _late_fault(RUN_HEADER, lambda i: f"h{i},0.5,0.25\n", "h7,0.5,0.5\n"),
+     30_002),
+]
+GWAS_MALFORMED = [
+    ("empty file", b"", 1),
+    ("header only", GWAS_HEADER.encode(), 1),
+    ("BOM header", b"\xef\xbb\xbf" + GWAS_HEADER.encode() + b"rs1,0.5\n", 1),
+    ("ragged row", b"rsid,pval\nrs1,0.5\nrs2\n", 3),
+    ("ragged rows that balance", b"rsid,pval\nrs1,0.5,0.25\n0.5\n", 3),
+    ("bad number", b"rsid,pval\nrs1,0.5\nrs2,x\n", 3),
+    ("NaN", b"rsid,pval\nrs1,nan\n", 2),
+    ("out of range", b"rsid,pval\nrs1,0.5\nrs2,1.5\n", 3),
+    ("non-UTF-8", b"rsid,pval\nrs1,0.5\nrs\xff,0.5\n", 3),
+    ("duplicate id", b"rsid,pval\nrs1,0.5\nrs2,0.5\nrs1,0.5\n", 4),
+    ("late out of range", _late_fault(GWAS_HEADER, lambda i: f"rs{i},0.25\n", "rsz,-0.5\n"),
+     30_002),
+]
+
+
+class TestMalformedInput:
+    """Every bad input exits 2 with a line-numbered message and no traceback."""
+
+    @staticmethod
+    def check(capsys, rc, line):
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "Traceback" not in err
+        assert f"line {line}" in err, err
+        return err
+
+    @pytest.mark.parametrize("case,data,line", RUN_MALFORMED, ids=[c[0] for c in RUN_MALFORMED])
+    def test_run(self, tmp_path, capsys, case, data, line):
+        inp = tmp_path / "in.csv"
+        inp.write_bytes(data)
+        out = tmp_path / "o.csv"
+        rc = main(["run", "--input", str(inp), "--mode", "p-independent", "--method", "all",
+                   "--out", str(out)])
+        self.check(capsys, rc, line)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case,data,line", GWAS_MALFORMED,
+                             ids=[c[0] for c in GWAS_MALFORMED])
+    def test_gwas(self, tmp_path, capsys, case, data, line):
+        target = tmp_path / "t.csv"
+        target.write_bytes(data)
+        aux = write(tmp_path / "a.csv", "rsid,pval\nrs1,0.5\nrs2,0.5\n")
+        out = tmp_path / "o.csv"
+        rc = main(["gwas", "--target", str(target), "--aux", aux, "--budget", "1",
+                   "--out", str(out)])
+        self.check(capsys, rc, line)
+        assert not out.exists()
+
+    def test_duplicate_id_names_id_and_both_lines(self, tmp_path, capsys):
+        inp = tmp_path / "in.csv"
+        inp.write_bytes(dict((c[0], c[1]) for c in RUN_MALFORMED)["duplicate id"])
+        rc = main(["run", "--input", str(inp), "--mode", "e", "--method", "all",
+                   "--out", str(tmp_path / "o.csv")])
+        err = self.check(capsys, rc, 4)
+        assert "duplicate id 'a', first on line 2" in err
+
+    @pytest.mark.parametrize("command", ["mt", "conformal"])
+    def test_score_files_not_utf8(self, tmp_path, capsys, command):
+        bad = tmp_path / "s.txt"
+        bad.write_bytes(b"0.5\n0.25\n\xfe0.1\n")
+        good = write(tmp_path / "g.txt", "0.5\n")
+        if command == "mt":
+            argv = ["mt", "--procedure", "bh", "--input", str(bad)]
+        else:
+            argv = ["conformal", "--cal", good, "--test", str(bad),
+                    "--out", str(tmp_path / "o.csv")]
+        self.check(capsys, main(argv), 3)
+
+
+def _body_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        body = fh.read()
+    while body.startswith("#"):
+        body = body[body.index("\n") + 1:]
+    return list(csv.reader(io.StringIO(body, newline="")))
+
+
+class TestQuotedIds:
+    IDS = ["a,1", 'say "hi"', "two\nlines", "cr\rhere", "plain"]
+
+    @staticmethod
+    def quoted(field):
+        return '"' + field.replace('"', '""') + '"'
+
+    def test_run_output_reads_back(self, tmp_path):
+        rows = "".join(f"{self.quoted(hid)},0.{i + 1},0.{i + 2}\n"
+                       for i, hid in enumerate(self.IDS))
+        inp = write(tmp_path / "in.csv", "id,aux,exact\n" + rows)
+        out = tmp_path / "o.csv"
+        assert main(["run", "--input", inp, "--mode", "p-independent", "--method", "all",
+                     "--out", str(out)]) == 0
+        body = _body_rows(out)
+        assert body[0] == ["id", "value", "queried", "branch", "h"]
+        assert all(len(row) == 5 for row in body)
+        assert [row[0] for row in body[1:]] == self.IDS
+
+    def test_gwas_output_reads_back(self, tmp_path):
+        keys = ["rs1,2", 'q"x', "plain", "tab\tkey"]
+        rows = "".join(f"{self.quoted(k)}\t0.{i + 1}\n" for i, k in enumerate(keys))
+        target = write(tmp_path / "t.tsv", "rsid\tpval\n" + rows)
+        aux = write(tmp_path / "a.tsv", "rsid\tpval\n" + rows)
+        out = tmp_path / "o.csv"
+        assert main(["gwas", "--target", target, "--aux", aux, "--budget", "2",
+                     "--method", "all", "--out", str(out)]) == 0
+        body = _body_rows(out)
+        assert body[0] == ["key", "active_p", "queried"]
+        assert all(len(row) == 3 for row in body)
+        assert [row[0] for row in body[1:]] == keys

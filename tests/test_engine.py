@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from activetest.engine import (
     HypothesisSet,
     LazyValues,
     MethodSpec,
+    csv_text,
     run_method,
     xu_query_prob,
 )
@@ -371,6 +375,15 @@ class TestRecordsAndOutput:
         with pytest.raises(DomainError):
             HypothesisSet([1.0, 2.0], [1.0, 1.0], ids=["a", "a"])
 
+    def test_duplicate_id_named_with_both_indices(self):
+        with pytest.raises(DomainError, match=r"'b' at indices 1 and 3"):
+            HypothesisSet([1.0] * 4, [1.0] * 4, ids=["a", "b", "c", "b"])
+
+    def test_bad_aux_printed_as_plain_float(self):
+        hs = HypothesisSet([0.5, np.nan], [0.5, 0.5], ids=["a", "b"])
+        with pytest.raises(DomainError, match=r"offending id 'b' has aux nan$"):
+            run_method(hs, MethodSpec("all"), mode=P_INDEPENDENT, n_b=2.0)
+
     def test_partial_truth_rejected(self):
         records = [
             HypothesisRecord("a", 1.0, 1.0, truth=True),
@@ -418,3 +431,41 @@ class TestRecordsAndOutput:
             utility=UtilitySpec.identity(),
         )
         np.testing.assert_allclose(out.h, [0.25, 0.75])
+
+
+class TestCsvText:
+    IDS = ["plain", "a,1", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\nx", "", " pad ",
+           "tab\there", "\u00e9\u2028"]
+
+    def test_fields_quoted_like_csv_writer(self):
+        values = np.linspace(0.0, 1.0, len(self.IDS))
+        flags = values > 0.5
+
+        def excel_row(row):
+            # the default dialect quotes "," '"' "\r" "\n"; drop its "\r\n" row end
+            buf = io.StringIO()
+            csv.writer(buf).writerow(row)
+            return buf.getvalue()[:-2] + "\n"
+
+        rows = zip(self.IDS, values.tolist(), ["true" if f else "false" for f in flags])
+        want = "id,v,f\n" + "".join(map(excel_row, rows))
+        assert csv_text("id,v,f\n", [self.IDS, values, flags]) == want
+
+    def test_read_back_with_csv_reader(self):
+        text = csv_text("id,i\n", [self.IDS, np.arange(len(self.IDS))])
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == ["id", "i"]
+        assert rows[1:] == [[hid, str(i)] for i, hid in enumerate(self.IDS)]
+
+    def test_plain_columns_written_as_is(self):
+        text = csv_text("k,p\n", [("x", "y"), np.array([0.1, 1.0])])
+        assert text == "k,p\nx,0.1\ny,1.0\n"
+
+    def test_many_rows_match_per_row_format(self):
+        n = 40_000  # past one join block
+        rng = np.random.default_rng(5)
+        ids = [f"h{i}" for i in range(n)]
+        values, flags = rng.uniform(size=n), rng.uniform(size=n) < 0.3
+        want = "".join(f"{ids[i]},{float(values[i])!r},{'true' if flags[i] else 'false'}\n"
+                       for i in range(n))
+        assert csv_text("", [ids, values, flags]) == want

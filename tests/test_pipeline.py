@@ -81,6 +81,20 @@ class TestReadSummaryTable:
         with pytest.raises(DataError, match="empty"):
             read_summary_table(str(f), "rsid", "pval")
 
+    def test_quoted_fields_unquoted(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text('rsid,pval\n"rs1",0.5\nrs2,0.25\n')
+        t = read_summary_table(str(f), "rsid", "pval")
+        assert t.keys == ("rs1", "rs2")
+        np.testing.assert_array_equal(t.stats, [0.5, 0.25])
+
+    def test_blank_lines_and_line_ends(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_bytes(b"rsid,pval\r\n\r\nrs1,0.5\rrs2,0.25\n\nrs3,1")
+        t = read_summary_table(str(f), "rsid", "pval")
+        assert t.keys == ("rs1", "rs2", "rs3")
+        np.testing.assert_array_equal(t.stats, [0.5, 0.25, 1.0])
+
     def test_zero_pvalues_pass_through(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("rsid,pval\nrs1,0\n")

@@ -4,7 +4,13 @@ of the unit tests and the benchmark.
 * The scalar constructions equal the vectorized one bit for bit.
 * Every method's ``run_method`` values equal its closed-form rule exactly,
   and ``n_queries`` counts exactly the queried rows.
+* The bulk table reader returns the same keys and bit-identical values as
+  the per-row ``csv.reader`` loop it falls back to.
 """
+
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -20,6 +26,7 @@ from activetest.core import (
     active_p,
     active_values,
 )
+from activetest import pipeline
 from activetest.engine import METHOD_NAMES, HypothesisSet, MethodSpec, run_method, xu_query_prob
 
 MODES = [E_VALUES, P_INDEPENDENT, P_GENERAL, StatMode("p_general", sup_h=0.3)]
@@ -131,3 +138,63 @@ def test_run_method_follows_closed_form(data, method, mode, beta):
         assert out.n_queries == n_b
     if method == "all":
         assert out.n_queries == n
+
+
+# characters csv.reader keeps inside a field but str.splitlines would break on
+LINE_LIKE = " \x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\u00e9"
+
+
+@st.composite
+def plain_tables(draw):
+    """A quote-free table: its text, the key and value column names, the
+    keys and values it holds, and whether values are unit-interval checked."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    k = draw(st.integers(2, 5))
+    names = [f"c{j}" for j in range(k)]
+    order = draw(st.permutations(range(k)))
+    n_values = draw(st.integers(1, k - 1))
+    key_idx, value_idxs = order[0], order[1:1 + n_values]
+    unit = draw(st.booleans())
+    chars = st.one_of(st.sampled_from(LINE_LIKE),
+                      st.characters(codec="utf-8", exclude_characters=delim + '"\r\n'))
+    n = draw(st.integers(1, 30))
+    keys = draw(st.lists(st.text(chars, max_size=5), min_size=n, max_size=n, unique=True))
+    number = (st.floats(0.0, 1.0) if unit
+              else st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10**6, 10**6))
+    spaces = st.sampled_from(["", " ", "  ", "\t" if delim == "," else " "])
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    values = [[] for _ in value_idxs]
+    lines = [delim.join(names) + draw(ends)]
+    for key in keys:
+        fields = [draw(st.text(chars, max_size=4)) for _ in range(k)]
+        fields[key_idx] = key
+        for column, idx in zip(values, value_idxs):
+            x = draw(number)
+            text = draw(st.sampled_from([repr, str, "{:.6e}".format]))(x)
+            column.append(float(text))
+            fields[idx] = draw(spaces) + text + draw(spaces)
+        lines.append(delim.join(fields) + draw(ends))
+        lines += [draw(ends) for _ in range(draw(st.integers(0, 2)))]  # blank lines
+    text = "".join(lines)
+    if not draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, names[key_idx], [names[i] for i in value_idxs], keys, values, unit
+
+
+@PROPERTY
+@given(table=plain_tables(), block=st.sampled_from([1, 7, 64, 1 << 16]))
+def test_bulk_reader_matches_csv_reader(table, block):
+    text, key_col, value_cols, keys, values, unit = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        # small blocks make every table span several of them
+        with mock.patch.object(pipeline, "_BLOCK_CHARS", block), \
+                mock.patch.object(pipeline, "_parse_rows", side_effect=AssertionError("declined")):
+            bulk = pipeline.read_columns(path, key_col, value_cols, unit_interval=unit)
+        with mock.patch.object(pipeline, "_parse_blocks", return_value=None):
+            rows = pipeline.read_columns(path, key_col, value_cols, unit_interval=unit)
+    assert bulk[0] == rows[0] == keys
+    for got, ref, want in zip(bulk[1], rows[1], values):
+        assert got.tobytes() == ref.tobytes() == np.array(want, dtype=np.float64).tobytes()
