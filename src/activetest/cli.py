@@ -205,7 +205,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    table = _read_run_input(args.input)
+    needs_budget = args.method in ("active", "active-xu", "random")
+    if needs_budget and args.budget is None:
+        raise _UsageError(f"--budget is required for method {args.method!r}")
     mode = StatMode.from_name(args.mode, sup_h=args.sup_h)
     fitting = "direct" if mode.is_e else "inverse"
     utility_name = args.utility or _DEFAULT_UTILITY[fitting]
@@ -215,9 +217,7 @@ def _cmd_run(args) -> int:
               f"--mode {args.mode} wants a {fitting} family; the budget goes to the "
               f"least promising hypotheses", file=sys.stderr)
     method = MethodSpec(args.method, beta=args.beta)
-    needs_budget = args.method in ("active", "active-xu", "random")
-    if needs_budget and args.budget is None:
-        raise _UsageError(f"--budget is required for method {args.method!r}")
+    table = _read_run_input(args.input)
     out = run_method(
         table,
         method,

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 METHOD_NAMES = ("active", "active-xu", "xu", "random", "all")
+# the methods that draw per-hypothesis branch coins
+BRANCH_METHODS = ("active", "active-xu", "xu")
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,9 @@ class HypothesisRecord:
 class LazyValues:
     """Deferred per-index access to exact statistics with query accounting.
 
-    Each index is fetched at most once; ``eval_count`` is the number of
-    distinct indices touched so far.
+    Each index is fetched at most once, and each fetch gets its fresh
+    indices in ascending order; ``eval_count`` is the number of distinct
+    indices touched so far.
     """
 
     def __init__(self, fetch: Callable[[np.ndarray], np.ndarray], n: int):
@@ -72,7 +75,8 @@ class LazyValues:
         indices = np.asarray(indices, dtype=np.intp)
         fresh = indices[~self.evaluated[indices]]
         if fresh.size:
-            fresh = np.unique(fresh)
+            if np.any(fresh[1:] <= fresh[:-1]):
+                fresh = np.unique(fresh)
             self._values[fresh] = np.asarray(self._fetch(fresh), dtype=np.float64)
             self.evaluated[fresh] = True
         return self._values[indices]
@@ -306,13 +310,16 @@ def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
     n_b = int(n_b)
     if n_b < 0 or n_b > n:
         raise DomainError(f"budget must lie in [0, {n}], got {n_b}")
-    perm = np.arange(n)
-    draws = uniforms(seed, rep, np.arange(n_b, dtype=np.uint64), SUBSET_DRAW)
-    for i in range(n_b):
-        j = i + int(draws[i] * (n - i))
-        perm[i], perm[j] = perm[j], perm[i]
+    draws = uniforms(seed, rep, np.arange(n_b, dtype=np.uint64), SUBSET_DRAW).tolist()
+    # the permutation is the identity except at the positions in ``moved``
+    moved = {}
+    picks = []
+    for i, draw in enumerate(draws):
+        j = i + int(draw * (n - i))
+        picks.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
     queried = np.zeros(n, dtype=bool)
-    queried[perm[:n_b]] = True
+    queried[picks] = True
     return queried
 
 
@@ -362,7 +369,7 @@ def run_method(records, method: MethodSpec, *, mode: StatMode, n_b: float,
     hs = as_hypothesis_set(records)
     _check_aux_domain(hs, mode)
     variant, beta = method.variant, method.beta
-    if u is not None and variant in ("random", "all"):
+    if u is not None and variant not in BRANCH_METHODS:
         raise DomainError(f"method {variant!r} draws no branch coins to replay")
     n = len(hs)
     lazy = hs.lazy()

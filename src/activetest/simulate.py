@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, pdtr, pdtrik
 
 from .core import StatMode
-from .engine import HypothesisSet, MethodSpec, RunOutput, run_method
+from .engine import BRANCH_METHODS, HypothesisSet, MethodSpec, RunOutput, run_method
 from .errors import DomainError
 from .procedures import by, ebh
 from .rng import (
@@ -44,6 +43,7 @@ from .rng import (
     POISSON_DRAW,
     PRIMARY_NOISE,
     PROXY_NOISE,
+    QUERY_DRAW,
     SIGNAL_DRAW,
     uniforms,
 )
@@ -143,9 +143,51 @@ def gen_signal(spec: DgpSpec, rep: int, seed: int) -> SignalDraw:
     return SignalDraw(mu=mu, z=z, truth=truth)
 
 
+# relative distance of u from a CDF step inside which _poisson_inverse
+# takes scipy's own quantile formula: that formula starts from pdtr's
+# numerical inverse, and right next to a step it can land on the other side
+_PPF_MARGIN = 1e-9
+
+
+def _scipy_poisson_ppf(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    # what scipy's poisson.ppf computes for u in (0, 1]
+    k = np.ceil(pdtrik(u, mean))
+    below = np.maximum(k - 1, 0)
+    return np.where(u == 1.0, np.inf, np.where(pdtr(below, mean) >= u, below, k))
+
+
 def _poisson_inverse(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    # exact CDF inversion; one uniform per draw keeps the stream fixed-consumption
-    return stats.poisson.ppf(u, mean).astype(np.float64)
+    """Poisson(mean) quantiles at u in (0, 1], equal bit for bit to scipy's
+    ``poisson.ppf``; one uniform per draw keeps the stream fixed-consumption.
+
+    A pmf recurrence runs each row up to the first k whose summed CDF
+    reaches u, and ``pdtr`` confirms pdtr(k - 1) < u <= pdtr(k) (the CDF
+    below 0 is 0).  A row it cannot confirm with a relative margin to spare
+    -- u close to a CDF step, or a recurrence that stalled short of u
+    because exp(-mean) underflows or the sum stops growing -- takes scipy's
+    own formula.  Every step grows each running sum or drops the row, so
+    the loop ends for every finite mean.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64)
+    pmf = np.exp(-mean)
+    k = np.zeros(u.shape)
+    rows = np.nonzero(pmf < u)[0]
+    m, target, p, cdf = mean[rows], u[rows], pmf[rows], pmf[rows]
+    step = 0
+    while rows.size:
+        step += 1
+        k[rows] = step
+        p = p * m / step
+        grown = cdf + p
+        going = (grown < target) & (grown > cdf)
+        rows, m, target, p, cdf = rows[going], m[going], target[going], p[going], grown[going]
+    below = np.where(k > 0, pdtr(k - 1, mean), 0.0)
+    confirmed = (below < u * (1.0 - _PPF_MARGIN)) & (pdtr(k, mean) >= u * (1.0 + _PPF_MARGIN))
+    unsure = np.nonzero(~confirmed)[0]
+    if unsure.size:
+        k[unsure] = _scipy_poisson_ppf(u[unsure], mean[unsure])
+    return k
 
 
 def make_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int) -> StatisticsDraw:
@@ -314,10 +356,13 @@ def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: str
     else:
         aux, exact = draw.p_aux, draw.p
     hs = HypothesisSet(aux=aux, exact=exact, truth=signal.truth)
+    # the branch draws each of active, active-xu and xu would make for itself
+    u = uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)
+    u.flags.writeable = False
     rows = []
     for method in methods:
         out = run_method(hs, method, mode=stat_mode, n_b=n_b, seed=seed, rep=rep,
-                         utility=utility)
+                         utility=utility, u=u if method.variant in BRANCH_METHODS else None)
         if mode == "e":
             rejections = ebh(out.values, spec.alpha)
         else:

@@ -85,6 +85,17 @@ class TestUsage:
         assert proc.returncode == 0
         assert "activetest" in proc.stdout
 
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs ~1 s and ~45 MB at import; no command needs it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, activetest.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestSimulate:
     ARGS = [
@@ -183,6 +194,19 @@ class TestRun:
                 "--out", str(tmp_path / "o.csv")]
         assert main(args) == 1
         assert "--budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["id,aux,exact\n", None], ids=["header-only", "missing"])
+    def test_budget_checked_before_input_is_read(self, tmp_path, capsys, content):
+        inp = tmp_path / "hyps.csv"
+        if content is not None:
+            inp.write_text(content)
+        args = ["run", "--input", str(inp), "--mode", "e", "--method", "active",
+                "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "--budget is required for method 'active'" in err
+        assert "no data rows" not in err and "No such file" not in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_all_needs_no_budget(self, tmp_path):
         inp = self.make_input(tmp_path)

@@ -11,11 +11,13 @@ from activetest.engine import (
     HypothesisSet,
     LazyValues,
     MethodSpec,
+    _random_subset,
     csv_text,
     run_method,
     xu_query_prob,
 )
 from activetest.errors import DegenerateUtilitiesError, DomainError
+from activetest.rng import SUBSET_DRAW, uniforms
 
 
 def counted_records(aux, exact):
@@ -199,6 +201,21 @@ class TestRunRandom:
         # frequencies close to uniform 200*3/10 = 60
         assert np.all(np.abs(hits - 60) < 30)
 
+    @pytest.mark.parametrize("n, n_b, seed, rep", [
+        (1, 0, 1, 0), (1, 1, 1, 0), (7, 0, 2, 3), (7, 7, 2, 3), (7, 3, 5, 1),
+        (50, 49, 8, 0), (200, 20, 42, 7), (2000, 100, 42, 199),
+    ])
+    def test_subset_matches_swap_reference(self, n, n_b, seed, rep):
+        # the partial Fisher-Yates as first written: swaps in a full permutation array
+        perm = np.arange(n)
+        draws = uniforms(seed, rep, np.arange(n_b, dtype=np.uint64), SUBSET_DRAW)
+        for i in range(n_b):
+            j = i + int(draws[i] * (n - i))
+            perm[i], perm[j] = perm[j], perm[i]
+        want = np.zeros(n, dtype=bool)
+        want[perm[:n_b]] = True
+        np.testing.assert_array_equal(_random_subset(n, float(n_b), seed, rep), want)
+
     def test_non_integer_budget_rejected(self):
         records, _ = counted_records([1.0] * 4, [1.0] * 4)
         with pytest.raises(DomainError):
@@ -323,6 +340,23 @@ class TestQueryAccounting:
         assert lazy.eval_count == 3
         touched = np.concatenate(calls)
         assert sorted(touched.tolist()) == [1, 3, 4]
+
+    def test_lazy_values_fetch_ascending_once(self):
+        calls = []
+
+        def fetch(idx):
+            calls.append(idx.tolist())
+            return np.asarray(idx, dtype=float) * 2.0
+
+        lazy = LazyValues(fetch, 10)
+        np.testing.assert_array_equal(lazy.take(np.array([7, 2, 7, 5, 2])),
+                                      [14.0, 4.0, 14.0, 10.0, 4.0])
+        np.testing.assert_array_equal(lazy.take(np.array([9, 5, 0, 9, 1])),
+                                      [18.0, 10.0, 0.0, 18.0, 2.0])
+        np.testing.assert_array_equal(lazy.take(np.array([1, 3, 4])), [2.0, 6.0, 8.0])
+        np.testing.assert_array_equal(lazy.take(np.array([4, 2])), [8.0, 4.0])
+        assert calls == [[2, 5, 7], [0, 1, 9], [3, 4]]
+        assert lazy.eval_count == 8
 
 
 class TestBudgetAdherence:

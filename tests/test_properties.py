@@ -4,10 +4,15 @@ of the unit tests and the benchmark.
 * The scalar constructions equal the vectorized one bit for bit.
 * Every method's ``run_method`` values equal its closed-form rule exactly,
   and ``n_queries`` counts exactly the queried rows.
+* The query ledger is exact: exact values that were never queried can
+  change without changing any output bit.
 * The bulk table reader returns the same keys and bit-identical values as
   the per-row ``csv.reader`` loop it falls back to.
+* The signal DGP's Poisson sampler equals ``scipy.stats.poisson.ppf`` bit
+  for bit, at CDF steps too, and returns for every finite mean.
 """
 
+import math
 import os
 import tempfile
 from unittest import mock
@@ -15,6 +20,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from activetest.allocation import BudgetConfig, UtilitySpec, allocate_utilities, eval_utility
 from activetest.core import (
@@ -28,6 +34,8 @@ from activetest.core import (
 )
 from activetest import pipeline
 from activetest.engine import METHOD_NAMES, HypothesisSet, MethodSpec, run_method, xu_query_prob
+from activetest.errors import DegenerateUtilitiesError
+from activetest.simulate import _poisson_inverse
 
 MODES = [E_VALUES, P_INDEPENDENT, P_GENERAL, StatMode("p_general", sup_h=0.3)]
 
@@ -37,6 +45,7 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 # bounded away from 0 only so that (1 - h) / beta cannot overflow
 betas = st.floats(min_value=1e-12, max_value=1.0, exclude_max=True)
 draws = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
@@ -140,6 +149,30 @@ def test_run_method_follows_closed_form(data, method, mode, beta):
         assert out.n_queries == n
 
 
+@PROPERTY
+@given(data=st.data(), method=st.sampled_from(METHOD_NAMES), mode=st.sampled_from(MODES),
+       beta=betas, seed=st.integers(0, 2**32))
+def test_ledger_is_exact(data, method, mode, beta, seed):
+    aux, exact = data.draw(hypotheses(mode))
+    n_b = float(data.draw(st.integers(1, aux.size)))
+    utility = UtilitySpec.log1p() if mode.is_e else UtilitySpec.log_inverse(eps=1e-8)
+
+    def run(exact_values):
+        return run_method(HypothesisSet(aux, exact_values), MethodSpec(method, beta=beta),
+                          mode=mode, n_b=n_b, seed=seed, utility=utility)
+
+    try:
+        out = run(exact)
+    except DegenerateUtilitiesError:
+        assume(False)  # all-zero utilities are rejected by design
+    # NaN is out of every domain: a read of any unqueried row would show
+    mutated = np.where(out.queried, exact, np.nan)
+    again = run(mutated)
+    for name in ("values", "queried", "scales", "h"):
+        assert getattr(again, name).tobytes() == getattr(out, name).tobytes()
+    assert again.n_queries == out.n_queries
+
+
 # characters csv.reader keeps inside a field but str.splitlines would break on
 LINE_LIKE = " \x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\u00e9"
 
@@ -198,3 +231,47 @@ def test_bulk_reader_matches_csv_reader(table, block):
     assert bulk[0] == rows[0] == keys
     for got, ref, want in zip(bulk[1], rows[1], values):
         assert got.tobytes() == ref.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def assert_ppf_bits(u, mean):
+    u = np.asarray(u, dtype=np.float64)
+    mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), u.shape).copy()
+    got = _poisson_inverse(u, mean)
+    assert got.tobytes() == stats.poisson.ppf(u, mean).tobytes()
+
+
+@PROPERTY
+@given(st.lists(st.tuples(open_unit, st.floats(1.0, 1000.0)), min_size=1, max_size=50))
+def test_poisson_inverse_matches_scipy(pairs):
+    u, mean = zip(*pairs)
+    assert_ppf_bits(u, mean)
+
+
+# relative offsets from a CDF step, on both sides of the sampler's margin
+STEP_OFFSETS = [sign * 10.0**-e for e in range(6, 13) for sign in (1, -1)]
+
+
+@PROPERTY
+@given(mean=st.floats(1.0, 1000.0) | st.integers(1, 1000).map(float))
+def test_poisson_inverse_at_cdf_steps(mean):
+    steps = special.pdtr(np.arange(int(mean + 12 * math.sqrt(mean)) + 30), mean)
+    u = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0)]
+                       + [steps * (1.0 + r) for r in STEP_OFFSETS])
+    assert_ppf_bits(u[(u > 0.0) & (u < 1.0)], mean)
+
+
+def test_poisson_inverse_at_stream_extremes():
+    # the smallest uniform rng.uniforms makes, the largest double below 1,
+    # and 1 itself, which it returns when (2**53 - 1) + 0.5 rounds to 2**53
+    u = [2.0**-54, np.nextafter(1.0, 0.0), 1.0]
+    for mean in (1.0, 2.5, 40.0, 1000.0):
+        assert_ppf_bits(u, mean)
+
+
+@PROPERTY
+@given(mean=st.floats(700.0, 1e6) | st.sampled_from([745.2, 746.0, 800.0, 1e15, 1e300, 1.7e308]),
+       u=st.lists(open_unit, min_size=1, max_size=20))
+def test_poisson_inverse_returns_when_exp_underflows(mean, u):
+    # exp(-mean) is subnormal from ~708 and 0 from ~745.2: the pmf recurrence
+    # starts from (almost) nothing and must hand the row over, not spin
+    assert_ppf_bits(u, mean)

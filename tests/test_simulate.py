@@ -1,11 +1,15 @@
+import hashlib
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import ndtr
 
-from activetest.engine import MethodSpec
+from activetest import simulate
+from activetest.engine import METHOD_NAMES, MethodSpec
 from activetest.errors import DomainError
 from activetest.simulate import (
     DESK_BUDGET,
@@ -114,6 +118,20 @@ class TestMakeStatistics:
         draw = make_statistics(spec, forced, rep=0, seed=1)
         assert draw.e[0] == pytest.approx(math.exp(0.5 * lam * lam), rel=1e-14)
         assert draw.p[1] == 0.5
+
+    def test_desk_poisson_draws_confirmed_by_recurrence(self):
+        # on desk draws every count comes from the pmf recurrence, none from
+        # scipy's formula, and each equals scipy.stats.poisson.ppf
+        spec = DgpSpec("signal", n=DESK_N, pi=0.2)
+        for rep in range(10):
+            signal = gen_signal(spec, rep, seed=42)
+            with mock.patch.object(simulate, "_scipy_poisson_ppf",
+                                   side_effect=AssertionError("fallback taken")):
+                draw = make_statistics(spec, signal, rep, seed=42)
+            u = simulate.uniforms(42, rep, np.arange(DESK_N, dtype=np.uint64),
+                                  simulate.POISSON_DRAW)
+            want = stats.poisson.ppf(u, 1.0 + signal.mu)
+            assert draw.e_aux.tobytes() == want.tobytes()
 
     def test_normal_cdf_against_high_precision(self):
         mpmath.mp.dps = 40
@@ -291,6 +309,29 @@ class TestRunExperiment:
         spec = DgpSpec("signal", n=200, pi=0.2)
         with pytest.raises(DomainError):
             run_experiment(spec, ["grid-search"], n_b=20, reps=1, seed=1)
+
+    # sha256 of (per_rep_csv, aggregate_csv): n=300, n_b=30, 6 reps, seed 7, all five methods
+    GOLDEN = {
+        "signal-e": ("ceae903de4da78ec7cfb4df642068be27d4f7415e2a76a1280714c3dece7629a",
+                     "ba822c6c858a245491d079880ec8fbe300680643b579609aa452a8163250a474"),
+        "noisy-p": ("768f8504abb07157d534ba3a4afd4a018986c8bab39bb6d4adbba0d3734c4d9e",
+                    "0f9a61f10384b0f9840a435cb0d5cc3c204d85e6fb1648c387cf92fc02b0d309"),
+        "correlated-e": ("2b567e19fb30bd57da2d894b93d0dd026cce7fe23cd7b6c76c3a0668c45cff87",
+                         "df38f223744db8d8972cecfbd89f1aac1019997a78efff2ebb3a34f954520c66"),
+    }
+    CELLS = {
+        "signal-e": (DgpSpec("signal", n=300, pi=0.2), "e"),
+        "noisy-p": (DgpSpec("noisy", n=300, pi=0.1, sigma=3.0), "p"),
+        "correlated-e": (DgpSpec("correlated", n=300, pi=0.1, rho=0.5), "e"),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(GOLDEN))
+    def test_golden_outputs(self, cell):
+        spec, mode = self.CELLS[cell]
+        result = run_experiment(spec, METHOD_NAMES, n_b=30, reps=6, seed=7, mode=mode)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                        for text in (result.per_rep_csv(), result.aggregate_csv()))
+        assert digests == self.GOLDEN[cell]
 
     def test_reps_and_threads_validated(self):
         spec = DgpSpec("signal", n=200, pi=0.2)
