@@ -5,6 +5,9 @@ global budget; the resulting active e-values and p-values stay valid for
 downstream multiple testing (BH / BY / e-value step-up).
 """
 
+# set before the submodule imports, so none of them can see it undefined
+__version__ = "0.1.0"
+
 from .allocation import (
     AllocationResult,
     BudgetConfig,
@@ -50,7 +53,7 @@ from .pipeline import (
     read_summary_table,
 )
 from .procedures import RejectionSet, bh, by, ebh, harmonic_number
-from .rng import DEFAULT_SEED, rng_stream, uniforms
+from .rng import DEFAULT_SEED, uniforms
 from .simulate import (
     AggregateMetrics,
     DgpSpec,
@@ -64,8 +67,6 @@ from .simulate import (
     run_experiment,
     utility_defaults,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ActiveOutcome",
@@ -116,7 +117,6 @@ __all__ = [
     "mc_pvalue_superuniformity",
     "oracle_recovery",
     "read_summary_table",
-    "rng_stream",
     "run_experiment",
     "run_method",
     "uniforms",

@@ -154,10 +154,6 @@ class BudgetConfig:
             )
             object.__setattr__(self, "n_b", float(self.n_hypotheses))
 
-    @property
-    def clamped(self) -> bool:
-        return self.n_b == self.n_hypotheses
-
 
 @dataclass(frozen=True)
 class AllocationResult:

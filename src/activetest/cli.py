@@ -12,10 +12,10 @@ import argparse
 import os
 import sys
 import tempfile
-from importlib.metadata import PackageNotFoundError, version as _pkg_version
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .core import StatMode
 from .engine import HypothesisSet, MethodSpec, csv_text, run_method
 from .errors import ActiveTestError
@@ -33,11 +33,6 @@ from .rng import DEFAULT_SEED
 from .simulate import DgpSpec, run_experiment
 
 PROG = "activetest"
-
-try:
-    VERSION = _pkg_version(PROG)
-except PackageNotFoundError:
-    VERSION = "0.1.0"
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1

@@ -65,10 +65,6 @@ class ActiveOutcome:
     queried: bool
     scale: float
 
-    @property
-    def branch(self) -> str:
-        return "query" if self.queried else "no_query"
-
 
 @dataclass(frozen=True)
 class StatMode:

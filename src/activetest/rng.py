@@ -4,8 +4,12 @@ Every draw is a pure function of the tuple (seed, rep, index, purpose, draw),
 so results never depend on evaluation order, vectorization chunking, or thread
 scheduling.  The generator hashes the tuple words through a chain of
 splitmix64 finalizers (full 64-bit avalanche per absorbed word) and maps the
-top 53 bits to a float.  Outputs lie strictly inside (0, 1), which satisfies
-the [0, 1) contract and keeps inverse-CDF samplers away from the u = 0 corner.
+top 53 bits k to the float (k + 1/2) / 2^53.  Below 0.5 the draws are those
+half-step points; in [0.5, 1) float64 cannot hold them and rounds half to
+even, so draws there are spaced 2^-52 apart.  The top value k = 2^53 - 1
+would round to 1.0 and is clamped to the largest float below 1, so outputs
+lie strictly inside (0, 1), which satisfies the [0, 1) contract and keeps
+inverse-CDF samplers and query coins away from both corners.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -70,21 +75,10 @@ def uniforms(seed, rep, index, purpose, draw=0) -> np.ndarray:
     broadcast shape of the two.
     """
     s = _state(seed, rep, index, purpose, draw)
-    return ((s >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
-def rng_stream(seed, rep=0, index=0, purpose=0, n=1) -> np.ndarray:
-    """First ``n`` draws of the stream keyed by (seed, rep, index, purpose)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return uniforms(seed, rep, index, purpose, draw=np.arange(n, dtype=np.uint64))
-
-
-def standard_normals(seed, rep, index, purpose, draw=0) -> np.ndarray:
-    """Standard normal draws via inverse-CDF of the uniform stream."""
-    from scipy.special import ndtri
-
-    return ndtri(uniforms(seed, rep, index, purpose, draw))
+    u = ((s >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    if u.ndim:
+        return np.minimum(u, _BELOW_ONE, out=u)
+    return min(u, _BELOW_ONE)
 
 
 def _id_digest(hypothesis_id: str) -> bytes:

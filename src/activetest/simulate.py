@@ -18,19 +18,18 @@ They differ in the auxiliary channel:
                  and means (rho * mu, mu); general p construction.
 
 All randomness flows through the counter-based stream keyed by (seed, rep),
-so replications are reproducible independently of scheduling.
+so replications are reproducible independently of scheduling.  scipy is
+imported inside the functions that call it, so only simulate runs load it.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri, pdtr, pdtrik
 
 from .core import StatMode
 from .engine import BRANCH_METHODS, HypothesisSet, MethodSpec, RunOutput, run_method
@@ -135,6 +134,8 @@ class StatisticsDraw:
 
 def gen_signal(spec: DgpSpec, rep: int, seed: int) -> SignalDraw:
     """Draw the latent means, primary observations, and truth labels."""
+    from scipy.special import ndtri
+
     idx = np.arange(spec.n, dtype=np.uint64)
     truth = uniforms(seed, rep, idx, MIXTURE_DRAW) < spec.pi
     magnitude = np.abs(ndtri(uniforms(seed, rep, idx, SIGNAL_DRAW))) * math.sqrt(spec.tau_sq)
@@ -151,6 +152,8 @@ _PPF_MARGIN = 1e-9
 
 def _scipy_poisson_ppf(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     # what scipy's poisson.ppf computes for u in (0, 1]
+    from scipy.special import pdtr, pdtrik
+
     k = np.ceil(pdtrik(u, mean))
     below = np.maximum(k - 1, 0)
     return np.where(u == 1.0, np.inf, np.where(pdtr(below, mean) >= u, below, k))
@@ -168,6 +171,8 @@ def _poisson_inverse(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     own formula.  Every step grows each running sum or drops the row, so
     the loop ends for every finite mean.
     """
+    from scipy.special import pdtr
+
     u = np.asarray(u, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     pmf = np.exp(-mean)
@@ -192,6 +197,8 @@ def _poisson_inverse(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 def make_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int) -> StatisticsDraw:
     """Compute (E, P, E_aux, P_aux) for one replication."""
+    from scipy.special import ndtr, ndtri
+
     lam = spec.lam
     z = signal.z
     e = np.exp(lam * z - 0.5 * lam * lam)
@@ -419,6 +426,8 @@ def run_experiment(
     if threads == 1:
         per_rep = [one(rep) for rep in range(reps)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_rep = list(pool.map(one, range(reps)))
     rows = [row for rep_rows in per_rep for row in rep_rows]

@@ -175,7 +175,6 @@ class TestBudgetConfig:
         with pytest.warns(UserWarning, match="clamp"):
             cfg = BudgetConfig(20.0, 10)
         assert cfg.n_b == 10.0
-        assert cfg.clamped
 
     def test_exact_budget_no_warning(self):
         with warnings.catch_warnings():

@@ -3,10 +3,12 @@ import io
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from activetest import __version__
 from activetest.cli import main, parse_config_header
 from activetest.pipeline import conformal_p
 
@@ -85,16 +87,60 @@ class TestUsage:
         assert proc.returncode == 0
         assert "activetest" in proc.stdout
 
+    # in a subprocess, since conftest imports scipy into this one
     def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats costs ~1 s and ~45 MB at import; no command needs it
+        # scipy.special is the slowest import and only simulate needs it;
+        # the version lookup and the thread pool are not needed at all
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, activetest.cli; print('scipy.stats' in sys.modules)"],
+             "import sys, activetest.cli; print(sorted(m for m in "
+             "('scipy', 'importlib.metadata', 'concurrent.futures') if m in sys.modules))"],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    def test_only_simulate_loads_scipy(self, tmp_path):
+        def inp(name, text):
+            return write(tmp_path / name, text)
+
+        commands = [
+            ["run", "--input", inp("run.csv", "id,aux,exact\na,2.0,3.0\nb,0.5,1.0\nc,1.0,0.2\n"),
+             "--mode", "e", "--method", "active", "--budget", "1"],
+            ["gwas", "--target", inp("target.csv", "rsid,pval\nrs1,0.01\nrs2,0.5\nrs3,0.2\n"),
+             "--aux", inp("aux.csv", "rsid,pval\nrs1,0.02\nrs2,0.4\nrs3,0.3\n"), "--budget", "1"],
+            ["mt", "--procedure", "bh", "--input", inp("p.csv", "0.01\n0.5\n")],
+            ["conformal", "--cal", inp("cal.csv", "0.1\n0.2\n"),
+             "--test", inp("test.csv", "0.15\n")],
+            ["simulate", "--dgp", "signal", "--mode", "e", "--n", "50", "--pi", "0.1",
+             "--budget", "5", "--reps", "1"],
+        ]
+        script = (
+            "import sys\n"
+            "from activetest.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            f"    rc = main(argv + ['--out', {str(tmp_path)!r} + '/' + argv[0] + '.out'])\n"
+            "    print(argv[0], rc, 'scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "run 0 False", "gwas 0 False", "mt 0 False", "conformal 0 False",
+            "simulate 0 True",
+        ], proc.stderr
+
+    def test_one_version_string(self, tmp_path, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == __version__
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"activetest {__version__}\n"
+        out = tmp_path / "rej.txt"
+        assert main(["mt", "--procedure", "bh", "--input", write(tmp_path / "p.csv", "0.5\n"),
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == f"# activetest {__version__}"
 
 
 class TestSimulate:

@@ -37,7 +37,6 @@ class TestActiveE:
         out = active_e(2.0, 0.5, beta=0.5, u=0.3)
         assert out.value == 2.0
         assert out.queried
-        assert out.branch == "query"
         assert out.scale == 1.0
 
     def test_no_query_branch_example(self):
@@ -45,7 +44,6 @@ class TestActiveE:
         out = active_e(exact, 0.5, beta=0.5, u=0.7)
         assert out.value == 1.0
         assert not out.queried
-        assert out.branch == "no_query"
         assert exact.calls == 0
 
     def test_asymmetric_beta_example(self):
@@ -388,5 +386,5 @@ class TestTypes:
         assert check_beta(0.25) == 0.25
 
     def test_outcome_branch_labels(self):
-        assert ActiveOutcome(1.0, True, 2.0).branch == "query"
-        assert ActiveOutcome(1.0, False, 0.0).branch == "no_query"
+        assert ActiveOutcome(1.0, True, 2.0).queried is True
+        assert ActiveOutcome(1.0, False, 0.0).queried is False

@@ -6,6 +6,9 @@ of the unit tests and the benchmark.
   and ``n_queries`` counts exactly the queried rows.
 * The query ledger is exact: exact values that were never queried can
   change without changing any output bit.
+* Every method's values lie in their domain (e >= 0, p in [0, 1]), and the
+  allocation's expected queries stay within the budget.
+* With ids, permuting the rows permutes every output the same way.
 * The bulk table reader returns the same keys and bit-identical values as
   the per-row ``csv.reader`` loop it falls back to.
 * The signal DGP's Poisson sampler equals ``scipy.stats.poisson.ppf`` bit
@@ -149,28 +152,76 @@ def test_run_method_follows_closed_form(data, method, mode, beta):
         assert out.n_queries == n
 
 
+def run_or_reject(hs, method, mode, beta, n_b, seed):
+    utility = UtilitySpec.log1p() if mode.is_e else UtilitySpec.log_inverse(eps=1e-8)
+    try:
+        return run_method(hs, MethodSpec(method, beta=beta), mode=mode, n_b=n_b, seed=seed,
+                          utility=utility)
+    except DegenerateUtilitiesError:
+        assume(False)  # all-zero utilities are rejected by design
+
+
 @PROPERTY
 @given(data=st.data(), method=st.sampled_from(METHOD_NAMES), mode=st.sampled_from(MODES),
        beta=betas, seed=st.integers(0, 2**32))
 def test_ledger_is_exact(data, method, mode, beta, seed):
     aux, exact = data.draw(hypotheses(mode))
     n_b = float(data.draw(st.integers(1, aux.size)))
-    utility = UtilitySpec.log1p() if mode.is_e else UtilitySpec.log_inverse(eps=1e-8)
 
     def run(exact_values):
-        return run_method(HypothesisSet(aux, exact_values), MethodSpec(method, beta=beta),
-                          mode=mode, n_b=n_b, seed=seed, utility=utility)
+        return run_or_reject(HypothesisSet(aux, exact_values), method, mode, beta, n_b, seed)
 
-    try:
-        out = run(exact)
-    except DegenerateUtilitiesError:
-        assume(False)  # all-zero utilities are rejected by design
+    out = run(exact)
     # NaN is out of every domain: a read of any unqueried row would show
     mutated = np.where(out.queried, exact, np.nan)
     again = run(mutated)
     for name in ("values", "queried", "scales", "h"):
         assert getattr(again, name).tobytes() == getattr(out, name).tobytes()
     assert again.n_queries == out.n_queries
+
+
+@PROPERTY
+@given(data=st.data(), method=st.sampled_from(METHOD_NAMES), mode=st.sampled_from(MODES),
+       beta=betas, seed=st.integers(0, 2**32))
+def test_values_in_domain_and_expected_queries_within_budget(data, method, mode, beta, seed):
+    aux, exact = data.draw(hypotheses(mode))
+    n = aux.size
+    if method == "random":
+        n_b = float(data.draw(st.integers(1, n)))
+    else:
+        n_b = data.draw(st.floats(min_value=1e-3, max_value=float(n)))
+    out = run_or_reject(HypothesisSet(aux, exact), method, mode, beta, n_b, seed)
+    if mode.is_e:
+        assert np.all(out.values >= 0.0)
+    else:
+        assert np.all((out.values >= 0.0) & (out.values <= 1.0))
+    if out.allocation is not None:  # active and active-xu
+        # float rounding only: each h carries three roundings (the sorted
+        # total, the division, the product) and the sum one per row, so a
+        # relative slack of 8 n machine epsilons covers them with room
+        slack = 8 * n * np.finfo(np.float64).eps
+        assert out.allocation.expected_queries <= n_b * (1.0 + slack)
+
+
+@PROPERTY
+@given(data=st.data(), method=st.sampled_from(["active", "active-xu", "xu", "all"]),
+       mode=st.sampled_from(MODES), beta=betas, seed=st.integers(0, 2**32))
+def test_row_order_permutes_outputs(data, method, mode, beta, seed):
+    aux, exact = data.draw(hypotheses(mode))
+    n = aux.size
+    n_b = float(data.draw(st.integers(1, n)))
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+    ids = np.array([f"h{i}" for i in range(n)], dtype=object)
+
+    def run(order):
+        hs = HypothesisSet(aux[order], exact[order], ids=list(ids[order]))
+        return run_or_reject(hs, method, mode, beta, n_b, seed)
+
+    out = run(np.arange(n))
+    moved = run(perm)
+    assert moved.ids == list(ids[perm])
+    for name in ("values", "queried", "h"):
+        assert getattr(moved, name).tobytes() == getattr(out, name)[perm].tobytes()
 
 
 # characters csv.reader keeps inside a field but str.splitlines would break on

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from activetest import rng
 from activetest.rng import (
     DEFAULT_SEED,
     MC_BRANCH,
@@ -10,8 +11,6 @@ from activetest.rng import (
     SUBSET_DRAW,
     key_for_id,
     keys_for_ids,
-    rng_stream,
-    standard_normals,
     uniforms,
 )
 
@@ -36,11 +35,6 @@ class TestDeterminism:
         u1 = uniforms(bumped["seed"], bumped["rep"], bumped["index"], bumped["purpose"], bumped["draw"])
         assert u0 != u1
 
-    def test_rng_stream_is_draw_indexed(self):
-        s = rng_stream(5, rep=1, index=9, purpose=SUBSET_DRAW, n=4)
-        expect = [uniforms(5, 1, 9, SUBSET_DRAW, d) for d in range(4)]
-        np.testing.assert_array_equal(s, expect)
-
 
 class TestRange:
     def test_open_unit_interval(self):
@@ -48,11 +42,16 @@ class TestRange:
         assert u.min() > 0.0
         assert u.max() < 1.0
 
-    def test_standard_normals_finite(self):
-        z = standard_normals(DEFAULT_SEED, 0, np.arange(50_000, dtype=np.uint64), MC_SAMPLE)
-        assert np.all(np.isfinite(z))
-        assert abs(z.mean()) < 0.02
-        assert abs(z.std() - 1.0) < 0.02
+    @pytest.mark.parametrize("state", [np.full(3, 2**64 - 1, dtype=np.uint64),
+                                       np.uint64(2**64 - 1)], ids=["array", "scalar"])
+    def test_top_state_stays_below_one(self, monkeypatch, state):
+        # (2^53 - 1) + 1/2 rounds half to even up to 2^53, a draw of exactly 1.0
+        assert np.all(state >> np.uint64(11) == 2**53 - 1)
+        monkeypatch.setattr(rng, "_state", lambda *words: state)
+        u = uniforms(DEFAULT_SEED, 0, 0, QUERY_DRAW)
+        assert np.shape(u) == np.shape(state)
+        assert np.all(u < 1.0)
+        assert np.all(u == np.nextafter(1.0, 0.0))
 
 
 class TestUniformity:
