@@ -34,6 +34,7 @@ __all__ = [
     "LazyValues",
     "MethodSpec",
     "RunOutput",
+    "UniqueIds",
     "csv_text",
     "run_method",
     "xu_query_prob",
@@ -56,6 +57,40 @@ class HypothesisRecord:
     aux: float
     exact: Union[float, Callable[[], float]]
     truth: Optional[bool] = None  # True = non-null, when known
+
+
+class UniqueIds(tuple):
+    """Hypothesis ids: ``str`` values known to hold no repeat.
+
+    Building one maps each id through ``str`` and raises DomainError on the
+    first repeat, so ``["a", "a"]`` and ``[1, "1"]`` are both refused.  The
+    classes that take ids trust an instance as it is: a key column checked
+    once, when it is read, is never copied or checked again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ids=()):
+        return cls._checked(ids if isinstance(ids, UniqueIds) else tuple(map(str, ids)))
+
+    @classmethod
+    def _checked(cls, ids: tuple) -> "UniqueIds":
+        """``ids`` itself when it is ``UniqueIds``; otherwise a tuple of
+        ``str`` ids, checked for repeats and wrapped."""
+        if isinstance(ids, UniqueIds):
+            return ids
+        if len(set(ids)) != len(ids):
+            first = {}
+            for i, hid in enumerate(ids):
+                j = first.setdefault(hid, i)
+                if j != i:
+                    raise DomainError(f"ids must be unique: {hid!r} at indices {j} and {i}")
+        return tuple.__new__(cls, ids)
+
+    @classmethod
+    def _unchecked(cls, ids) -> "UniqueIds":
+        """Wrap ``str`` ids the caller has already shown to be unique."""
+        return tuple.__new__(cls, ids)
 
 
 class LazyValues:
@@ -93,7 +128,8 @@ class HypothesisSet:
     callable mapping an index array to values, or a sequence of per-record
     values or zero-argument callables.  ``lazy()`` wraps it in a fresh
     counting view, so each run keeps its own query ledger.  ``ids`` is a
-    tuple, so no run can rewrite the ids its stream keys were hashed from.
+    ``UniqueIds`` tuple, so no run can rewrite the ids its stream keys were
+    hashed from; one passed in as ``UniqueIds`` is kept as it is.
     """
 
     def __init__(self, aux, exact, ids=None, truth=None):
@@ -101,16 +137,13 @@ class HypothesisSet:
         if self.aux.ndim != 1 or self.aux.size == 0:
             raise DomainError("aux must be a nonempty vector")
         n = self.aux.size
-        self.ids = None if ids is None else tuple(map(str, ids))
-        if self.ids is not None:
-            if len(self.ids) != n:
+        if ids is not None:
+            if not isinstance(ids, UniqueIds):
+                ids = tuple(map(str, ids))
+            if len(ids) != n:
                 raise DomainError("ids must align with aux")
-            if len(set(self.ids)) != n:
-                first = {}
-                for i, hid in enumerate(self.ids):
-                    j = first.setdefault(hid, i)
-                    if j != i:
-                        raise DomainError(f"ids must be unique: {hid!r} at indices {j} and {i}")
+            ids = UniqueIds._checked(ids)
+        self.ids = ids
         if truth is None:
             self.truth = None
         else:
@@ -305,7 +338,11 @@ def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
 
     Partial Fisher-Yates over positions, driven by its own purpose tag.
     """
-    if int(n_b) != n_b:
+    try:
+        whole = int(n_b) == n_b
+    except (ValueError, OverflowError):  # nan, +-inf
+        whole = False
+    if not whole:
         raise DomainError(f"random baseline needs an integer budget, got {n_b!r}")
     n_b = int(n_b)
     if n_b < 0 or n_b > n:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import StatMode
-from .engine import HypothesisSet, MethodSpec, RunOutput, run_method
+from .engine import HypothesisSet, MethodSpec, RunOutput, UniqueIds, run_method
 from .errors import DataError, DomainError
 from .allocation import UtilitySpec
 from .procedures import by
@@ -42,7 +42,12 @@ _MAX_LISTED_DUPLICATES = 10
 
 @dataclass(frozen=True)
 class SummaryTable:
-    """Keyed statistic column: one (key, value in [0, 1]) row per hypothesis."""
+    """Keyed statistic column: one (key, value in [0, 1]) row per hypothesis.
+
+    Keys given as ``UniqueIds`` (as ``read_summary_table`` gives them) are
+    kept as they are; any other sequence is checked for repeats and stored
+    as a tuple.
+    """
 
     keys: tuple
     stats: np.ndarray
@@ -56,10 +61,11 @@ class SummaryTable:
             raise DataError("summary table is empty")
         if np.any(~np.isfinite(stats)) or np.any(stats < 0.0) or np.any(stats > 1.0):
             raise DataError("summary statistics must lie in [0, 1]")
-        if len(set(self.keys)) != len(self.keys):
-            dup = _duplicates(self.keys)
-            raise DataError(f"duplicate keys in {self.source or 'table'}: {dup}")
-        object.__setattr__(self, "keys", tuple(self.keys))
+        if not isinstance(self.keys, UniqueIds):
+            if len(set(self.keys)) != len(self.keys):
+                dup = _duplicates(self.keys)
+                raise DataError(f"duplicate keys in {self.source or 'table'}: {dup}")
+            object.__setattr__(self, "keys", tuple(self.keys))
         object.__setattr__(self, "stats", stats)
 
     def __len__(self) -> int:
@@ -84,12 +90,13 @@ def _sniff_delimiter(header_line: str) -> str:
 
 def read_columns(path: str, key_col: str, value_cols: Sequence[str],
                  delimiter: Optional[str] = None,
-                 unit_interval: bool = False) -> tuple[list, list]:
+                 unit_interval: bool = False) -> tuple[UniqueIds, list]:
     """Read a key column and numeric value columns from a delimited UTF-8 file.
 
-    Returns ``(keys, values)``: the key strings in file order and one float64
-    array per name in ``value_cols``.  The delimiter is sniffed from the
-    header (tab wins over comma) unless given.  Blank lines are skipped,
+    Returns ``(keys, values)``: the key strings in file order as
+    ``UniqueIds``, certified by the reader's own duplicate check, and one
+    float64 array per name in ``value_cols``.  The delimiter is sniffed from
+    the header (tab wins over comma) unless given.  Blank lines are skipped,
     extra columns ignored and quoted fields accepted.  With
     ``unit_interval`` every value must lie in [0, 1].  Keys must be unique.
     Bad input raises DataError naming the file and the line.
@@ -204,7 +211,7 @@ def _parse_blocks(fh, delim: str, k: int, key_idx: int, value_idxs: list,
         keys += block_keys
     if len(set(keys)) != len(keys):
         return None
-    return keys, [np.concatenate(c) if c else np.empty(0) for c in columns]
+    return UniqueIds._unchecked(keys), [np.concatenate(c) if c else np.empty(0) for c in columns]
 
 
 def _parse_rows(fh, path: str, delim: str, header: list, key_col: str, key_idx: int,
@@ -245,7 +252,8 @@ def _parse_rows(fh, path: str, delim: str, header: list, key_col: str, key_idx: 
     except csv.Error as exc:
         # the reader started after the header line
         raise DataError(f"{path}: line {reader.line_num + 1}: {exc}") from exc
-    return keys, [np.asarray(column, dtype=np.float64) for column in values]
+    # first_line has refused every repeat
+    return UniqueIds._unchecked(keys), [np.asarray(column, dtype=np.float64) for column in values]
 
 
 def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
@@ -277,7 +285,8 @@ class AlignedPair:
     ledger-exempt full view used for the oracle pass.
 
     Per-id work is done once per pair: ``to_hypotheses`` returns one memoized
-    HypothesisSet (whose id-hashed stream keys are cached), and the oracle
+    HypothesisSet that shares ``keys`` when they are ``UniqueIds`` (and whose
+    id-hashed stream keys are cached), and the oracle
     rejection set is memoized per ``alpha``.  Both statistic columns are
     read-only copies, so no write through the pair can desync those caches.
     """
@@ -290,7 +299,8 @@ class AlignedPair:
     _oracles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(self.keys))
+        if not isinstance(self.keys, UniqueIds):
+            object.__setattr__(self, "keys", tuple(self.keys))
         for name in ("aux_stats", "target_stats"):
             stats = np.array(getattr(self, name), dtype=np.float64)
             stats.flags.writeable = False
@@ -320,13 +330,18 @@ class AlignedPair:
 
 
 def align(target: SummaryTable, aux: SummaryTable) -> AlignedPair:
-    """Inner join on key; output rows follow the target table's order."""
+    """Inner join on key; output rows follow the target table's order.
+
+    A subset of unique keys is unique, so ``UniqueIds`` keys stay ``UniqueIds``.
+    """
     index = dict(zip(aux.keys, range(len(aux))))
     pos = np.fromiter(map(index.get, target.keys, repeat(-1)), np.intp, count=len(target))
     hit = pos >= 0
     keys, tgt_vals = target.keys, target.stats
     if not hit.all():
-        keys, tgt_vals, pos = tuple(compress(keys, hit.tolist())), tgt_vals[hit], pos[hit]
+        kept = compress(keys, hit.tolist())
+        keys = UniqueIds._unchecked(kept) if isinstance(keys, UniqueIds) else tuple(kept)
+        tgt_vals, pos = tgt_vals[hit], pos[hit]
     if not keys:
         raise DataError("no keys in common between target and auxiliary tables")
     return AlignedPair(keys=keys, aux_stats=aux.stats[pos], target_stats=tgt_vals)

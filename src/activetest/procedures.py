@@ -52,8 +52,10 @@ def bh(p, alpha: float) -> RejectionSet:
     alpha = _check_alpha(alpha)
     arr = _check_pvalues(p)
     n = arr.size
-    ordered = np.sort(arr)
-    passing = np.nonzero(ordered <= alpha * np.arange(1, n + 1) / n)[0]
+    # no threshold exceeds the last, alpha * n / n, so only p-values at or
+    # below it can pass: sorting them alone gives the same k-hat
+    ordered = np.sort(arr[arr <= alpha * n / n])
+    passing = np.nonzero(ordered <= alpha * np.arange(1, ordered.size + 1) / n)[0]
     if passing.size == 0:
         return RejectionSet(np.empty(0, dtype=np.intp), 0, alpha, "bh", 0.0)
     k_hat = int(passing[-1]) + 1
@@ -87,8 +89,10 @@ def ebh(e, alpha: float) -> RejectionSet:
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
         raise DomainError("e-values must be >= 0")
     n = arr.size
-    ordered = np.sort(arr)[::-1]
-    passing = np.nonzero(ordered >= n / (alpha * np.arange(1, n + 1)))[0]
+    # no threshold falls below the last, n / (alpha * n), so only e-values at
+    # or above it can pass: sorting them alone gives the same k-hat
+    ordered = np.sort(arr[arr >= n / (alpha * n)])[::-1]
+    passing = np.nonzero(ordered >= n / (alpha * np.arange(1, ordered.size + 1)))[0]
     if passing.size == 0:
         return RejectionSet(np.empty(0, dtype=np.intp), 0, alpha, "ebh", np.inf)
     k_hat = int(passing[-1]) + 1

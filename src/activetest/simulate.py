@@ -98,8 +98,8 @@ class DgpSpec:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.kind == "noisy":
-            if self.sigma is None or self.sigma <= 0.0:
-                raise DomainError("the noisy DGP requires sigma > 0")
+            if self.sigma is None or not 0.0 < self.sigma < math.inf:
+                raise DomainError(f"the noisy DGP requires a finite sigma > 0, got {self.sigma!r}")
         elif self.sigma is not None:
             raise DomainError(f"sigma does not apply to the {self.kind!r} DGP")
         if self.kind == "correlated":

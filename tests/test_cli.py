@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import subprocess
@@ -430,6 +431,37 @@ class TestAtomicity:
         assert leftovers == []
 
 
+class TestNonFiniteArguments:
+    """A nan or infinite number on the command line exits 2 with a message."""
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "1e400"])
+    def test_run_random_budget(self, tmp_path, capsys, budget):
+        inp = write(tmp_path / "h.csv", "id,aux,exact\na,0.5,0.2\nb,0.5,0.3\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--input", inp, "--mode", "p-independent", "--method", "random",
+                     "--budget", budget, "--out", str(out)]) == 2
+        assert "random baseline needs an integer budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gwas_random_budget(self, tmp_path, capsys):
+        t = write(tmp_path / "t.csv", "rsid,pval\nrs1,0.5\nrs2,0.01\n")
+        a = write(tmp_path / "a.csv", "rsid,pval\nrs1,0.4\nrs2,0.02\n")
+        assert main(["gwas", "--target", t, "--aux", a, "--budget", "nan", "--method", "random",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "random baseline needs an integer budget" in capsys.readouterr().err
+
+    def test_simulate_random_budget(self, tmp_path, capsys):
+        assert main(["simulate", "--dgp", "signal", "--n", "50", "--reps", "1", "--budget", "nan",
+                     "--methods", "random", "--out", str(tmp_path / "s.csv")]) == 2
+        assert "random baseline needs an integer budget" in capsys.readouterr().err
+
+    def test_simulate_noisy_sigma(self, tmp_path, capsys):
+        assert main(["simulate", "--dgp", "noisy", "--sigma", "nan", "--n", "50", "--reps", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "finite sigma > 0, got nan" in err and "aux" not in err
+
+
 def _late_fault(header, row, bad, n=30_000):
     """A table whose one fault sits on line n + 2, far past the first read block."""
     return (header + "".join(row(i) for i in range(n)) + bad).encode()
@@ -564,3 +596,72 @@ class TestQuotedIds:
         assert body[0] == ["key", "active_p", "queried"]
         assert all(len(row) == 3 for row in body)
         assert [row[0] for row in body[1:]] == keys
+
+
+def _body_digest(path):
+    """sha256 of the output lines that are not '#' header lines."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+    return hashlib.sha256("".join(l for l in lines if not l.startswith("#")).encode()).hexdigest()
+
+
+def _field(key):
+    return '"' + key.replace('"', '""') + '"' if ("," in key or '"' in key) else key
+
+
+class TestIdKeyedGoldens:
+    """Output bodies pinned to their bytes before the id path was reworked.
+
+    run and gwas key their draws by the blake2b hash of each id, so these
+    catch any change to the hash, the duplicate checks or the join that
+    moves an output byte.
+    """
+
+    RUN_IDS = [f"rs{i}" for i in range(30)] + ["", "snp,7", 'q"1', "g\u00e8ne-\u03b4", "x" * 200]
+    RUN = {
+        "active": "65143e009458fde4aa63590771ef3f2c0e64127690ce4be222e96e223c8762a6",
+        "active-xu": "d32aedac08bae97d57470969ef3c1dd2f475e36a7338f5a40d1c539994ec6894",
+        "xu": "19b7d591a5d4aee9c09465b0efeba4617a5017037ba487f3171b3db6ad3da930",
+        "random": "7f0a20ef725ee7027cd5cdff52f18bac6aec78a7d7c3e3c0699248d24471e667",
+        "all": "096dfd8dcc8da62f69d9262b5782dd204c5c2e6ba1f97b1f3d98d80ee20880fc",
+    }
+    GWAS = {
+        False: "a396939a565e1f9e2860f7374a9b86b1ce53ef6fe98868a6649215c92dcaffc3",
+        True: "c2d2e10998ac32c597b2518f6e89940920163c53aea5555569283b9d723664c7",
+    }
+
+    @pytest.mark.parametrize("method", list(RUN))
+    def test_run_body(self, tmp_path, method):
+        n = len(self.RUN_IDS)
+        rows = ["id,aux,exact\n"]
+        for j, hid in enumerate(self.RUN_IDS):
+            i = (j * 17) % n
+            rows.append(f"{_field(hid)},{((i * 37) % 101 + 0.5) / 101!r},"
+                        f"{((i * 53) % 97 + 0.25) / 97!r}\n")
+        inp = tmp_path / "hyps.csv"
+        inp.write_text("".join(rows), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--input", str(inp), "--mode", "p-independent", "--method", method,
+                     "--budget", "8", "--seed", "5", "--out", str(out)]) == 0
+        assert _body_digest(out) == self.RUN[method]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "quoted"])
+    def test_gwas_body_partial_overlap(self, tmp_path, quoted):
+        keys = [f"rs{i}" for i in range(60)] + ["g\u00e8ne-\u03b4"]
+        if quoted:
+            keys.append("rs,60")
+        n = len(keys)
+        target = [(i + 1) * 1e-6 if i < 8 else ((i * 37) % n + 0.5) / n for i in range(n)]
+        # target rows in a shuffled order; the aux table skips every fifth key
+        # and adds keys the target lacks
+        t_rows = [f"{_field(keys[(r * 23) % n])},{target[(r * 23) % n]!r}\n" for r in range(n)]
+        a_rows = [f"{_field(keys[i])},{min(1.0, target[i] * 1.5)!r}\n"
+                  for i in range(n) if i % 5 != 4]
+        a_rows += [f"aux{i},{(i + 0.5) / 10!r}\n" for i in range(10)]
+        t = tmp_path / "t.csv"
+        a = tmp_path / "a.csv"
+        t.write_text("rsid,pval\n" + "".join(t_rows), encoding="utf-8")
+        a.write_text("rsid,pval\n" + "".join(a_rows), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["gwas", "--target", str(t), "--aux", str(a), "--budget", "10",
+                     "--method", "active", "--seed", "3", "--out", str(out)]) == 0
+        assert _body_digest(out) == self.GWAS[quoted]

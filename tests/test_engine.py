@@ -11,6 +11,7 @@ from activetest.engine import (
     HypothesisSet,
     LazyValues,
     MethodSpec,
+    UniqueIds,
     _random_subset,
     csv_text,
     run_method,
@@ -221,6 +222,13 @@ class TestRunRandom:
         with pytest.raises(DomainError):
             run_random(records, n_b=1.5, seed=1)
 
+    @pytest.mark.parametrize("n_b", [float("nan"), float("inf"), float("-inf"), 1e400])
+    def test_non_finite_budget_rejected(self, n_b):
+        records, calls = counted_records([1.0] * 4, [1.0] * 4)
+        with pytest.raises(DomainError, match="random baseline needs an integer budget"):
+            run_random(records, n_b=n_b, seed=1)
+        assert calls["n"] == 0
+
     def test_budget_bounds(self):
         records, _ = counted_records([1.0] * 4, [1.0] * 4)
         with pytest.raises(DomainError):
@@ -412,6 +420,26 @@ class TestRecordsAndOutput:
     def test_duplicate_id_named_with_both_indices(self):
         with pytest.raises(DomainError, match=r"'b' at indices 1 and 3"):
             HypothesisSet([1.0] * 4, [1.0] * 4, ids=["a", "b", "c", "b"])
+
+    @pytest.mark.parametrize("ids", [["a", "a"], [1, "1"]], ids=["same", "same-text"])
+    def test_unique_ids_refuse_repeats(self, ids):
+        with pytest.raises(DomainError, match=r"'[a1]' at indices 0 and 1"):
+            UniqueIds(ids)
+        with pytest.raises(DomainError, match=r"'[a1]' at indices 0 and 1"):
+            HypothesisSet([1.0, 1.0], [1.0, 1.0], ids=ids)
+
+    def test_unique_ids_taken_as_given(self):
+        ids = UniqueIds([7, "b"])
+        assert ids == ("7", "b") and type(ids) is UniqueIds
+        assert UniqueIds(ids) is ids
+        assert HypothesisSet([1.0, 1.0], [1.0, 1.0], ids=ids).ids is ids
+        plain = HypothesisSet([1.0, 1.0], [1.0, 1.0], ids=["a", "b"]).ids
+        assert type(plain) is UniqueIds and plain == ("a", "b")
+
+    @pytest.mark.parametrize("ids", [["a", "a"], UniqueIds(["a", "b"])], ids=["list", "unique"])
+    def test_id_count_checked_before_repeats(self, ids):
+        with pytest.raises(DomainError, match="ids must align with aux"):
+            HypothesisSet([1.0] * 3, [1.0] * 3, ids=ids)
 
     def test_bad_aux_printed_as_plain_float(self):
         hs = HypothesisSet([0.5, np.nan], [0.5, 0.5], ids=["a", "b"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from activetest.engine import MethodSpec
+from activetest.engine import MethodSpec, UniqueIds
 from activetest.errors import DataError, DomainError
 from activetest.pipeline import (
     PIPELINE_UTILITY,
@@ -143,6 +143,27 @@ class TestAlign:
         assert twice.keys == once.keys
         np.testing.assert_array_equal(twice.target_stats, once.target_stats)
         np.testing.assert_array_equal(twice.aux_stats, once.aux_stats)
+
+    def test_read_keys_flow_through_unchecked_and_uncopied(self, tmp_path):
+        t = tmp_path / "t.csv"
+        a = tmp_path / "a.csv"
+        t.write_text("rsid,pval\nrs3,0.1\nrs1,0.2\nrs9,0.3\nrs2,0.4\n")
+        a.write_text("rsid,pval\nrs1,0.5\nrs2,0.6\nrs3,0.7\nrs4,0.8\n")
+        target = read_summary_table(str(t), "rsid", "pval")
+        aux = read_summary_table(str(a), "rsid", "pval")
+        assert type(target.keys) is type(aux.keys) is UniqueIds
+        full = align(target, target)
+        assert full.keys is target.keys
+        partial = align(target, aux)
+        assert type(partial.keys) is UniqueIds and partial.keys == ("rs3", "rs1", "rs2")
+        assert partial.to_hypotheses().ids is partial.keys
+
+    def test_plain_keys_still_checked_as_ids(self):
+        # str() makes 1 and "1" one id: a plain key tuple is checked again
+        joined = align(table([1, "1", "b"], [0.1, 0.2, 0.3]), table(["b", 1, "1"], [0.4] * 3))
+        assert type(joined.keys) is tuple and joined.keys == (1, "1", "b")
+        with pytest.raises(DomainError, match="ids must be unique: '1' at indices 0 and 1"):
+            joined.to_hypotheses()
 
 
 class TestConformal:

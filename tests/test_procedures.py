@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from activetest.errors import DomainError
 from activetest.procedures import RejectionSet, bh, by, ebh, harmonic_number
@@ -203,3 +205,103 @@ class TestStructure:
         res = by([0.001], alpha=0.1)
         assert isinstance(res, RejectionSet)
         assert res.k_hat == 1
+
+
+# Full-sort step-up kernels: the reference the candidate-only sort in
+# procedures.bh and procedures.ebh must match bit for bit.
+def full_sort_bh(arr, alpha):
+    n = arr.size
+    passing = np.nonzero(np.sort(arr) <= alpha * np.arange(1, n + 1) / n)[0]
+    if passing.size == 0:
+        return 0, 0.0, np.empty(0, dtype=np.intp)
+    k_hat = int(passing[-1]) + 1
+    threshold = k_hat * alpha / n
+    return k_hat, threshold, np.nonzero(arr <= threshold)[0]
+
+
+def full_sort_ebh(arr, alpha):
+    n = arr.size
+    passing = np.nonzero(np.sort(arr)[::-1] >= n / (alpha * np.arange(1, n + 1)))[0]
+    if passing.size == 0:
+        return 0, np.inf, np.empty(0, dtype=np.intp)
+    k_hat = int(passing[-1]) + 1
+    threshold = n / (alpha * k_hat)
+    return k_hat, threshold, np.nonzero(arr >= threshold)[0]
+
+
+STEPUP = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+alphas = st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.5, 0.99])
+
+
+@st.composite
+def p_values(draw):
+    """alpha and p-values, many of them sitting exactly on a BH threshold."""
+    alpha = draw(alphas)
+    n = draw(st.integers(1, 40))
+    on_threshold = st.integers(1, n).map(lambda k: alpha * k / n)
+    value = st.one_of(st.floats(0.0, 1.0), on_threshold, st.sampled_from([0.0, 1.0]))
+    return alpha, np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+@st.composite
+def e_values(draw):
+    """alpha and e-values, many of them sitting exactly on an e-BH threshold."""
+    alpha = draw(alphas)
+    n = draw(st.integers(1, 40))
+    on_threshold = st.integers(1, n).map(lambda k: n / (alpha * k))
+    value = st.one_of(st.floats(0.0, 1e6), on_threshold, st.sampled_from([0.0, 1.0, np.inf]))
+    return alpha, np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+def assert_same_outcome(got: RejectionSet, want) -> None:
+    k_hat, threshold, rejected = want
+    assert got.k_hat == k_hat
+    assert got.threshold == threshold
+    assert got.rejected.dtype == rejected.dtype
+    np.testing.assert_array_equal(got.rejected, rejected)
+
+
+@STEPUP
+@given(p_values())
+@example((0.1, np.array([0.05])))
+@example((0.1, np.array([0.5])))
+@example((0.1, np.zeros(5)))
+@example((0.1, np.ones(5)))
+@example((0.1, np.array([0.02, 0.04, 0.06, 0.08, 0.1])))
+def test_bh_and_by_match_full_sort(case):
+    alpha, p = case
+    assert_same_outcome(bh(p, alpha), full_sort_bh(p, alpha))
+    assert_same_outcome(by(p, alpha), full_sort_bh(p, alpha / harmonic_number(p.size)))
+
+
+@STEPUP
+@given(e_values())
+@example((0.1, np.array([10.0])))
+@example((0.1, np.array([9.0])))
+@example((0.1, np.full(5, np.inf)))
+@example((0.1, np.zeros(5)))
+@example((0.5, np.array([np.inf, 10.0, 0.0, 5.0, 2.0])))
+def test_ebh_matches_full_sort(case):
+    alpha, e = case
+    assert_same_outcome(ebh(e, alpha), full_sort_ebh(e, alpha))
+
+
+@STEPUP
+@given(p_values(), st.data())
+def test_lowering_a_p_value_never_unrejects(case, data):
+    alpha, p = case
+    j = data.draw(st.integers(0, p.size - 1))
+    lowered = p.copy()
+    lowered[j] = data.draw(st.floats(0.0, p[j]))
+    for procedure in (bh, by):
+        assert rset(procedure(lowered, alpha)) >= rset(procedure(p, alpha))
+
+
+@STEPUP
+@given(e_values(), st.data())
+def test_raising_an_e_value_never_unrejects(case, data):
+    alpha, e = case
+    j = data.draw(st.integers(0, e.size - 1))
+    raised = e.copy()
+    raised[j] = data.draw(st.one_of(st.floats(e[j], np.inf), st.just(np.inf)))
+    assert rset(ebh(raised, alpha)) >= rset(ebh(e, alpha))

@@ -36,7 +36,9 @@ from activetest.core import (
     active_values,
 )
 from activetest import pipeline
-from activetest.engine import METHOD_NAMES, HypothesisSet, MethodSpec, run_method, xu_query_prob
+from activetest.engine import (
+    METHOD_NAMES, HypothesisSet, MethodSpec, UniqueIds, run_method, xu_query_prob,
+)
 from activetest.errors import DegenerateUtilitiesError
 from activetest.simulate import _poisson_inverse
 
@@ -279,7 +281,8 @@ def test_bulk_reader_matches_csv_reader(table, block):
             bulk = pipeline.read_columns(path, key_col, value_cols, unit_interval=unit)
         with mock.patch.object(pipeline, "_parse_blocks", return_value=None):
             rows = pipeline.read_columns(path, key_col, value_cols, unit_interval=unit)
-    assert bulk[0] == rows[0] == keys
+    assert bulk[0] == rows[0] == tuple(keys)
+    assert type(bulk[0]) is type(rows[0]) is UniqueIds
     for got, ref, want in zip(bulk[1], rows[1], values):
         assert got.tobytes() == ref.tobytes() == np.array(want, dtype=np.float64).tobytes()
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -83,6 +85,19 @@ class TestIdKeys:
         ids = [f"snp_{i}" for i in range(10_000)]
         keys = keys_for_ids(ids)
         assert len(set(keys.tolist())) == 10_000
+
+    @pytest.mark.parametrize("hid", [
+        "", "rs12345", "naïve-β", "日本語", "a,b", "x" * 129, "é" * 100,
+    ], ids=["empty", "ascii", "latin", "cjk", "comma", "two-blocks", "two-blocks-utf8"])
+    def test_key_is_blake2b_of_utf8(self, hid):
+        def direct(s):
+            return int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(),
+                                  "little")
+
+        assert key_for_id(hid) == direct(hid)
+        # repeats catch a hasher state that leaks from one id into the next
+        ids = [hid, hid + "!", hid]
+        assert keys_for_ids(ids).tolist() == list(map(direct, ids))
 
     def test_keys_for_ids_matches_scalar(self):
         ids = ["a", "b", "chr1:1234"]

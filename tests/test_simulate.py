@@ -48,6 +48,11 @@ class TestDgpSpec:
         with pytest.raises(DomainError):
             DgpSpec("noisy", n=100, pi=0.1, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    def test_noisy_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(DomainError, match="finite sigma > 0"):
+            DgpSpec("noisy", n=100, pi=0.1, sigma=sigma)
+
     def test_rho_only_for_correlated(self):
         DgpSpec("correlated", n=100, pi=0.1, rho=0.5)
         with pytest.raises(DomainError):
