@@ -31,7 +31,6 @@ from .core import (
 from .engine import (
     HypothesisRecord,
     HypothesisSet,
-    LazyValues,
     MethodSpec,
     RunOutput,
     run_method,
@@ -85,7 +84,6 @@ __all__ = [
     "HypothesisRecord",
     "HypothesisSet",
     "InternalLogicError",
-    "LazyValues",
     "MethodSpec",
     "P_GENERAL",
     "P_INDEPENDENT",

@@ -12,20 +12,22 @@ import argparse
 import os
 import sys
 import tempfile
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__ as VERSION
 from .core import StatMode
 from .engine import HypothesisSet, MethodSpec, csv_text, run_method
-from .errors import ActiveTestError
+from .errors import ActiveTestError, DataError, DomainError
 from .allocation import UtilitySpec
 from .pipeline import (
     align,
     conformal_p,
     oracle_recovery,
     read_columns,
-    read_score_column,
+    read_score_rows,
     read_summary_table,
 )
 from .procedures import bh, by, ebh
@@ -86,10 +88,6 @@ def parse_config_header(text: str) -> dict:
             key, _, value = body.partition("=")
             out[key.strip()] = value.strip()
     return out
-
-
-def _format_config(pairs: dict) -> dict:
-    return {k: str(v) for k, v in pairs.items()}
 
 
 def build_parser() -> _Parser:
@@ -161,17 +159,9 @@ def _cmd_simulate(args) -> int:
     spec = DgpSpec(kind=args.dgp, n=args.n, pi=args.pi, alpha=args.alpha,
                    sigma=args.sigma, rho=args.rho)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    result = run_experiment(
-        spec,
-        methods,
-        n_b=args.budget,
-        beta=args.beta,
-        reps=args.reps,
-        seed=args.seed,
-        mode=args.mode,
-        threads=args.threads,
-    )
-    config = _format_config({
+    result = run_experiment(spec, methods, n_b=args.budget, beta=args.beta, reps=args.reps,
+                            seed=args.seed, mode=args.mode, threads=args.threads)
+    config = {
         "command": "simulate",
         "dgp": spec.kind,
         "mode": args.mode,
@@ -188,7 +178,7 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed,
         "threads": args.threads,
         "methods": ",".join(methods),
-    })
+    }
     header = config_header(config)
     agg_out = args.agg_out
     if agg_out is None:
@@ -213,15 +203,9 @@ def _cmd_run(args) -> int:
               f"least promising hypotheses", file=sys.stderr)
     method = MethodSpec(args.method, beta=args.beta)
     table = _read_run_input(args.input)
-    out = run_method(
-        table,
-        method,
-        mode=mode,
-        n_b=args.budget if args.budget is not None else float(len(table)),
-        seed=args.seed,
-        utility=utility,
-    )
-    config = _format_config({
+    n_b = args.budget if args.budget is not None else float(len(table))
+    out = run_method(table, method, mode=mode, n_b=n_b, seed=args.seed, utility=utility)
+    config = {
         "command": "run",
         "input": args.input,
         "mode": args.mode,
@@ -232,7 +216,7 @@ def _cmd_run(args) -> int:
         "eps": args.eps,
         "sup_h": args.sup_h,
         "seed": args.seed,
-    })
+    }
     summary = f"# n_queries = {out.n_queries}\n"
     atomic_write_text(args.out, config_header(config) + summary + out.to_csv())
     return _EXIT_OK
@@ -247,15 +231,9 @@ def _cmd_gwas(args) -> int:
     target = read_summary_table(args.target, args.key_col, args.p_col)
     aux = read_summary_table(args.aux, args.key_col, args.p_col)
     aligned = align(target, aux)
-    result = oracle_recovery(
-        aligned,
-        n_b=args.budget,
-        beta=args.beta,
-        method=args.method,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
-    config = _format_config({
+    result = oracle_recovery(aligned, n_b=args.budget, beta=args.beta, method=args.method,
+                             alpha=args.alpha, seed=args.seed)
+    config = {
         "command": "gwas",
         "target": args.target,
         "aux": args.aux,
@@ -266,7 +244,7 @@ def _cmd_gwas(args) -> int:
         "alpha": args.alpha,
         "method": args.method,
         "seed": args.seed,
-    })
+    }
     summary = (
         f"# n_queries = {result.n_queries}\n"
         f"# oracle_size = {result.oracle.size}\n"
@@ -279,39 +257,50 @@ def _cmd_gwas(args) -> int:
     return _EXIT_OK
 
 
+@contextmanager
+def _located(*files):
+    """Turn a DomainError that gives the position of a bad value into a
+    DataError naming its file and line.  ``files`` holds (path, line
+    numbers) pairs in the order their values were passed."""
+    try:
+        yield
+    except DomainError as exc:
+        if exc.index is None:
+            raise
+        path, line = [(path, line) for path, lines in files for line in lines][exc.index]
+        raise DataError(f"{path}: line {line}: {exc}") from exc
+
+
 def _cmd_conformal(args) -> int:
-    cal = read_score_column(args.cal)
-    test = read_score_column(args.test)
-    p = conformal_p(cal, test)
-    config = _format_config({
+    cal, cal_lines = read_score_rows(args.cal)
+    test, test_lines = read_score_rows(args.test)
+    with _located((args.cal, cal_lines), (args.test, test_lines)):
+        p = conformal_p(cal, test)
+    config = {
         "command": "conformal",
         "cal": args.cal,
         "test": args.test,
         "n_calibration": cal.size,
         "n_test": test.size,
-    })
+    }
     body = csv_text("index,p_value\n", [np.arange(p.size), p])
     atomic_write_text(args.out, config_header(config) + body)
     return _EXIT_OK
 
 
 def _cmd_mt(args) -> int:
-    values = read_score_column(args.input)
-    if args.procedure == "bh":
-        result = bh(values, args.alpha)
-    elif args.procedure == "by":
-        result = by(values, args.alpha)
-    else:
-        result = ebh(values, args.alpha)
-    config = _format_config({
+    values, lines = read_score_rows(args.input)
+    procedure = {"bh": bh, "by": by, "ebh": ebh}[args.procedure]
+    with _located((args.input, lines)):
+        result = procedure(values, args.alpha)
+    config = {
         "command": "mt",
         "procedure": args.procedure,
         "alpha": args.alpha,
         "input": args.input,
         "k_hat": result.k_hat,
-    })
-    lines = [f"{i}\n" for i in result.rejected]
-    text = config_header(config) + "".join(lines)
+    }
+    text = config_header(config) + "".join(f"{i}\n" for i in result.rejected)
     if args.out:
         atomic_write_text(args.out, text)
     else:
@@ -328,23 +317,27 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, *args, **kwargs) -> None:
+    print(f"{PROG}: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except SystemExit as exc:  # --version / --help
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (ActiveTestError, OSError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+    # each warning prints as one line; the caller's warning state is restored
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
+        except _UsageError as exc:
+            print(f"{PROG}: error: {exc}", file=sys.stderr)
+            return _EXIT_USAGE
+        except SystemExit as exc:  # --version / --help
+            return int(exc.code or 0)
+        except (ActiveTestError, OSError) as exc:
+            print(f"{PROG}: error: {exc}", file=sys.stderr)
+            return _EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ Methods
     random      uniform subset of exactly n_b hypotheses
     all         query everything
 
-Exact statistics are evaluated lazily through a counting wrapper, so
-``n_queries`` is the number of distinct hypotheses whose exact statistic was
-actually touched.  ``run_method`` is the one entry point for all five.
+Each run reads the exact statistics once, at the rows its query mask
+selects, so ``n_queries`` is the number of exact statistics read.
+``run_method`` is the one entry point for all five.
 Per-hypothesis randomness is keyed by the hypothesis id when ids are given
 (by position otherwise), which makes outputs invariant to input row order;
 the Random baseline draws a subset of positions by design.
@@ -31,7 +31,6 @@ from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
 __all__ = [
     "HypothesisRecord",
     "HypothesisSet",
-    "LazyValues",
     "MethodSpec",
     "RunOutput",
     "UniqueIds",
@@ -56,7 +55,6 @@ class HypothesisRecord:
     id: str
     aux: float
     exact: Union[float, Callable[[], float]]
-    truth: Optional[bool] = None  # True = non-null, when known
 
 
 class UniqueIds(tuple):
@@ -93,46 +91,18 @@ class UniqueIds(tuple):
         return tuple.__new__(cls, ids)
 
 
-class LazyValues:
-    """Deferred per-index access to exact statistics with query accounting.
-
-    Each index is fetched at most once, and each fetch gets its fresh
-    indices in ascending order; ``eval_count`` is the number of distinct
-    indices touched so far.
-    """
-
-    def __init__(self, fetch: Callable[[np.ndarray], np.ndarray], n: int):
-        self._fetch = fetch
-        self._values = np.full(n, np.nan)
-        self.evaluated = np.zeros(n, dtype=bool)
-
-    def take(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.intp)
-        fresh = indices[~self.evaluated[indices]]
-        if fresh.size:
-            if np.any(fresh[1:] <= fresh[:-1]):
-                fresh = np.unique(fresh)
-            self._values[fresh] = np.asarray(self._fetch(fresh), dtype=np.float64)
-            self.evaluated[fresh] = True
-        return self._values[indices]
-
-    @property
-    def eval_count(self) -> int:
-        return int(np.count_nonzero(self.evaluated))
-
-
 class HypothesisSet:
     """Column-oriented collection of hypotheses.
 
-    ``exact`` may be a numpy array (values fetched lazily per index), a
-    callable mapping an index array to values, or a sequence of per-record
-    values or zero-argument callables.  ``lazy()`` wraps it in a fresh
-    counting view, so each run keeps its own query ledger.  ``ids`` is a
-    ``UniqueIds`` tuple, so no run can rewrite the ids its stream keys were
-    hashed from; one passed in as ``UniqueIds`` is kept as it is.
+    ``exact`` may be a numpy array of shape ``(n,)``, a callable mapping an
+    ascending index array to values, or a sequence of per-record values or
+    zero-argument callables.  It is checked once, here, and read through
+    ``exact_at``, once per run.  ``ids`` is a ``UniqueIds`` tuple, so no run
+    can rewrite the ids its stream keys were hashed from; one passed in as
+    ``UniqueIds`` is kept as it is.
     """
 
-    def __init__(self, aux, exact, ids=None, truth=None):
+    def __init__(self, aux, exact, ids=None):
         self.aux = np.asarray(aux, dtype=np.float64)
         if self.aux.ndim != 1 or self.aux.size == 0:
             raise DomainError("aux must be a nonempty vector")
@@ -144,12 +114,13 @@ class HypothesisSet:
                 raise DomainError("ids must align with aux")
             ids = UniqueIds._checked(ids)
         self.ids = ids
-        if truth is None:
-            self.truth = None
+        if isinstance(exact, np.ndarray):
+            aligned = exact.shape == (n,)
         else:
-            self.truth = np.asarray(truth, dtype=bool)
-            if self.truth.shape != (n,):
-                raise DomainError("truth must align with aux")
+            exact = exact if callable(exact) else list(exact)
+            aligned = callable(exact) or len(exact) == n
+        if not aligned:
+            raise DomainError("exact values must align with aux")
         self._exact = exact
         self._stream_keys: Optional[np.ndarray] = None
 
@@ -158,16 +129,10 @@ class HypothesisSet:
         records = list(records)
         if not records:
             raise DomainError("at least one hypothesis is required")
-        truth = None
-        if any(r.truth is not None for r in records):
-            if any(r.truth is None for r in records):
-                raise DomainError("truth labels must be all present or all absent")
-            truth = [bool(r.truth) for r in records]
         return cls(
             aux=[r.aux for r in records],
             exact=[r.exact for r in records],
             ids=[r.id for r in records],
-            truth=truth,
         )
 
     def __len__(self) -> int:
@@ -176,32 +141,31 @@ class HypothesisSet:
     def id_of(self, i: int) -> str:
         return self.ids[i] if self.ids is not None else str(i)
 
-    def lazy(self) -> LazyValues:
-        n = len(self)
-        if isinstance(self._exact, np.ndarray):
-            source = self._exact
-            if source.shape != (n,):
-                raise DomainError("exact values must align with aux")
-            return LazyValues(lambda idx: source[idx], n)
-        if callable(self._exact):
-            return LazyValues(self._exact, n)
-        items = list(self._exact)
-        if len(items) != n:
-            raise DomainError("exact values must align with aux")
+    def exact_at(self, idx: np.ndarray) -> np.ndarray:
+        """float64 exact statistics at the ascending positions ``idx``.
 
-        def fetch(indices: np.ndarray) -> np.ndarray:
-            out = np.empty(indices.size)
-            for j, i in enumerate(indices):
-                item = items[i]
-                try:
-                    out[j] = float(item()) if callable(item) else float(item)
-                except Exception as exc:
-                    raise DomainError(
-                        f"exact statistic evaluation failed for id {self.id_of(i)!r}: {exc}"
-                    ) from exc
-            return out
-
-        return LazyValues(fetch, n)
+        A user callable is not called when ``idx`` is empty.
+        """
+        exact = self._exact
+        if isinstance(exact, np.ndarray):
+            return np.asarray(exact[idx], dtype=np.float64)
+        if not idx.size:
+            return np.empty(0)
+        if callable(exact):
+            values = np.asarray(exact(idx), dtype=np.float64)
+            if values.shape != idx.shape:
+                raise DomainError("an exact callable must return one value per index")
+            return values
+        out = np.empty(idx.size)
+        for j, i in enumerate(idx.tolist()):
+            item = exact[i]
+            try:
+                out[j] = float(item()) if callable(item) else float(item)
+            except Exception as exc:
+                raise DomainError(
+                    f"exact statistic evaluation failed for id {self.id_of(i)!r}: {exc}"
+                ) from exc
+        return out
 
     def stream_keys(self) -> np.ndarray:
         """Read-only uint64 stream indices: id-hash when ids exist, position otherwise."""
@@ -213,12 +177,6 @@ class HypothesisSet:
             keys.flags.writeable = False
             self._stream_keys = keys
         return self._stream_keys
-
-
-def as_hypothesis_set(records) -> HypothesisSet:
-    if isinstance(records, HypothesisSet):
-        return records
-    return HypothesisSet.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -338,11 +296,7 @@ def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
 
     Partial Fisher-Yates over positions, driven by its own purpose tag.
     """
-    try:
-        whole = int(n_b) == n_b
-    except (ValueError, OverflowError):  # nan, +-inf
-        whole = False
-    if not whole:
+    if not float(n_b).is_integer():
         raise DomainError(f"random baseline needs an integer budget, got {n_b!r}")
     n_b = int(n_b)
     if n_b < 0 or n_b > n:
@@ -376,7 +330,7 @@ def xu_query_prob(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
     return np.maximum(0.0, 1.0 - beta * aux)
 
 
-def _fixed_rule(lazy: LazyValues, mode: StatMode, queried: np.ndarray, values: np.ndarray,
+def _fixed_rule(hs: HypothesisSet, mode: StatMode, queried: np.ndarray, values: np.ndarray,
                 scale: float, on_query: Callable[[np.ndarray], np.ndarray]):
     """Shared kernel of xu, random and all: one scale for every queried row.
 
@@ -384,7 +338,7 @@ def _fixed_rule(lazy: LazyValues, mode: StatMode, queried: np.ndarray, values: n
     with ``on_query(exact)``.  Returns (values, scales).
     """
     idx = np.nonzero(queried)[0]
-    exact = lazy.take(idx)
+    exact = hs.exact_at(idx)
     check_exact_domain(exact, mode, idx)
     values[idx] = on_query(exact)
     scales = np.zeros(values.size)
@@ -398,18 +352,17 @@ def run_method(records, method: MethodSpec, *, mode: StatMode, n_b: float,
     """Run one named method on the hypotheses.
 
     Each method picks a query mask, the no-query values and the query
-    scale; the exact statistics are then read through one fresh query
-    ledger.  ``utility`` drives the active method's allocation.  ``u``
-    replays the per-hypothesis branch draws of active, active-xu and xu;
-    by default they come from the counter-based stream keyed by id.
+    scale; the exact statistics are then read once, at the queried rows.
+    ``utility`` drives the active method's allocation.  ``u`` replays the
+    per-hypothesis branch draws of active, active-xu and xu; by default
+    they come from the counter-based stream keyed by id.
     """
-    hs = as_hypothesis_set(records)
+    hs = records if isinstance(records, HypothesisSet) else HypothesisSet.from_records(records)
     _check_aux_domain(hs, mode)
     variant, beta = method.variant, method.beta
     if u is not None and variant not in BRANCH_METHODS:
         raise DomainError(f"method {variant!r} draws no branch coins to replay")
     n = len(hs)
-    lazy = hs.lazy()
     alloc = None
     if variant in ("active", "active-xu"):
         if variant == "active":
@@ -420,17 +373,17 @@ def run_method(records, method: MethodSpec, *, mode: StatMode, n_b: float,
             scores = xu_query_prob(hs.aux, beta, mode)
         alloc = allocate_utilities(scores, BudgetConfig(n_b, n))
         h = alloc.h
-        values, queried, scales = active_values(h, _branch_draws(hs, seed, rep, u), lazy.take,
+        values, queried, scales = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
                                                 mode, beta)
     elif variant == "xu":
         # no global budget: on no-query the auxiliary itself is reported
         h = xu_query_prob(hs.aux, beta, mode)
         queried = _branch_draws(hs, seed, rep, u) < h
         if mode.is_e:
-            values, scales = _fixed_rule(lazy, mode, queried, hs.aux.copy(), 1.0 - beta,
+            values, scales = _fixed_rule(hs, mode, queried, hs.aux.copy(), 1.0 - beta,
                                          lambda exact: (1.0 - beta) * exact)
         else:
-            values, scales = _fixed_rule(lazy, mode, queried, hs.aux.copy(), 1.0 / (1.0 - beta),
+            values, scales = _fixed_rule(hs, mode, queried, hs.aux.copy(), 1.0 / (1.0 - beta),
                                          lambda exact: np.minimum(1.0, exact / (1.0 - beta)))
     else:
         # random and all report the exact statistic unchanged, 1 elsewhere
@@ -440,14 +393,14 @@ def run_method(records, method: MethodSpec, *, mode: StatMode, n_b: float,
         else:
             queried = np.ones(n, dtype=bool)
             h = np.ones(n)
-        values, scales = _fixed_rule(lazy, mode, queried, np.ones(n), 1.0, lambda exact: exact)
+        values, scales = _fixed_rule(hs, mode, queried, np.ones(n), 1.0, lambda exact: exact)
     return RunOutput(
         method=variant,
         values=values,
         queried=queried,
         scales=scales,
         h=h,
-        n_queries=lazy.eval_count,
+        n_queries=int(np.count_nonzero(queried)),
         seed=seed,
         source_ids=hs.ids,
         mode=mode,

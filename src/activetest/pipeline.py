@@ -2,11 +2,10 @@
 conformal p-values, and budgeted recovery against a full-information oracle.
 
 The target table holds the expensive exact p-values and the auxiliary table
-the cheap proxies.  After an inner join on the key column, the target p-value
-column is only read through the lazy query ledger, so a budgeted run touches
-exactly as many target entries as it queries.  The oracle pass (the rejection
-set of the BY procedure run on every target p-value) is the one sanctioned
-full read and is exempt from the ledger.
+the cheap proxies.  After an inner join on the key column, a budgeted run
+reads the target p-value column once, at the rows it queries.  The oracle
+pass (the rejection set of the BY procedure run on every target p-value) is
+the one sanctioned full read and is not counted as queries.
 """
 
 from __future__ import annotations
@@ -14,11 +13,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import StatMode
+from .core import P_INDEPENDENT
 from .engine import HypothesisSet, MethodSpec, RunOutput, UniqueIds, run_method
 from .errors import DataError, DomainError
 from .allocation import UtilitySpec
@@ -35,6 +34,7 @@ __all__ = [
     "conformal_p",
     "oracle_recovery",
     "read_score_column",
+    "read_score_rows",
 ]
 
 _MAX_LISTED_DUPLICATES = 10
@@ -84,10 +84,6 @@ def _duplicates(keys: Sequence[str]) -> list:
     return dup
 
 
-def _sniff_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
-
-
 def read_columns(path: str, key_col: str, value_cols: Sequence[str],
                  delimiter: Optional[str] = None,
                  unit_interval: bool = False) -> tuple[UniqueIds, list]:
@@ -131,7 +127,7 @@ def _read_header(fh, path: str, key_col: str, value_cols: Sequence[str],
     first = fh.readline()
     if not first:
         raise DataError(f"{path}: line 1: empty file")
-    delim = delimiter or _sniff_delimiter(first)
+    delim = delimiter or ("\t" if "\t" in first else ",")
     try:
         header = next(csv.reader([first], delimiter=delim))
     except csv.Error as exc:
@@ -269,10 +265,10 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
     return DataError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})")
 
 
-def read_summary_table(path: str, key_col: str, stat_col: str,
-                       delimiter: Optional[str] = None) -> SummaryTable:
-    """Parse a delimited text file into a SummaryTable (see ``read_columns``)."""
-    keys, (stats,) = read_columns(path, key_col, (stat_col,), delimiter, unit_interval=True)
+def read_summary_table(path: str, key_col: str, stat_col: str) -> SummaryTable:
+    """Parse a delimited text file, its delimiter sniffed from the header,
+    into a SummaryTable (see ``read_columns``)."""
+    keys, (stats,) = read_columns(path, key_col, (stat_col,), unit_interval=True)
     return SummaryTable(keys=keys, stats=stats, source=path)
 
 
@@ -280,9 +276,8 @@ def read_summary_table(path: str, key_col: str, stat_col: str,
 class AlignedPair:
     """Inner join of a target and an auxiliary table, in target row order.
 
-    The target statistics are private: runs read them through the lazy query
-    ledger via ``to_hypotheses``; ``oracle_stats`` is the sanctioned
-    ledger-exempt full view used for the oracle pass.
+    Runs read the target statistics through ``to_hypotheses``, once per run
+    at the queried rows; the oracle pass alone reads them all.
 
     Per-id work is done once per pair: ``to_hypotheses`` returns one memoized
     HypothesisSet that shares ``keys`` when they are ``UniqueIds`` (and whose
@@ -309,10 +304,6 @@ class AlignedPair:
     def __len__(self) -> int:
         return len(self.keys)
 
-    @property
-    def oracle_stats(self) -> np.ndarray:
-        return self.target_stats
-
     def to_hypotheses(self) -> HypothesisSet:
         if self._hypotheses is None:
             hs = HypothesisSet(aux=self.aux_stats, exact=self.target_stats, ids=self.keys)
@@ -323,7 +314,7 @@ class AlignedPair:
         """Read-only BY rejection set on every target p-value, per alpha."""
         rejected = self._oracles.get(alpha)
         if rejected is None:
-            rejected = by(self.oracle_stats, alpha).rejected
+            rejected = by(self.target_stats, alpha).rejected
             rejected.flags.writeable = False
             self._oracles[alpha] = rejected
         return rejected
@@ -357,8 +348,9 @@ def conformal_p(calibration_scores, test_scores) -> np.ndarray:
     test = np.asarray(test_scores, dtype=np.float64)
     if cal.ndim != 1 or cal.size == 0:
         raise DomainError("calibration scores must form a nonempty vector")
-    if np.any(np.isnan(cal)) or np.any(np.isnan(test)):
-        raise DomainError("scores must not contain NaN")
+    nan = np.isnan(np.concatenate((cal, test.ravel())))
+    if nan.any():
+        raise DomainError("scores must not contain NaN", index=int(nan.argmax()))
     counts = np.searchsorted(np.sort(cal), test, side="right")
     return (1.0 + counts) / (cal.size + 1.0)
 
@@ -381,38 +373,27 @@ def oracle_recovery(
     aligned: AlignedPair,
     n_b: float,
     beta: float,
-    method: Union[str, MethodSpec],
+    method: str,
     alpha: float,
     seed: int = DEFAULT_SEED,
-    rep: int = 0,
-    utility: Optional[UtilitySpec] = None,
-    stat_mode: Optional[StatMode] = None,
 ) -> RecoveryResult:
     """Run one budgeted method and compare with the oracle rejection set.
 
     The oracle is the BY procedure on every target p-value at ``alpha``.
-    The method sees p-type auxiliaries, spends at most the budget (exactly,
-    for random), and its outputs go through the same BY procedure.
-    Efficiency is |recovered and oracle| / n_queries (0 when nothing was
-    queried).  Both tables of p-values are assumed to come from distinct
-    sources, hence the independent construction default.  Repeated calls
-    on one pair reuse its hashed ids and its oracle for ``alpha``; each call
-    still keeps its own query ledger.
+    The method sees p-type auxiliaries weighed by ``PIPELINE_UTILITY``,
+    spends at most the budget (exactly, for random), and its outputs go
+    through the same BY procedure.  Efficiency is |recovered and oracle| /
+    n_queries (0 when nothing was queried).  Both tables of p-values are
+    assumed to come from distinct sources, hence the independent
+    construction; for the general one, call ``run_method`` on
+    ``aligned.to_hypotheses()``.  Repeated calls on one pair reuse its
+    hashed ids and its oracle for ``alpha``.
     """
     if n_b <= 0:
         raise DomainError(f"budget must be positive, got {n_b!r}")
     oracle = aligned._oracle(alpha)
-    spec = method if isinstance(method, MethodSpec) else MethodSpec(str(method), beta=beta)
-    hs = aligned.to_hypotheses()
-    out = run_method(
-        hs,
-        spec,
-        mode=stat_mode if stat_mode is not None else StatMode("p_independent"),
-        n_b=n_b,
-        seed=seed,
-        rep=rep,
-        utility=utility if utility is not None else PIPELINE_UTILITY,
-    )
+    out = run_method(aligned.to_hypotheses(), MethodSpec(str(method), beta=beta),
+                     mode=P_INDEPENDENT, n_b=n_b, seed=seed, utility=PIPELINE_UTILITY)
     recovered = by(out.values, alpha).rejected
     overlap = np.intersect1d(recovered, oracle).size
     efficiency = overlap / out.n_queries if out.n_queries else 0.0
@@ -427,7 +408,13 @@ def oracle_recovery(
 
 def read_score_column(path: str) -> np.ndarray:
     """Read a single-column numeric file, tolerating one optional header row."""
+    return read_score_rows(path)[0]
+
+
+def read_score_rows(path: str) -> tuple[np.ndarray, list]:
+    """``read_score_column`` plus the line number of each value."""
     values = []
+    lines = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -437,6 +424,7 @@ def read_score_column(path: str) -> np.ndarray:
                 field = text.split(",")[0].strip()
                 try:
                     values.append(float(field))
+                    lines.append(lineno)
                 except ValueError:
                     if lineno == 1:
                         continue  # header row
@@ -445,4 +433,4 @@ def read_score_column(path: str) -> np.ndarray:
         raise _undecodable(path, exc) from exc
     if not values:
         raise DataError(f"{path}: no numeric rows")
-    return np.asarray(values, dtype=np.float64)
+    return np.asarray(values, dtype=np.float64), lines

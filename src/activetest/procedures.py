@@ -38,8 +38,9 @@ def _check_pvalues(p) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("p-values must form a nonempty vector")
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("p-values must lie in [0, 1]")
+    bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if bad.any():
+        raise DomainError("p-values must lie in [0, 1]", index=int(bad.argmax()))
     return arr
 
 
@@ -86,8 +87,9 @@ def ebh(e, alpha: float) -> RejectionSet:
     arr = np.asarray(e, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("e-values must form a nonempty vector")
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
-        raise DomainError("e-values must be >= 0")
+    bad = ~(arr >= 0.0)
+    if bad.any():
+        raise DomainError("e-values must be >= 0", index=int(bad.argmax()))
     n = arr.size
     # no threshold falls below the last, n / (alpha * n), so only e-values at
     # or above it can pass: sorting them alone gives the same k-hat

@@ -24,7 +24,6 @@ imported inside the functions that call it, so only simulate runs load it.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import StatMode
-from .engine import BRANCH_METHODS, HypothesisSet, MethodSpec, RunOutput, run_method
+from .engine import BRANCH_METHODS, HypothesisSet, MethodSpec, run_method
 from .errors import DomainError
 from .procedures import by, ebh
 from .rng import (
@@ -335,23 +334,15 @@ class ExperimentResult:
         return out
 
     def per_rep_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("method,rep,fdp,tpp,queries,efficiency\n")
-        for r in self.rows:
-            buf.write(
-                f"{r.method},{r.rep},{r.fdp!r},{r.tpp!r},{r.queries},{r.efficiency!r}\n"
-            )
-        return buf.getvalue()
+        return "method,rep,fdp,tpp,queries,efficiency\n" + "".join(
+            f"{r.method},{r.rep},{r.fdp!r},{r.tpp!r},{r.queries},{r.efficiency!r}\n"
+            for r in self.rows)
 
     def aggregate_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("method,fdr,fdr_se,tpr,tpr_se,queries_mean,efficiency_mean,efficiency_se\n")
-        for a in self.aggregate():
-            buf.write(
-                f"{a.method},{a.fdr!r},{a.fdr_se!r},{a.tpr!r},{a.tpr_se!r},"
-                f"{a.queries_mean!r},{a.efficiency_mean!r},{a.efficiency_se!r}\n"
-            )
-        return buf.getvalue()
+        return ("method,fdr,fdr_se,tpr,tpr_se,queries_mean,efficiency_mean,efficiency_se\n"
+                + "".join(f"{a.method},{a.fdr!r},{a.fdr_se!r},{a.tpr!r},{a.tpr_se!r},"
+                          f"{a.queries_mean!r},{a.efficiency_mean!r},{a.efficiency_se!r}\n"
+                          for a in self.aggregate()))
 
 
 def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: str,
@@ -362,7 +353,7 @@ def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: str
         aux, exact = draw.e_aux, draw.e
     else:
         aux, exact = draw.p_aux, draw.p
-    hs = HypothesisSet(aux=aux, exact=exact, truth=signal.truth)
+    hs = HypothesisSet(aux=aux, exact=exact)
     # the branch draws each of active, active-xu and xu would make for itself
     u = uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)
     u.flags.writeable = False
@@ -389,12 +380,12 @@ def run_experiment(
     seed: int = DEFAULT_SEED,
     *,
     mode: str = "e",
-    utility: Optional[UtilitySpec] = None,
-    stat_mode: Optional[StatMode] = None,
     threads: int = 1,
 ) -> ExperimentResult:
     """Replicate the DGP and score every method on each replication.
 
+    ``methods`` are method names, each run with ``beta``, the utility of
+    ``utility_defaults`` and the construction of ``default_construction``.
     Data is generated once per replication and shared across methods, so
     comparisons are paired.  e-mode feeds the outputs to the e-value step-up
     procedure, p-mode to the BY procedure, both at spec.alpha.  ``threads``
@@ -402,22 +393,15 @@ def run_experiment(
     """
     if spec.pi == 0.0:
         raise DomainError("run_experiment requires pi > 0 (no signals to recover)")
-    if mode not in ("e", "p"):
-        raise DomainError(f"mode must be 'e' or 'p', got {mode!r}")
+    utility = utility_defaults(spec.kind, mode)  # refuses a mode other than e or p
+    stat_mode = default_construction(spec.kind, mode)
     if reps < 1:
         raise DomainError("reps must be >= 1")
     if threads < 1:
         raise DomainError("threads must be >= 1")
-    methods_resolved = [
-        m if isinstance(m, MethodSpec) else MethodSpec(str(m), beta=beta)
-        for m in methods
-    ]
+    methods_resolved = [MethodSpec(str(m), beta=beta) for m in methods]
     if not methods_resolved:
         raise DomainError("at least one method is required")
-    if utility is None:
-        utility = utility_defaults(spec.kind, mode)
-    if stat_mode is None:
-        stat_mode = default_construction(spec.kind, mode)
 
     def one(rep: int) -> list[RunMetrics]:
         return _run_one_rep(spec, methods_resolved, n_b, mode, stat_mode, utility,

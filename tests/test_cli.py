@@ -4,6 +4,7 @@ import io
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,16 @@ class TestRun:
         assert len(err_lines) == 1 and "warning" in err_lines[0] and family in err_lines[0]
         assert parse_config_header(out.read_text())["utility"] == family
 
+    def test_budget_clamp_warning_is_one_line(self, tmp_path, capsys):
+        inp = write(tmp_path / "p.csv", "id,aux,exact\na,0.5,0.2\nb,0.3,0.1\n")
+        args = ["run", "--input", inp, "--mode", "p-independent", "--budget", "5",
+                "--out", str(tmp_path / "o.csv")]
+        filters, show = list(warnings.filters), warnings.showwarning
+        assert main(args) == 0
+        assert capsys.readouterr().err == (
+            "activetest: warning: budget 5.0 exceeds the 2 hypotheses; clamping\n")
+        assert warnings.filters == filters and warnings.showwarning is show
+
     def test_bad_header_exits_2(self, tmp_path, capsys):
         inp = write(tmp_path / "bad.csv", "key,aux,exact\nk,1,1\n")
         args = ["run", "--input", inp, "--mode", "e", "--method", "all",
@@ -555,6 +566,28 @@ class TestMalformedInput:
             argv = ["conformal", "--cal", good, "--test", str(bad),
                     "--out", str(tmp_path / "o.csv")]
         self.check(capsys, main(argv), 3)
+
+    # (command, data of the scored file, message): each value is out of the
+    # domain of the procedure that reads it
+    OUT_OF_DOMAIN = [
+        ("bh", "0.5\n1.5\n", "p-values must lie in [0, 1]"),
+        ("by", "0.5\nnan\n", "p-values must lie in [0, 1]"),
+        ("ebh", "2.0\n-1\n", "e-values must be >= 0"),
+        ("conformal", "0.5\nnan\n", "scores must not contain NaN"),
+    ]
+
+    @pytest.mark.parametrize("command,data,message", OUT_OF_DOMAIN,
+                             ids=[c[0] for c in OUT_OF_DOMAIN])
+    def test_out_of_domain_score_names_file_and_line(self, tmp_path, capsys, command, data,
+                                                     message):
+        bad = write(tmp_path / "s.txt", data)
+        if command == "conformal":
+            good = write(tmp_path / "g.txt", "0.5\n0.25\n")
+            argv = ["conformal", "--cal", good, "--test", bad, "--out", str(tmp_path / "o.csv")]
+        else:
+            argv = ["mt", "--procedure", command, "--input", bad]
+        err = self.check(capsys, main(argv), 2)
+        assert err == f"activetest: error: {bad}: line 2: {message}\n"
 
 
 def _body_rows(path):

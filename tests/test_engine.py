@@ -9,7 +9,6 @@ from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT
 from activetest.engine import (
     HypothesisRecord,
     HypothesisSet,
-    LazyValues,
     MethodSpec,
     UniqueIds,
     _random_subset,
@@ -335,36 +334,47 @@ class TestQueryAccounting:
         assert out.n_queries == int(np.count_nonzero(out.queried))
         assert max(calls["per"]) <= 1
 
-    def test_lazy_values_fetch_once(self):
+    def test_generator_exact_read_alike_by_every_run(self):
+        hs = HypothesisSet([1.0, 2.0, 3.0], (v for v in [4.0, 5.0, 6.0]))
+        first, second = run_all(hs), run_all(hs)
+        np.testing.assert_array_equal(first.values, [4.0, 5.0, 6.0])
+        np.testing.assert_array_equal(second.values, first.values)
+
+    @pytest.mark.parametrize("exact", [np.ones(2), np.ones((3, 1)), [1.0, 1.0], (1.0,) * 4],
+                             ids=["short array", "2-d array", "short list", "long tuple"])
+    def test_misaligned_exact_rejected_at_construction(self, exact):
+        with pytest.raises(DomainError, match="exact values must align with aux"):
+            HypothesisSet([1.0, 2.0, 3.0], exact)
+
+    @pytest.mark.parametrize("method", ["active", "active-xu", "xu", "random", "all"])
+    def test_index_callable_read_once_ascending(self, method):
         calls = []
 
-        def fetch(idx):
-            calls.append(np.array(idx))
-            return np.asarray(idx, dtype=float) * 2.0
-
-        lazy = LazyValues(fetch, 6)
-        np.testing.assert_array_equal(lazy.take(np.array([1, 3, 1])), [2.0, 6.0, 2.0])
-        np.testing.assert_array_equal(lazy.take(np.array([3, 4])), [6.0, 8.0])
-        assert lazy.eval_count == 3
-        touched = np.concatenate(calls)
-        assert sorted(touched.tolist()) == [1, 3, 4]
-
-    def test_lazy_values_fetch_ascending_once(self):
-        calls = []
-
-        def fetch(idx):
+        def exact(idx):
             calls.append(idx.tolist())
-            return np.asarray(idx, dtype=float) * 2.0
+            return np.full(idx.size, 2.0)
 
-        lazy = LazyValues(fetch, 10)
-        np.testing.assert_array_equal(lazy.take(np.array([7, 2, 7, 5, 2])),
-                                      [14.0, 4.0, 14.0, 10.0, 4.0])
-        np.testing.assert_array_equal(lazy.take(np.array([9, 5, 0, 9, 1])),
-                                      [18.0, 10.0, 0.0, 18.0, 2.0])
-        np.testing.assert_array_equal(lazy.take(np.array([1, 3, 4])), [2.0, 6.0, 8.0])
-        np.testing.assert_array_equal(lazy.take(np.array([4, 2])), [8.0, 4.0])
-        assert calls == [[2, 5, 7], [0, 1, 9], [3, 4]]
-        assert lazy.eval_count == 8
+        aux = np.linspace(1.0, 5.0, 50)
+        out = run_method(HypothesisSet(aux, exact), MethodSpec(method), mode=E_VALUES,
+                         n_b=10, seed=3, utility=UtilitySpec.log1p())
+        assert len(calls) == 1
+        assert all(a < b for a, b in zip(calls[0], calls[0][1:]))
+        assert len(calls[0]) == out.n_queries == int(np.count_nonzero(out.queried)) > 0
+
+    def test_index_callable_not_called_when_nothing_queried(self):
+        def exact(idx):
+            raise AssertionError("nothing is queried")
+
+        aux = np.array([1.0, 2.0, 4.0])
+        h = xu_query_prob(aux, 0.5, E_VALUES)
+        out = run_xu(HypothesisSet(aux, exact), beta=0.5, mode=E_VALUES, u=h)
+        assert out.n_queries == 0
+        np.testing.assert_array_equal(out.values, aux)
+
+    def test_index_callable_must_return_one_value_per_index(self):
+        hs = HypothesisSet([1.0, 2.0], lambda idx: [1.0])
+        with pytest.raises(DomainError, match="one value per index"):
+            run_all(hs)
 
 
 class TestBudgetAdherence:
@@ -446,27 +456,10 @@ class TestRecordsAndOutput:
         with pytest.raises(DomainError, match=r"offending id 'b' has aux nan$"):
             run_method(hs, MethodSpec("all"), mode=P_INDEPENDENT, n_b=2.0)
 
-    def test_partial_truth_rejected(self):
-        records = [
-            HypothesisRecord("a", 1.0, 1.0, truth=True),
-            HypothesisRecord("b", 1.0, 1.0),
-        ]
-        with pytest.raises(DomainError):
-            HypothesisSet.from_records(records)
-
     def test_replayed_draws_must_align(self):
         records, _ = counted_records([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(DomainError, match="branch draw"):
             run_xu(records, beta=0.5, mode=E_VALUES, u=np.array([0.1, 0.2, 0.3]))
-
-    def test_truth_labels_untouched(self):
-        records = [
-            HypothesisRecord("a", 1.0, 3.0, truth=True),
-            HypothesisRecord("b", 2.0, 4.0, truth=False),
-        ]
-        hs = HypothesisSet.from_records(records)
-        run_all(hs)
-        np.testing.assert_array_equal(hs.truth, [True, False])
 
     def test_to_csv_shape(self):
         records, _ = counted_records([1.0, 2.0], [3.0, 4.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from activetest.engine import MethodSpec, UniqueIds
+from activetest.engine import UniqueIds
 from activetest.errors import DataError, DomainError
 from activetest.pipeline import (
     PIPELINE_UTILITY,
@@ -288,14 +288,6 @@ class TestOracleRecovery:
     def test_pipeline_utility_default(self):
         assert PIPELINE_UTILITY.family == "log_inverse"
         assert PIPELINE_UTILITY.eps == 1e-8
-
-    def test_method_spec_accepted(self):
-        joined = synthetic_pair()
-        res = oracle_recovery(
-            joined, n_b=50, beta=0.5, method=MethodSpec("active", beta=0.25), alpha=0.1
-        )
-        assert res.n_queries > 0
-
 
 class TestAlignedPairMemo:
     METHODS = ("active", "active-xu", "xu", "random", "all")

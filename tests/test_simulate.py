@@ -9,7 +9,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 from activetest import simulate
-from activetest.engine import METHOD_NAMES, MethodSpec
+from activetest.engine import METHOD_NAMES
 from activetest.errors import DomainError
 from activetest.simulate import (
     DESK_BUDGET,
@@ -292,8 +292,8 @@ class TestRunExperiment:
 
     def test_method_spec_beta_preserved(self):
         spec = DgpSpec("signal", n=300, pi=0.2)
-        half = run_experiment(spec, [MethodSpec("xu", beta=0.5)], n_b=30, reps=3, seed=23)
-        tight = run_experiment(spec, [MethodSpec("xu", beta=0.9)], n_b=30, reps=3, seed=23)
+        half = run_experiment(spec, ["xu"], n_b=30, beta=0.5, reps=3, seed=23)
+        tight = run_experiment(spec, ["xu"], n_b=30, beta=0.9, reps=3, seed=23)
         q_half = np.mean([r.queries for r in half.rows])
         q_tight = np.mean([r.queries for r in tight.rows])
         # higher beta means fewer Xu queries
