@@ -29,7 +29,6 @@ from .core import (
     mc_pvalue_superuniformity,
 )
 from .engine import (
-    HypothesisRecord,
     HypothesisSet,
     MethodSpec,
     RunOutput,
@@ -81,7 +80,6 @@ __all__ = [
     "DomainError",
     "E_VALUES",
     "ExperimentResult",
-    "HypothesisRecord",
     "HypothesisSet",
     "InternalLogicError",
     "MethodSpec",

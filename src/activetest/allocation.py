@@ -14,6 +14,7 @@ LogInverse) exist.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -148,9 +149,15 @@ class BudgetConfig:
         if not np.isfinite(self.n_b) or self.n_b <= 0.0:
             raise DomainError(f"budget must be positive, got {self.n_b!r}")
         if self.n_b > self.n_hypotheses:
+            # name the nearest caller outside the package; the __init__ that
+            # dataclass generates runs in this module's globals, so it is skipped
+            level, frame = 1, sys._getframe()
+            while (frame is not None
+                   and frame.f_globals.get("__name__", "").partition(".")[0] == __package__):
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 f"budget {self.n_b} exceeds the {self.n_hypotheses} hypotheses; clamping",
-                stacklevel=2,
+                stacklevel=level,
             )
             object.__setattr__(self, "n_b", float(self.n_hypotheses))
 

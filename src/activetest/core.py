@@ -36,6 +36,7 @@ __all__ = [
     "P_INDEPENDENT",
     "P_GENERAL",
     "check_beta",
+    "check_draws",
     "check_exact_domain",
     "active_e",
     "active_p",
@@ -44,6 +45,17 @@ __all__ = [
     "mc_pvalue_superuniformity",
     "dominance_check",
 ]
+
+
+def check_draws(u) -> np.ndarray:
+    """Branch draws ``u`` as float64, each refused unless it lies in [0, 1)."""
+    u = np.asarray(u, dtype=np.float64)
+    # min and max are nan when any draw is
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        i = int(np.flatnonzero(~((u >= 0.0) & (u < 1.0)))[0])
+        raise DomainError(f"branch draw u must lie in [0, 1), got {float(u.flat[i])!r} "
+                          f"at position {i}")
+    return u
 
 
 def check_beta(beta: float) -> float:
@@ -109,22 +121,14 @@ P_GENERAL = StatMode("p_general")
 Lazy = Union[float, Callable[[], float]]
 
 
-def _check_u(u: float) -> float:
-    u = float(u)
-    if not 0.0 <= u < 1.0:
-        raise DomainError(f"branch draw u must lie in [0, 1), got {u!r}")
-    return u
-
-
 def _evaluate(lazy: Lazy) -> float:
     return float(lazy()) if callable(lazy) else float(lazy)
 
 
 def _active_one(exact: Lazy, h: float, beta: float, mode: StatMode, u: float) -> ActiveOutcome:
     """``active_values`` on one hypothesis; ``exact`` is evaluated only on query."""
-    u = _check_u(u)
     values, queried, scales = active_values(
-        np.array([float(h)]), np.array([u]), lambda idx: [_evaluate(exact) for _ in idx],
+        np.array([float(h)]), np.array([float(u)]), lambda idx: [_evaluate(exact) for _ in idx],
         mode, beta,
     )
     return ActiveOutcome(value=float(values[0]), queried=bool(queried[0]), scale=float(scales[0]))
@@ -168,7 +172,7 @@ def active_values(
     """
     beta = check_beta(beta)
     h = np.asarray(h, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    u = check_draws(u)
     if h.shape != u.shape:
         raise DomainError("h and u must be aligned")
     if np.any(~np.isfinite(h)) or np.any(h < 0.0):

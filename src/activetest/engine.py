@@ -19,17 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .allocation import AllocationResult, BudgetConfig, UtilitySpec, allocate_utilities, eval_utility
-from .core import StatMode, active_values, check_beta, check_exact_domain
+from .core import StatMode, active_values, check_beta, check_draws, check_exact_domain
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
 
 __all__ = [
-    "HypothesisRecord",
     "HypothesisSet",
     "MethodSpec",
     "RunOutput",
@@ -44,46 +43,28 @@ METHOD_NAMES = ("active", "active-xu", "xu", "random", "all")
 BRANCH_METHODS = ("active", "active-xu", "xu")
 
 
-@dataclass(frozen=True)
-class HypothesisRecord:
-    """One hypothesis: an id, a cheap auxiliary value, and the exact statistic.
-
-    ``exact`` may be a plain float or a zero-argument callable; callables are
-    invoked only when the hypothesis is actually queried.
-    """
-
-    id: str
-    aux: float
-    exact: Union[float, Callable[[], float]]
-
-
 class UniqueIds(tuple):
     """Hypothesis ids: ``str`` values known to hold no repeat.
 
     Building one maps each id through ``str`` and raises DomainError on the
-    first repeat, so ``["a", "a"]`` and ``[1, "1"]`` are both refused.  The
-    classes that take ids trust an instance as it is: a key column checked
-    once, when it is read, is never copied or checked again.
+    first repeat, so ``["a", "a"]`` and ``[1, "1"]`` are both refused.
+    ``UniqueIds(ids)`` returns ``ids`` itself when it is already one: a key
+    column checked once, where it enters, is never copied or checked again.
     """
 
     __slots__ = ()
 
     def __new__(cls, ids=()):
-        return cls._checked(ids if isinstance(ids, UniqueIds) else tuple(map(str, ids)))
-
-    @classmethod
-    def _checked(cls, ids: tuple) -> "UniqueIds":
-        """``ids`` itself when it is ``UniqueIds``; otherwise a tuple of
-        ``str`` ids, checked for repeats and wrapped."""
         if isinstance(ids, UniqueIds):
             return ids
+        ids = tuple.__new__(cls, map(str, ids))
         if len(set(ids)) != len(ids):
             first = {}
             for i, hid in enumerate(ids):
                 j = first.setdefault(hid, i)
                 if j != i:
                     raise DomainError(f"ids must be unique: {hid!r} at indices {j} and {i}")
-        return tuple.__new__(cls, ids)
+        return ids
 
     @classmethod
     def _unchecked(cls, ids) -> "UniqueIds":
@@ -94,12 +75,12 @@ class UniqueIds(tuple):
 class HypothesisSet:
     """Column-oriented collection of hypotheses.
 
-    ``exact`` may be a numpy array of shape ``(n,)``, a callable mapping an
-    ascending index array to values, or a sequence of per-record values or
-    zero-argument callables.  It is checked once, here, and read through
-    ``exact_at``, once per run.  ``ids`` is a ``UniqueIds`` tuple, so no run
-    can rewrite the ids its stream keys were hashed from; one passed in as
-    ``UniqueIds`` is kept as it is.
+    ``exact`` is either an array-like of n numbers, stored once as a float64
+    array, or one callable mapping an ascending index array to the values
+    at those rows.  It is checked once, here, and read through
+    ``exact_at``, once per run.  ``ids``, when given, is a sequence of n ids
+    held as ``UniqueIds``, so no run can rewrite the ids its stream keys
+    were hashed from.
     """
 
     def __init__(self, aux, exact, ids=None):
@@ -108,32 +89,22 @@ class HypothesisSet:
             raise DomainError("aux must be a nonempty vector")
         n = self.aux.size
         if ids is not None:
-            if not isinstance(ids, UniqueIds):
-                ids = tuple(map(str, ids))
             if len(ids) != n:
                 raise DomainError("ids must align with aux")
-            ids = UniqueIds._checked(ids)
+            ids = UniqueIds(ids)
         self.ids = ids
-        if isinstance(exact, np.ndarray):
-            aligned = exact.shape == (n,)
-        else:
-            exact = exact if callable(exact) else list(exact)
-            aligned = callable(exact) or len(exact) == n
-        if not aligned:
-            raise DomainError("exact values must align with aux")
+        if not callable(exact):
+            try:
+                exact = np.asarray(exact if isinstance(exact, np.ndarray) else list(exact),
+                                   dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(
+                    f"exact must be numbers or one callable on index arrays: {exc}"
+                ) from exc
+            if exact.shape != (n,):
+                raise DomainError("exact values must align with aux")
         self._exact = exact
         self._stream_keys: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_records(cls, records: Sequence[HypothesisRecord]) -> "HypothesisSet":
-        records = list(records)
-        if not records:
-            raise DomainError("at least one hypothesis is required")
-        return cls(
-            aux=[r.aux for r in records],
-            exact=[r.exact for r in records],
-            ids=[r.id for r in records],
-        )
 
     def __len__(self) -> int:
         return self.aux.size
@@ -144,28 +115,17 @@ class HypothesisSet:
     def exact_at(self, idx: np.ndarray) -> np.ndarray:
         """float64 exact statistics at the ascending positions ``idx``.
 
-        A user callable is not called when ``idx`` is empty.
+        A callable is not called when ``idx`` is empty.
         """
         exact = self._exact
-        if isinstance(exact, np.ndarray):
-            return np.asarray(exact[idx], dtype=np.float64)
+        if not callable(exact):
+            return exact[idx]
         if not idx.size:
             return np.empty(0)
-        if callable(exact):
-            values = np.asarray(exact(idx), dtype=np.float64)
-            if values.shape != idx.shape:
-                raise DomainError("an exact callable must return one value per index")
-            return values
-        out = np.empty(idx.size)
-        for j, i in enumerate(idx.tolist()):
-            item = exact[i]
-            try:
-                out[j] = float(item()) if callable(item) else float(item)
-            except Exception as exc:
-                raise DomainError(
-                    f"exact statistic evaluation failed for id {self.id_of(i)!r}: {exc}"
-                ) from exc
-        return out
+        values = np.asarray(exact(idx), dtype=np.float64)
+        if values.shape != idx.shape:
+            raise DomainError("an exact callable must return one value per index")
+        return values
 
     def stream_keys(self) -> np.ndarray:
         """Read-only uint64 stream indices: id-hash when ids exist, position otherwise."""
@@ -200,8 +160,8 @@ class RunOutput:
     for the active methods, the per-hypothesis query probability for xu,
     n_b / n for random, and 1.0 for all.  ``scales`` is the multiplier
     applied to the exact statistic where queried and 0.0 elsewhere.
-    ``ids`` is this run's own list, copied from the hypothesis set's id
-    tuple ``source_ids`` on first read: no write into it reaches another
+    ``ids`` is this run's own list, copied on first read from ``source_ids``,
+    the hypothesis set's ``UniqueIds``: no write into it reaches another
     run, and a run whose ids nobody reads never pays for the copy.
     """
 
@@ -212,7 +172,7 @@ class RunOutput:
     h: np.ndarray
     n_queries: int
     seed: int
-    source_ids: Optional[tuple] = field(default=None, repr=False)
+    source_ids: Optional[UniqueIds] = field(default=None, repr=False)
     mode: Optional[StatMode] = None
     allocation: Optional[AllocationResult] = field(default=None, repr=False)
 
@@ -346,7 +306,7 @@ def _fixed_rule(hs: HypothesisSet, mode: StatMode, queried: np.ndarray, values: 
     return values, scales
 
 
-def run_method(records, method: MethodSpec, *, mode: StatMode, n_b: float,
+def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: float,
                seed: int = DEFAULT_SEED, rep: int = 0,
                utility: Optional[UtilitySpec] = None, u=None) -> RunOutput:
     """Run one named method on the hypotheses.
@@ -357,7 +317,6 @@ def run_method(records, method: MethodSpec, *, mode: StatMode, n_b: float,
     per-hypothesis branch draws of active, active-xu and xu; by default
     they come from the counter-based stream keyed by id.
     """
-    hs = records if isinstance(records, HypothesisSet) else HypothesisSet.from_records(records)
     _check_aux_domain(hs, mode)
     variant, beta = method.variant, method.beta
     if u is not None and variant not in BRANCH_METHODS:
@@ -378,7 +337,7 @@ def run_method(records, method: MethodSpec, *, mode: StatMode, n_b: float,
     elif variant == "xu":
         # no global budget: on no-query the auxiliary itself is reported
         h = xu_query_prob(hs.aux, beta, mode)
-        queried = _branch_draws(hs, seed, rep, u) < h
+        queried = check_draws(_branch_draws(hs, seed, rep, u)) < h
         if mode.is_e:
             values, scales = _fixed_rule(hs, mode, queried, hs.aux.copy(), 1.0 - beta,
                                          lambda exact: (1.0 - beta) * exact)

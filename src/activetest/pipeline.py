@@ -33,23 +33,19 @@ __all__ = [
     "align",
     "conformal_p",
     "oracle_recovery",
-    "read_score_column",
     "read_score_rows",
 ]
-
-_MAX_LISTED_DUPLICATES = 10
-
 
 @dataclass(frozen=True)
 class SummaryTable:
     """Keyed statistic column: one (key, value in [0, 1]) row per hypothesis.
 
-    Keys given as ``UniqueIds`` (as ``read_summary_table`` gives them) are
-    kept as they are; any other sequence is checked for repeats and stored
-    as a tuple.
+    ``keys`` is held as ``UniqueIds``: keys given as one (as
+    ``read_summary_table`` gives them) are kept as they are, and a repeat
+    in any other sequence raises DataError naming ``source``.
     """
 
-    keys: tuple
+    keys: UniqueIds
     stats: np.ndarray
     source: str = ""
 
@@ -61,27 +57,14 @@ class SummaryTable:
             raise DataError("summary table is empty")
         if np.any(~np.isfinite(stats)) or np.any(stats < 0.0) or np.any(stats > 1.0):
             raise DataError("summary statistics must lie in [0, 1]")
-        if not isinstance(self.keys, UniqueIds):
-            if len(set(self.keys)) != len(self.keys):
-                dup = _duplicates(self.keys)
-                raise DataError(f"duplicate keys in {self.source or 'table'}: {dup}")
-            object.__setattr__(self, "keys", tuple(self.keys))
+        try:
+            object.__setattr__(self, "keys", UniqueIds(self.keys))
+        except DomainError as exc:
+            raise DataError(f"{self.source or 'table'}: {exc}") from exc
         object.__setattr__(self, "stats", stats)
 
     def __len__(self) -> int:
         return len(self.keys)
-
-
-def _duplicates(keys: Sequence[str]) -> list:
-    seen = set()
-    dup = []
-    for k in keys:
-        if k in seen:
-            if len(dup) < _MAX_LISTED_DUPLICATES:
-                dup.append(k)
-        else:
-            seen.add(k)
-    return dup
 
 
 def read_columns(path: str, key_col: str, value_cols: Sequence[str],
@@ -279,14 +262,15 @@ class AlignedPair:
     Runs read the target statistics through ``to_hypotheses``, once per run
     at the queried rows; the oracle pass alone reads them all.
 
-    Per-id work is done once per pair: ``to_hypotheses`` returns one memoized
-    HypothesisSet that shares ``keys`` when they are ``UniqueIds`` (and whose
-    id-hashed stream keys are cached), and the oracle
-    rejection set is memoized per ``alpha``.  Both statistic columns are
-    read-only copies, so no write through the pair can desync those caches.
+    ``keys`` is held as ``UniqueIds``, like ``SummaryTable.keys``.  Per-id
+    work is done once per pair: ``to_hypotheses`` returns one memoized
+    HypothesisSet that shares ``keys`` (and whose id-hashed stream keys are
+    cached), and the oracle rejection set is memoized per ``alpha``.  Both
+    statistic columns are read-only copies, so no write through the pair can
+    desync those caches.
     """
 
-    keys: tuple
+    keys: UniqueIds
     aux_stats: np.ndarray
     target_stats: np.ndarray
     _hypotheses: Optional[HypothesisSet] = field(default=None, init=False, repr=False,
@@ -294,8 +278,7 @@ class AlignedPair:
     _oracles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.keys, UniqueIds):
-            object.__setattr__(self, "keys", tuple(self.keys))
+        object.__setattr__(self, "keys", UniqueIds(self.keys))
         for name in ("aux_stats", "target_stats"):
             stats = np.array(getattr(self, name), dtype=np.float64)
             stats.flags.writeable = False
@@ -323,15 +306,14 @@ class AlignedPair:
 def align(target: SummaryTable, aux: SummaryTable) -> AlignedPair:
     """Inner join on key; output rows follow the target table's order.
 
-    A subset of unique keys is unique, so ``UniqueIds`` keys stay ``UniqueIds``.
+    A subset of unique keys is unique, so the kept keys are not checked again.
     """
     index = dict(zip(aux.keys, range(len(aux))))
     pos = np.fromiter(map(index.get, target.keys, repeat(-1)), np.intp, count=len(target))
     hit = pos >= 0
     keys, tgt_vals = target.keys, target.stats
     if not hit.all():
-        kept = compress(keys, hit.tolist())
-        keys = UniqueIds._unchecked(kept) if isinstance(keys, UniqueIds) else tuple(kept)
+        keys = UniqueIds._unchecked(compress(keys, hit.tolist()))
         tgt_vals, pos = tgt_vals[hit], pos[hit]
     if not keys:
         raise DataError("no keys in common between target and auxiliary tables")
@@ -406,13 +388,9 @@ def oracle_recovery(
     )
 
 
-def read_score_column(path: str) -> np.ndarray:
-    """Read a single-column numeric file, tolerating one optional header row."""
-    return read_score_rows(path)[0]
-
-
 def read_score_rows(path: str) -> tuple[np.ndarray, list]:
-    """``read_score_column`` plus the line number of each value."""
+    """Read a single-column numeric file, tolerating one optional header
+    row; returns the values and the line number of each."""
     values = []
     lines = []
     try:

@@ -4,10 +4,9 @@ import io
 import numpy as np
 import pytest
 
-from activetest.allocation import UtilitySpec
-from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT
+from activetest.allocation import BudgetConfig, UtilitySpec
+from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT, active_values
 from activetest.engine import (
-    HypothesisRecord,
     HypothesisSet,
     MethodSpec,
     UniqueIds,
@@ -21,22 +20,17 @@ from activetest.rng import SUBSET_DRAW, uniforms
 
 
 def counted_records(aux, exact):
-    """Records whose exact statistics count their own evaluations."""
+    """A hypothesis set whose index callable counts the reads of each row."""
     calls = {"n": 0, "per": [0] * len(aux)}
+    values = np.asarray(exact, dtype=np.float64)
 
-    def make(i, v):
-        def fetch():
-            calls["n"] += 1
+    def fetch(idx):
+        calls["n"] += idx.size
+        for i in idx.tolist():
             calls["per"][i] += 1
-            return v
+        return values[idx]
 
-        return fetch
-
-    records = [
-        HypothesisRecord(id=f"h{i}", aux=float(a), exact=make(i, float(v)))
-        for i, (a, v) in enumerate(zip(aux, exact))
-    ]
-    return records, calls
+    return HypothesisSet(aux, fetch, ids=[f"h{i}" for i in range(len(aux))]), calls
 
 
 def run_active(records, mode, n_b, utility, beta=0.5, **kw):
@@ -90,28 +84,9 @@ class TestActiveDefaultTrace:
         assert out.values[1] == 1.0
 
     def test_aux_domain_error_names_id(self):
-        records = [
-            HypothesisRecord("ok", 0.5, 0.5),
-            HypothesisRecord("bad", 1.5, 0.5),
-        ]
+        hs = HypothesisSet([0.5, 1.5], [0.5, 0.5], ids=["ok", "bad"])
         with pytest.raises(DomainError, match="bad"):
-            run_active(records, P_INDEPENDENT, 1.0, UtilitySpec.log_inverse())
-
-    def test_evaluation_failure_names_id(self):
-        def boom():
-            raise RuntimeError("storage offline")
-
-        records = [HypothesisRecord("fine", 4.0, 2.0), HypothesisRecord("broken", 4.0, boom)]
-        with pytest.raises(DomainError, match="broken"):
-            run_active(records, E_VALUES, 2.0, UtilitySpec.identity(), u=np.array([0.0, 0.0]))
-
-    def test_evaluation_failure_names_id_in_a_sequence(self):
-        def boom():
-            raise RuntimeError("storage offline")
-
-        hs = HypothesisSet([4.0, 4.0], [2.0, boom], ids=["fine", "broken"])
-        with pytest.raises(DomainError, match="broken"):
-            run_all(hs)
+            run_active(hs, P_INDEPENDENT, 1.0, UtilitySpec.log_inverse())
 
 
 class TestRunAll:
@@ -346,6 +321,12 @@ class TestQueryAccounting:
         with pytest.raises(DomainError, match="exact values must align with aux"):
             HypothesisSet([1.0, 2.0, 3.0], exact)
 
+    @pytest.mark.parametrize("exact", [[2.0, lambda: 2.0], [2.0, "n/a"], 2.0],
+                             ids=["per-record callable", "text", "scalar"])
+    def test_non_number_exact_refused_at_construction(self, exact):
+        with pytest.raises(DomainError, match="exact must be numbers or one callable"):
+            HypothesisSet([4.0, 4.0], exact, ids=["fine", "broken"])
+
     @pytest.mark.parametrize("method", ["active", "active-xu", "xu", "random", "all"])
     def test_index_callable_read_once_ascending(self, method):
         calls = []
@@ -460,6 +441,29 @@ class TestRecordsAndOutput:
         records, _ = counted_records([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(DomainError, match="branch draw"):
             run_xu(records, beta=0.5, mode=E_VALUES, u=np.array([0.1, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("entry", ["active", "active-xu", "xu", "active_values"])
+    @pytest.mark.parametrize("u, at", [([-0.5] * 3, 0), ([0.5, np.nan, 0.5], 1),
+                                       ([0.5, 0.5, 1.0], 2), ([2.0] * 3, 0)],
+                             ids=["negative", "nan", "one", "above-one"])
+    def test_draws_outside_unit_interval_refused(self, entry, u, at):
+        hs = HypothesisSet([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+        match = rf"branch draw u must lie in \[0, 1\), got .+ at position {at}$"
+        with pytest.raises(DomainError, match=match):
+            if entry == "active_values":
+                active_values(np.full(3, 0.5), u, hs.exact_at, P_INDEPENDENT, 0.5)
+            else:
+                run_method(hs, MethodSpec(entry), mode=P_INDEPENDENT, n_b=1.0,
+                           utility=UtilitySpec.log_inverse(), u=u)
+
+    @pytest.mark.parametrize("call", [
+        lambda: BudgetConfig(5.0, 2),
+        lambda: run_active_xu(HypothesisSet([1.0, 2.0], [1.0, 1.0]), 0.5, E_VALUES, 5.0),
+    ], ids=["BudgetConfig", "run_method"])
+    def test_clamp_warning_names_the_caller(self, call):
+        with pytest.warns(UserWarning, match="clamping") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
 
     def test_to_csv_shape(self):
         records, _ = counted_records([1.0, 2.0], [3.0, 4.0])

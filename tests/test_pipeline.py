@@ -10,7 +10,7 @@ from activetest.pipeline import (
     align,
     conformal_p,
     oracle_recovery,
-    read_score_column,
+    read_score_rows,
     read_summary_table,
 )
 from activetest.procedures import by
@@ -159,11 +159,16 @@ class TestAlign:
         assert partial.to_hypotheses().ids is partial.keys
 
     def test_plain_keys_still_checked_as_ids(self):
-        # str() makes 1 and "1" one id: a plain key tuple is checked again
-        joined = align(table([1, "1", "b"], [0.1, 0.2, 0.3]), table(["b", 1, "1"], [0.4] * 3))
-        assert type(joined.keys) is tuple and joined.keys == (1, "1", "b")
-        with pytest.raises(DomainError, match="ids must be unique: '1' at indices 0 and 1"):
-            joined.to_hypotheses()
+        # str() makes 1 and "1" one id, so the table refuses them
+        with pytest.raises(DataError, match="test: ids must be unique: '1' at indices 0 and 1"):
+            table([1, "1", "b"], [0.1, 0.2, 0.3])
+
+    def test_aligned_pair_holds_plain_keys_as_unique_ids(self):
+        pair = AlignedPair(keys=["a", 2], aux_stats=[0.1, 0.2], target_stats=[0.3, 0.4])
+        assert type(pair.keys) is UniqueIds and pair.keys == ("a", "2")
+        assert pair.to_hypotheses().ids is pair.keys
+        with pytest.raises(DomainError, match="ids must be unique: 'a' at indices 0 and 1"):
+            AlignedPair(keys=["a", "a"], aux_stats=[0.1, 0.2], target_stats=[0.3, 0.4])
 
 
 class TestConformal:
@@ -386,21 +391,21 @@ class TestReadScoreColumn:
     def test_plain_column(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("0.5\n0.25\n0.125\n")
-        np.testing.assert_allclose(read_score_column(str(f)), [0.5, 0.25, 0.125])
+        np.testing.assert_allclose(read_score_rows(str(f))[0], [0.5, 0.25, 0.125])
 
     def test_header_and_comments_tolerated(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("score\n# calibration fold 1\n0.5\n0.25\n")
-        np.testing.assert_allclose(read_score_column(str(f)), [0.5, 0.25])
+        np.testing.assert_allclose(read_score_rows(str(f))[0], [0.5, 0.25])
 
     def test_malformed_mid_file(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("0.5\nxyz\n")
         with pytest.raises(DataError, match="line 2"):
-            read_score_column(str(f))
+            read_score_rows(str(f))[0]
 
     def test_no_rows(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("header_only\n")
         with pytest.raises(DataError, match="no numeric rows"):
-            read_score_column(str(f))
+            read_score_rows(str(f))[0]
