@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .allocation import (
     AllocationResult,
-    BudgetConfig,
     UtilitySpec,
-    allocate,
     allocate_utilities,
     eval_utility,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "AggregateMetrics",
     "AlignedPair",
     "AllocationResult",
-    "BudgetConfig",
     "DataError",
     "DEFAULT_SEED",
     "DegenerateUtilitiesError",
@@ -97,7 +94,6 @@ __all__ = [
     "active_e",
     "active_p",
     "align",
-    "allocate",
     "allocate_utilities",
     "bh",
     "by",

@@ -25,10 +25,8 @@ from .errors import DegenerateUtilitiesError, DomainError
 
 __all__ = [
     "UtilitySpec",
-    "BudgetConfig",
     "AllocationResult",
     "eval_utility",
-    "allocate",
     "allocate_utilities",
 ]
 
@@ -133,36 +131,6 @@ def eval_utility(spec: UtilitySpec, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BudgetConfig:
-    """Query budget for a run over ``n_hypotheses`` hypotheses.
-
-    A budget above the number of hypotheses is accepted but clamped (with a
-    warning); a budget of zero or less is rejected.
-    """
-
-    n_b: float
-    n_hypotheses: int
-
-    def __post_init__(self) -> None:
-        if int(self.n_hypotheses) != self.n_hypotheses or self.n_hypotheses < 1:
-            raise DomainError(f"n_hypotheses must be a positive integer, got {self.n_hypotheses!r}")
-        if not np.isfinite(self.n_b) or self.n_b <= 0.0:
-            raise DomainError(f"budget must be positive, got {self.n_b!r}")
-        if self.n_b > self.n_hypotheses:
-            # name the nearest caller outside the package; the __init__ that
-            # dataclass generates runs in this module's globals, so it is skipped
-            level, frame = 1, sys._getframe()
-            while (frame is not None
-                   and frame.f_globals.get("__name__", "").partition(".")[0] == __package__):
-                level, frame = level + 1, frame.f_back
-            warnings.warn(
-                f"budget {self.n_b} exceeds the {self.n_hypotheses} hypotheses; clamping",
-                stacklevel=level,
-            )
-            object.__setattr__(self, "n_b", float(self.n_hypotheses))
-
-
-@dataclass(frozen=True)
 class AllocationResult:
     """Normalized allocation levels plus budget accounting."""
 
@@ -176,11 +144,24 @@ class AllocationResult:
         return np.minimum(1.0, self.h)
 
 
-def allocate_utilities(utilities, budget: BudgetConfig) -> AllocationResult:
-    """Allocate the budget proportionally to precomputed utilities."""
+def allocate_utilities(utilities, n_b: float) -> AllocationResult:
+    """Allocate the budget ``n_b`` proportionally to precomputed utilities.
+
+    A budget above the number of utilities is clamped to it, with a warning.
+    """
+    if not np.isfinite(n_b) or n_b <= 0.0:
+        raise DomainError(f"budget must be positive, got {n_b!r}")
     u = np.asarray(utilities, dtype=np.float64)
-    if u.ndim != 1 or u.size != budget.n_hypotheses:
-        raise DomainError("utilities must be a vector matching the hypothesis count")
+    if u.ndim != 1 or u.size == 0:
+        raise DomainError("utilities must be a nonempty vector")
+    if n_b > u.size:
+        # name the nearest caller outside the package
+        level, frame = 1, sys._getframe()
+        while (frame is not None
+               and frame.f_globals.get("__name__", "").partition(".")[0] == __package__):
+            level, frame = level + 1, frame.f_back
+        warnings.warn(f"budget {n_b} exceeds the {u.size} hypotheses; clamping", stacklevel=level)
+        n_b = float(u.size)
     if np.any(~np.isfinite(u)) or np.any(u < 0.0):
         raise DomainError("utilities must be finite and >= 0")
     # sorted pairwise sum: permutation-invariant total, so allocations are
@@ -191,15 +172,10 @@ def allocate_utilities(utilities, budget: BudgetConfig) -> AllocationResult:
             "all utilities are zero; use a strictly positive family such as "
             "log1p or log_inverse"
         )
-    h = (u / total) * budget.n_b
+    h = (u / total) * n_b
     return AllocationResult(
         h=h,
         sum_h_unclamped=float(np.sum(h)),
         expected_queries=float(np.sum(np.minimum(1.0, h))),
         clamp_count=int(np.count_nonzero(h > 1.0)),
     )
-
-
-def allocate(aux, spec: UtilitySpec, budget: BudgetConfig) -> AllocationResult:
-    """Evaluate the utility map on the auxiliaries and normalize to the budget."""
-    return allocate_utilities(eval_utility(spec, np.asarray(aux, dtype=np.float64)), budget)

@@ -219,6 +219,20 @@ def check_exact_domain(exact: np.ndarray, mode: StatMode, idx: np.ndarray) -> No
 _MIN_MC_SAMPLES = 10_000
 
 
+def _mc_active_values(sampler, h_fn, beta, mode, n_samples, seed):
+    """Active values of ``mode`` on ``n_samples`` (auxiliary, exact) pairs from ``sampler``."""
+    aux, exact = sampler(n_samples, seed)
+    aux = np.asarray(aux, dtype=np.float64)
+    exact = np.asarray(exact, dtype=np.float64)
+    if mode.is_e and (np.any(aux < 0.0) or np.any(exact < 0.0)):
+        raise DomainError("sampler produced a negative e-type statistic")
+    if mode.is_p and (np.any(exact < 0.0) or np.any(exact > 1.0)):
+        raise DomainError("sampler produced a p-value outside [0, 1]")
+    h = np.asarray(h_fn(aux), dtype=np.float64)
+    u = uniforms(seed, 0, np.arange(n_samples, dtype=np.uint64), MC_BRANCH)
+    return active_values(h, u, lambda idx: exact[idx], mode, beta)[0]
+
+
 def mc_evalue_validity(
     sampler: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     h_fn: Callable[[np.ndarray], np.ndarray],
@@ -235,14 +249,7 @@ def mc_evalue_validity(
     beta = check_beta(beta)
     if n_samples < _MIN_MC_SAMPLES:
         raise DomainError(f"n_samples must be >= {_MIN_MC_SAMPLES}")
-    aux, exact = sampler(n_samples, seed)
-    aux = np.asarray(aux, dtype=np.float64)
-    exact = np.asarray(exact, dtype=np.float64)
-    if np.any(aux < 0.0) or np.any(exact < 0.0):
-        raise DomainError("sampler produced a negative e-type statistic")
-    h = np.asarray(h_fn(aux), dtype=np.float64)
-    u = uniforms(seed, 0, np.arange(n_samples, dtype=np.uint64), MC_BRANCH)
-    values, _, _ = active_values(h, u, lambda idx: exact[idx], E_VALUES, beta)
+    values = _mc_active_values(sampler, h_fn, beta, E_VALUES, n_samples, seed)
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / np.sqrt(n_samples))
     return mean, se
@@ -270,14 +277,7 @@ def mc_pvalue_superuniformity(
     s_grid = np.asarray(s_grid, dtype=np.float64)
     if np.any(s_grid <= 0.0) or np.any(s_grid > 1.0):
         raise DomainError("levels must lie in (0, 1]")
-    aux, exact = sampler(n_samples, seed)
-    aux = np.asarray(aux, dtype=np.float64)
-    exact = np.asarray(exact, dtype=np.float64)
-    if np.any(exact < 0.0) or np.any(exact > 1.0):
-        raise DomainError("sampler produced a p-value outside [0, 1]")
-    h = np.asarray(h_fn(aux), dtype=np.float64)
-    u = uniforms(seed, 0, np.arange(n_samples, dtype=np.uint64), MC_BRANCH)
-    values, _, _ = active_values(h, u, lambda idx: exact[idx], mode, beta)
+    values = _mc_active_values(sampler, h_fn, beta, mode, n_samples, seed)
     ecdf = np.array([np.mean(values <= s) for s in s_grid])
     se = np.sqrt(ecdf * (1.0 - ecdf) / n_samples)
     return ecdf, se

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .allocation import AllocationResult, BudgetConfig, UtilitySpec, allocate_utilities, eval_utility
+from .allocation import AllocationResult, UtilitySpec, allocate_utilities, eval_utility
 from .core import StatMode, active_values, check_beta, check_draws, check_exact_domain
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
@@ -330,7 +330,7 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
             scores = eval_utility(utility, hs.aux)
         else:
             scores = xu_query_prob(hs.aux, beta, mode)
-        alloc = allocate_utilities(scores, BudgetConfig(n_b, n))
+        alloc = allocate_utilities(scores, n_b)
         h = alloc.h
         values, queried, scales = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
                                                 mode, beta)

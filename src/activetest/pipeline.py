@@ -283,6 +283,10 @@ class AlignedPair:
             stats = np.array(getattr(self, name), dtype=np.float64)
             stats.flags.writeable = False
             object.__setattr__(self, name, stats)
+        n = len(self.keys)
+        if not self.aux_stats.shape == self.target_stats.shape == (n,):
+            raise DataError(f"aligned pair columns must have one length: keys {n}, aux_stats "
+                            f"{self.aux_stats.size}, target_stats {self.target_stats.size}")
 
     def __len__(self) -> int:
         return len(self.keys)

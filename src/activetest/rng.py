@@ -93,21 +93,13 @@ def _id_digest(hypothesis_id: str) -> bytes:
     return hasher.digest()
 
 
-def key_for_id(hypothesis_id: str) -> int:
-    """Stable 64-bit stream index for a hypothesis id.
-
-    Keying per-hypothesis draws by id (rather than by position) makes engine
-    outputs invariant to input row order.
-    """
-    return int.from_bytes(_id_digest(hypothesis_id), "little")
-
-
 def keys_for_ids(ids) -> np.ndarray:
-    """``key_for_id`` over a sequence of ids, as a uint64 array.
+    """Stable 64-bit stream indices for a sequence of ids, as a uint64 array.
 
-    Each 8-byte digest is copied into the array as it is made and the buffer
-    is read as little-endian words: no per-id Python int, and no list of
-    digests held at once (joining them first would hold ~50 bytes per id).
+    An id's key is the little-endian blake2b(digest_size=8) digest of its
+    UTF-8 bytes; keying draws by id makes outputs invariant to row order.
+    Each digest is copied into the array as it is made: no per-id Python
+    int, and no list of digests held at once (~50 bytes per id).
     """
     digests = np.fromiter(map(_id_digest, ids), dtype="S8", count=len(ids))
     return digests.view("<u8")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from activetest.allocation import BudgetConfig, allocate_utilities
+from activetest.allocation import allocate_utilities
 from activetest.cli import main
 from activetest.core import (
     E_VALUES,
@@ -278,7 +278,7 @@ def test_08_worked_examples():
     if conformal_p([0.1, 0.2, 0.3, 0.4], [0.25])[0] != (1 + 2) / 5:
         failures.append("conformal rank")
     prob = xu_query_prob(np.array([1.0, 2.0]), 0.5, E_VALUES)
-    levels = allocate_utilities(prob, BudgetConfig(1.0, 2)).h
+    levels = allocate_utilities(prob, 1.0).h
     if not (np.array_equal(prob, [0.5, 0.75]) and np.array_equal(levels, [0.4, 0.6])):
         failures.append("threshold-as-utility allocation")
     _report("08 worked examples", not failures,

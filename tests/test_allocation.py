@@ -6,9 +6,7 @@ import pytest
 
 from activetest.allocation import (
     AllocationResult,
-    BudgetConfig,
     UtilitySpec,
-    allocate,
     allocate_utilities,
     eval_utility,
 )
@@ -77,31 +75,31 @@ class TestUtilitySpec:
 
 class TestAllocate:
     def test_worked_example(self):
-        res = allocate_utilities([1.0, 2.0, 3.0], BudgetConfig(3.0, 3))
+        res = allocate_utilities([1.0, 2.0, 3.0], 3.0)
         np.testing.assert_allclose(res.h, [0.5, 1.0, 1.5])
         assert res.expected_queries == pytest.approx(2.5)
         assert res.clamp_count == 1
         assert res.sum_h_unclamped == pytest.approx(3.0)
 
     def test_symmetric_example(self):
-        res = allocate_utilities([1.0, 1.0, 1.0, 1.0], BudgetConfig(2.0, 4))
+        res = allocate_utilities([1.0, 1.0, 1.0, 1.0], 2.0)
         np.testing.assert_allclose(res.h, [0.5, 0.5, 0.5, 0.5])
         assert res.expected_queries == pytest.approx(2.0)
         assert res.clamp_count == 0
 
     def test_point_mass_example(self):
-        res = allocate_utilities([5.0, 0.0, 0.0, 0.0], BudgetConfig(1.0, 4))
+        res = allocate_utilities([5.0, 0.0, 0.0, 0.0], 1.0)
         np.testing.assert_allclose(res.h, [1.0, 0.0, 0.0, 0.0])
         assert res.expected_queries == pytest.approx(1.0)
 
     def test_degenerate_utilities_error_mentions_remedy(self):
         with pytest.raises(DegenerateUtilitiesError, match="log"):
-            allocate_utilities([0.0, 0.0], BudgetConfig(1.0, 2))
+            allocate_utilities([0.0, 0.0], 1.0)
 
     def test_budget_identity_large_scale(self):
         rng = np.random.default_rng(31)
         u = rng.exponential(size=200_000) * np.exp(rng.normal(0, 4, size=200_000))
-        res = allocate_utilities(u, BudgetConfig(5_000.0, 200_000))
+        res = allocate_utilities(u, 5_000.0)
         assert abs(res.sum_h_unclamped - 5_000.0) <= 1e-9 * 5_000.0
 
     def test_expected_queries_never_exceed_budget(self):
@@ -112,75 +110,72 @@ class TestAllocate:
             u = rng.exponential(size=n) ** rng.integers(1, 4)
             if u.sum() == 0.0:
                 continue
-            res = allocate_utilities(u, BudgetConfig(n_b, n))
+            res = allocate_utilities(u, n_b)
             assert res.expected_queries <= n_b + 1e-9 * n_b
 
     def test_clamping_implies_budget_shortfall(self):
-        res = allocate_utilities([100.0, 1.0, 1.0, 1.0], BudgetConfig(3.0, 4))
+        res = allocate_utilities([100.0, 1.0, 1.0, 1.0], 3.0)
         assert res.clamp_count == 1
         assert res.expected_queries < 3.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(41)
         u = rng.exponential(size=1000)
-        base = allocate_utilities(u, BudgetConfig(50.0, 1000))
+        base = allocate_utilities(u, 50.0)
         for c in (1e-7, 0.5, 3.0, 1e9):
-            scaled = allocate_utilities(c * u, BudgetConfig(50.0, 1000))
+            scaled = allocate_utilities(c * u, 50.0)
             np.testing.assert_allclose(scaled.h, base.h, rtol=1e-12)
 
     def test_monotone_allocation_direct_and_inverse(self):
         aux = np.array([0.1, 0.5, 2.0, 9.0])
-        direct = allocate(aux, UtilitySpec.log1p(), BudgetConfig(2.0, 4))
+        direct = allocate_utilities(eval_utility(UtilitySpec.log1p(), aux), 2.0)
         assert np.all(np.diff(direct.h) >= 0.0)
-        inverse = allocate(aux / 10.0, UtilitySpec.log_inverse(), BudgetConfig(2.0, 4))
+        inverse = allocate_utilities(eval_utility(UtilitySpec.log_inverse(), aux / 10.0), 2.0)
         assert np.all(np.diff(inverse.h) <= 0.0)
 
     def test_compression_effectiveness_heavy_tail(self):
         aux = np.ones(1000)
         aux[0] = 1e6
-        budget = BudgetConfig(100.0, 1000)
-        compressed = allocate(aux, UtilitySpec.log1p(), budget)
-        raw = allocate(aux, UtilitySpec.identity(), budget)
+        compressed = allocate_utilities(eval_utility(UtilitySpec.log1p(), aux), 100.0)
+        raw = allocate_utilities(eval_utility(UtilitySpec.identity(), aux), 100.0)
         assert compressed.expected_queries >= 0.95 * 100.0
         assert raw.expected_queries < 0.15 * 100.0
 
     def test_query_prob_property(self):
-        res = allocate_utilities([1.0, 2.0, 3.0], BudgetConfig(3.0, 3))
+        res = allocate_utilities([1.0, 2.0, 3.0], 3.0)
         np.testing.assert_allclose(res.query_prob, [0.5, 1.0, 1.0])
 
     def test_utilities_validated(self):
         with pytest.raises(DomainError):
-            allocate_utilities([1.0, np.nan], BudgetConfig(1.0, 2))
+            allocate_utilities([1.0, np.nan], 1.0)
         with pytest.raises(DomainError):
-            allocate_utilities([1.0, -1.0], BudgetConfig(1.0, 2))
-        with pytest.raises(DomainError):
-            allocate_utilities([1.0, 2.0], BudgetConfig(1.0, 3))
+            allocate_utilities([1.0, -1.0], 1.0)
+        with pytest.raises(DomainError, match="nonempty vector"):
+            allocate_utilities([], 1.0)
+        with pytest.raises(DomainError, match="nonempty vector"):
+            allocate_utilities([[1.0, 2.0]], 1.0)
 
 
-class TestBudgetConfig:
+class TestBudget:
     def test_rejects_nonpositive_budget(self):
-        with pytest.raises(DomainError):
-            BudgetConfig(0.0, 10)
-        with pytest.raises(DomainError):
-            BudgetConfig(-5.0, 10)
-
-    def test_rejects_bad_hypothesis_count(self):
-        with pytest.raises(DomainError):
-            BudgetConfig(1.0, 0)
+        # all-zero utilities: the budget is checked first
+        for n_b in (0.0, -5.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match=f"^budget must be positive, got {n_b!r}$"):
+                allocate_utilities([0.0, 0.0], n_b)
 
     def test_fractional_budget_allowed(self):
-        assert BudgetConfig(2.5, 10).n_b == 2.5
+        assert allocate_utilities(np.ones(10), 2.5).sum_h_unclamped == pytest.approx(2.5)
 
     def test_overlarge_budget_clamped_with_warning(self):
-        with pytest.warns(UserWarning, match="clamp"):
-            cfg = BudgetConfig(20.0, 10)
-        assert cfg.n_b == 10.0
+        with pytest.warns(UserWarning, match="budget 20.0 exceeds the 10 hypotheses; clamping"):
+            res = allocate_utilities(np.ones(10), 20.0)
+        np.testing.assert_array_equal(res.h, np.ones(10))
 
     def test_exact_budget_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cfg = BudgetConfig(10.0, 10)
-        assert cfg.n_b == 10.0
+            res = allocate_utilities(np.ones(10), 10.0)
+        np.testing.assert_array_equal(res.h, np.ones(10))
 
 
 def test_allocation_result_is_plain_accounting():

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from activetest.allocation import BudgetConfig, UtilitySpec
+from activetest.allocation import UtilitySpec, allocate_utilities
 from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT, active_values
 from activetest.engine import (
     HypothesisSet,
@@ -457,9 +457,9 @@ class TestRecordsAndOutput:
                            utility=UtilitySpec.log_inverse(), u=u)
 
     @pytest.mark.parametrize("call", [
-        lambda: BudgetConfig(5.0, 2),
+        lambda: allocate_utilities([1.0, 2.0], 5.0),
         lambda: run_active_xu(HypothesisSet([1.0, 2.0], [1.0, 1.0]), 0.5, E_VALUES, 5.0),
-    ], ids=["BudgetConfig", "run_method"])
+    ], ids=["allocate_utilities", "run_method"])
     def test_clamp_warning_names_the_caller(self, call):
         with pytest.warns(UserWarning, match="clamping") as record:
             call()

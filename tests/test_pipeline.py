@@ -170,6 +170,15 @@ class TestAlign:
         with pytest.raises(DomainError, match="ids must be unique: 'a' at indices 0 and 1"):
             AlignedPair(keys=["a", "a"], aux_stats=[0.1, 0.2], target_stats=[0.3, 0.4])
 
+    @pytest.mark.parametrize("keys, aux, target, lengths", [
+        (["a", "b", "c"], [0.1, 0.2], [0.3, 0.4, 0.5], "keys 3, aux_stats 2, target_stats 3"),
+        (["a", "b"], [0.1, 0.2], [0.3], "keys 2, aux_stats 2, target_stats 1"),
+        (["a"], [0.1, 0.2], [0.3, 0.4], "keys 1, aux_stats 2, target_stats 2"),
+    ], ids=["aux", "target", "keys"])
+    def test_aligned_pair_columns_must_have_one_length(self, keys, aux, target, lengths):
+        with pytest.raises(DataError, match=f"aligned pair columns must have one length: {lengths}$"):
+            AlignedPair(keys=keys, aux_stats=aux, target_stats=target)
+
 
 class TestConformal:
     def test_worked_example(self):

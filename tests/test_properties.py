@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from activetest.allocation import BudgetConfig, UtilitySpec, allocate_utilities, eval_utility
+from activetest.allocation import UtilitySpec, allocate_utilities, eval_utility
 from activetest.core import (
     E_VALUES,
     P_GENERAL,
@@ -128,7 +128,7 @@ def test_run_method_follows_closed_form(data, method, mode, beta):
         else:
             scores = xu_query_prob(aux, beta, mode)
         assume(np.any(scores > 0.0))  # all-zero utilities are rejected by design
-        want_h = allocate_utilities(scores, BudgetConfig(float(n_b), n)).h
+        want_h = allocate_utilities(scores, float(n_b)).h
         query_prob = np.minimum(1.0, want_h)
     elif method == "xu":
         want_h = query_prob = xu_query_prob(aux, beta, mode)
