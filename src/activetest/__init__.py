@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .allocation import (
     AllocationResult,
-    UtilitySpec,
     allocate_utilities,
     eval_utility,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "StatMode",
     "StatisticsDraw",
     "SummaryTable",
-    "UtilitySpec",
     "active_e",
     "active_p",
     "align",

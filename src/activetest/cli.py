@@ -21,7 +21,7 @@ from . import __version__ as VERSION
 from .core import StatMode
 from .engine import HypothesisSet, MethodSpec, csv_text, run_method
 from .errors import ActiveTestError, DataError, DomainError
-from .allocation import UtilitySpec
+from .allocation import DIRECTIONS
 from .pipeline import (
     align,
     conformal_p,
@@ -121,11 +121,9 @@ def build_parser() -> _Parser:
                      default="active")
     run.add_argument("--budget", type=float, default=None)
     run.add_argument("--beta", type=float, default=0.5)
-    run.add_argument("--utility", default=None,
-                     help="identity, log1p, inverse, or log_inverse (active method); "
+    run.add_argument("--utility", choices=list(DIRECTIONS), default=None,
+                     help="utility family of the active method; "
                           "default log1p for --mode e, log_inverse for the p modes")
-    run.add_argument("--eps", type=float, default=1e-8)
-    run.add_argument("--sup-h", type=float, default=1.0)
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.add_argument("--out", required=True)
 
@@ -193,12 +191,11 @@ def _cmd_run(args) -> int:
     needs_budget = args.method in ("active", "active-xu", "random")
     if needs_budget and args.budget is None:
         raise _UsageError(f"--budget is required for method {args.method!r}")
-    mode = StatMode.from_name(args.mode, sup_h=args.sup_h)
+    mode = StatMode(args.mode.replace("-", "_"))
     fitting = "direct" if mode.is_e else "inverse"
-    utility_name = args.utility or _DEFAULT_UTILITY[fitting]
-    utility = UtilitySpec.from_name(utility_name, eps=args.eps)
-    if args.method == "active" and utility.direction != fitting:
-        print(f"{PROG}: warning: utility {utility_name!r} is {utility.direction}, but "
+    utility = args.utility or _DEFAULT_UTILITY[fitting]
+    if args.method == "active" and DIRECTIONS[utility] != fitting:
+        print(f"{PROG}: warning: utility {utility!r} is {DIRECTIONS[utility]}, but "
               f"--mode {args.mode} wants a {fitting} family; the budget goes to the "
               f"least promising hypotheses", file=sys.stderr)
     method = MethodSpec(args.method, beta=args.beta)
@@ -212,9 +209,7 @@ def _cmd_run(args) -> int:
         "method": args.method,
         "budget": args.budget,
         "beta": args.beta,
-        "utility": utility_name,
-        "eps": args.eps,
-        "sup_h": args.sup_h,
+        "utility": utility,
         "seed": args.seed,
     }
     summary = f"# n_queries = {out.n_queries}\n"

@@ -9,9 +9,7 @@ beta in (0, 1) for the split parameter:
   e-value is scaled by (1 - beta) / h.
 * p-values, auxiliary independent of the exact p-value: no-query gives
   (1 - h) / beta; on query the exact p-value is scaled by h / (1 - beta).
-* p-values, arbitrary dependence: the query scale becomes
-  min(1, sup_h) / (1 - beta), where sup_h bounds the allocation map from
-  above (1 is always certified).
+* p-values, arbitrary dependence: the query scale becomes 1 / (1 - beta).
 
 p-type outputs are reported clamped to [0, 1].  Both constructions keep the
 usual guarantees: supermartingale-style mean bound E[output] <= 1 for
@@ -80,19 +78,13 @@ class ActiveOutcome:
 
 @dataclass(frozen=True)
 class StatMode:
-    """Statistic kind plus, for the general p construction, a certified
-    upper bound on the allocation map (sup_h = 1 is always valid)."""
+    """Statistic kind: ``e``, ``p_independent`` or ``p_general``."""
 
     kind: str
-    sup_h: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("e", "p_independent", "p_general"):
             raise DomainError(f"unknown statistic mode {self.kind!r}")
-        if not np.isfinite(self.sup_h) or not 0.0 < self.sup_h:
-            raise DomainError(f"sup_h must be positive and finite, got {self.sup_h!r}")
-        if self.kind != "p_general" and self.sup_h != 1.0:
-            raise DomainError("sup_h only applies to the general p construction")
 
     @property
     def is_e(self) -> bool:
@@ -101,17 +93,6 @@ class StatMode:
     @property
     def is_p(self) -> bool:
         return not self.is_e
-
-    @classmethod
-    def from_name(cls, name: str, sup_h: float = 1.0) -> "StatMode":
-        canonical = name.replace("-", "_").lower()
-        if canonical in ("e", "evalue", "e_value"):
-            return cls("e")
-        if canonical in ("p_independent", "p_ind"):
-            return cls("p_independent")
-        if canonical in ("p_general", "p_gen"):
-            return cls("p_general", sup_h=sup_h)
-        raise DomainError(f"unknown statistic mode {name!r}")
 
 
 E_VALUES = StatMode("e")
@@ -148,8 +129,8 @@ def active_p(p_exact: Lazy, h: float, beta: float, mode: StatMode, u: float) -> 
     """Active p-value for one hypothesis, clamped to [0, 1].
 
     ``mode`` selects the query-branch scale: h / (1 - beta) when the
-    auxiliary is independent of the exact p-value, min(1, sup_h) / (1 - beta)
-    under arbitrary dependence.
+    auxiliary is independent of the exact p-value, 1 / (1 - beta) under
+    arbitrary dependence.
     """
     if not mode.is_p:
         raise DomainError("active_p requires a p-type mode")
@@ -190,8 +171,13 @@ def active_values(
         values[no_query] = beta / (1.0 - h[no_query])
         if query_idx.size:
             check_exact_domain(exact, mode, query_idx)
-            scales[query_idx] = (1.0 - beta) / h[query_idx]
-            values[query_idx] = scales[query_idx] * exact
+            # a level near 0 is queried only on a replayed draw of 0; its
+            # scale or value may overflow to inf, and inf * 0 is the one nan:
+            # an exact 0 stays 0 at any scale
+            with np.errstate(over="ignore", invalid="ignore"):
+                scales[query_idx] = (1.0 - beta) / h[query_idx]
+                scaled = scales[query_idx] * exact
+            values[query_idx] = np.where(np.isnan(scaled), 0.0, scaled)
     else:
         values[no_query] = np.minimum(1.0, (1.0 - h[no_query]) / beta)
         if query_idx.size:
@@ -199,7 +185,7 @@ def active_values(
             if mode.kind == "p_independent":
                 scales[query_idx] = h[query_idx] / (1.0 - beta)
             else:
-                scales[query_idx] = min(1.0, mode.sup_h) / (1.0 - beta)
+                scales[query_idx] = 1.0 / (1.0 - beta)
             values[query_idx] = np.minimum(1.0, scales[query_idx] * exact)
     return values, queried, scales
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .allocation import AllocationResult, UtilitySpec, allocate_utilities, eval_utility
+from .allocation import AllocationResult, allocate_utilities, check_budget, eval_utility
 from .core import StatMode, active_values, check_beta, check_draws, check_exact_domain
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
@@ -158,17 +158,15 @@ class RunOutput:
 
     ``h`` holds the query probability driver: the unclamped allocation level
     for the active methods, the per-hypothesis query probability for xu,
-    n_b / n for random, and 1.0 for all.  ``scales`` is the multiplier
-    applied to the exact statistic where queried and 0.0 elsewhere.
-    ``ids`` is this run's own list, copied on first read from ``source_ids``,
-    the hypothesis set's ``UniqueIds``: no write into it reaches another
-    run, and a run whose ids nobody reads never pays for the copy.
+    n_b / n for random, and 1.0 for all.  ``ids`` is this run's own list,
+    copied on first read from ``source_ids``, the hypothesis set's
+    ``UniqueIds``: no write into it reaches another run, and a run whose ids
+    nobody reads never pays for the copy.
     """
 
     method: str
     values: np.ndarray
     queried: np.ndarray
-    scales: np.ndarray
     h: np.ndarray
     n_queries: int
     seed: int
@@ -291,59 +289,62 @@ def xu_query_prob(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
 
 
 def _fixed_rule(hs: HypothesisSet, mode: StatMode, queried: np.ndarray, values: np.ndarray,
-                scale: float, on_query: Callable[[np.ndarray], np.ndarray]):
-    """Shared kernel of xu, random and all: one scale for every queried row.
+                on_query: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Shared kernel of xu, random and all: one rule for every queried row.
 
     ``values`` holds the no-query values and is overwritten where queried
-    with ``on_query(exact)``.  Returns (values, scales).
+    with ``on_query(exact)``, then returned.
     """
     idx = np.nonzero(queried)[0]
     exact = hs.exact_at(idx)
     check_exact_domain(exact, mode, idx)
     values[idx] = on_query(exact)
-    scales = np.zeros(values.size)
-    scales[idx] = scale
-    return values, scales
+    return values
 
 
 def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: float,
                seed: int = DEFAULT_SEED, rep: int = 0,
-               utility: Optional[UtilitySpec] = None, u=None) -> RunOutput:
+               utility: Optional[str] = None, u=None) -> RunOutput:
     """Run one named method on the hypotheses.
 
     Each method picks a query mask, the no-query values and the query
     scale; the exact statistics are then read once, at the queried rows.
-    ``utility`` drives the active method's allocation.  ``u`` replays the
-    per-hypothesis branch draws of active, active-xu and xu; by default
-    they come from the counter-based stream keyed by id.
+    The budget ``n_b`` is checked for every method, whether or not it
+    spends one.  ``utility`` names the utility family that drives the
+    active method's allocation.  ``u`` replays the per-hypothesis branch
+    draws of active, active-xu and xu; by default they come from the
+    counter-based stream keyed by id.
     """
     _check_aux_domain(hs, mode)
     variant, beta = method.variant, method.beta
     if u is not None and variant not in BRANCH_METHODS:
         raise DomainError(f"method {variant!r} draws no branch coins to replay")
     n = len(hs)
+    # random takes an integer budget in [0, n] and checks it itself
+    if variant != "random":
+        check_budget(n_b)
     alloc = None
     if variant in ("active", "active-xu"):
         if variant == "active":
             if utility is None:
-                raise DomainError("the active method requires a utility spec")
+                raise DomainError("the active method requires a utility family")
             scores = eval_utility(utility, hs.aux)
         else:
             scores = xu_query_prob(hs.aux, beta, mode)
         alloc = allocate_utilities(scores, n_b)
         h = alloc.h
-        values, queried, scales = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
-                                                mode, beta)
+        values, queried, _ = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
+                                           mode, beta)
     elif variant == "xu":
         # no global budget: on no-query the auxiliary itself is reported
         h = xu_query_prob(hs.aux, beta, mode)
         queried = check_draws(_branch_draws(hs, seed, rep, u)) < h
         if mode.is_e:
-            values, scales = _fixed_rule(hs, mode, queried, hs.aux.copy(), 1.0 - beta,
-                                         lambda exact: (1.0 - beta) * exact)
+            values = _fixed_rule(hs, mode, queried, hs.aux.copy(),
+                                 lambda exact: (1.0 - beta) * exact)
         else:
-            values, scales = _fixed_rule(hs, mode, queried, hs.aux.copy(), 1.0 / (1.0 - beta),
-                                         lambda exact: np.minimum(1.0, exact / (1.0 - beta)))
+            values = _fixed_rule(hs, mode, queried, hs.aux.copy(),
+                                 lambda exact: np.minimum(1.0, exact / (1.0 - beta)))
     else:
         # random and all report the exact statistic unchanged, 1 elsewhere
         if variant == "random":
@@ -352,12 +353,11 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
         else:
             queried = np.ones(n, dtype=bool)
             h = np.ones(n)
-        values, scales = _fixed_rule(hs, mode, queried, np.ones(n), 1.0, lambda exact: exact)
+        values = _fixed_rule(hs, mode, queried, np.ones(n), lambda exact: exact)
     return RunOutput(
         method=variant,
         values=values,
         queried=queried,
-        scales=scales,
         h=h,
         n_queries=int(np.count_nonzero(queried)),
         seed=seed,

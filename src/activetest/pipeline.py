@@ -20,7 +20,6 @@ import numpy as np
 from .core import P_INDEPENDENT
 from .engine import HypothesisSet, MethodSpec, RunOutput, UniqueIds, run_method
 from .errors import DataError, DomainError
-from .allocation import UtilitySpec
 from .procedures import by
 from .rng import DEFAULT_SEED
 
@@ -352,7 +351,7 @@ class RecoveryResult:
     run: RunOutput
 
 
-PIPELINE_UTILITY = UtilitySpec.log_inverse(eps=1e-8)
+PIPELINE_UTILITY = "log_inverse"
 
 
 def oracle_recovery(
@@ -375,8 +374,6 @@ def oracle_recovery(
     ``aligned.to_hypotheses()``.  Repeated calls on one pair reuse its
     hashed ids and its oracle for ``alpha``.
     """
-    if n_b <= 0:
-        raise DomainError(f"budget must be positive, got {n_b!r}")
     oracle = aligned._oracle(alpha)
     out = run_method(aligned.to_hypotheses(), MethodSpec(str(method), beta=beta),
                      mode=P_INDEPENDENT, n_b=n_b, seed=seed, utility=PIPELINE_UTILITY)

@@ -45,7 +45,6 @@ from .rng import (
     SIGNAL_DRAW,
     uniforms,
 )
-from .allocation import UtilitySpec
 
 __all__ = [
     "DgpSpec",
@@ -218,8 +217,8 @@ def make_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int) -> S
     return StatisticsDraw(e=e, p=p, e_aux=e_aux, p_aux=p_aux)
 
 
-def utility_defaults(kind: str, mode: str) -> UtilitySpec:
-    """Default utility family per DGP kind and statistic mode.
+def utility_defaults(kind: str, mode: str) -> str:
+    """Name of the default utility family per DGP kind and statistic mode.
 
     signal: identity on e-type auxiliaries, log-inverse on p-type ones.
     noisy/correlated: log1p on e-type (range compression keeps the budget
@@ -230,8 +229,8 @@ def utility_defaults(kind: str, mode: str) -> UtilitySpec:
     if mode not in ("e", "p"):
         raise DomainError(f"mode must be 'e' or 'p', got {mode!r}")
     if mode == "e":
-        return UtilitySpec.identity() if kind == "signal" else UtilitySpec.log1p()
-    return UtilitySpec.log_inverse()
+        return "identity" if kind == "signal" else "log1p"
+    return "log_inverse"
 
 
 def default_construction(kind: str, mode: str) -> StatMode:
@@ -346,7 +345,7 @@ class ExperimentResult:
 
 
 def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: str,
-                 stat_mode: StatMode, utility: UtilitySpec, seed: int, rep: int) -> list[RunMetrics]:
+                 stat_mode: StatMode, utility: str, seed: int, rep: int) -> list[RunMetrics]:
     signal = gen_signal(spec, rep, seed)
     draw = make_statistics(spec, signal, rep, seed)
     if mode == "e":

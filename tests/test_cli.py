@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from activetest import __version__
-from activetest.cli import main, parse_config_header
+from activetest.cli import build_parser, main, parse_config_header
 from activetest.pipeline import conformal_p
 
 from conftest import oracle_bh, oracle_ebh
@@ -317,6 +317,25 @@ class TestRun:
         assert len(err_lines) == 1 and "warning" in err_lines[0] and family in err_lines[0]
         assert parse_config_header(out.read_text())["utility"] == family
 
+    def test_unknown_utility_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", self.make_input(tmp_path), "--mode", "e", "--budget", "5",
+                "--utility", "cubic", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: activetest run")
+        assert "invalid choice: 'cubic'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--eps", "1e-8"], ["--sup-h", "1"]])
+    def test_removed_knobs_are_unknown(self, tmp_path, capsys, flag):
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", self.make_input(tmp_path), "--mode", "p-general",
+                "--budget", "5", "--out", str(out)]
+        assert main(args + flag) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_clamp_warning_is_one_line(self, tmp_path, capsys):
         inp = write(tmp_path / "p.csv", "id,aux,exact\na,0.5,0.2\nb,0.3,0.1\n")
         args = ["run", "--input", inp, "--mode", "p-independent", "--budget", "5",
@@ -431,6 +450,47 @@ class TestConformal:
         assert config["n_test"] == "1"
 
 
+class TestHeaderEcho:
+    """Every option a subcommand parses is echoed as a '# key = value' line,
+    except the paths its outputs go to, so no run leaves a setting unrecorded."""
+
+    UNECHOED = ("command", "out", "agg_out")
+
+    @staticmethod
+    def argv(command, tmp_path):
+        def inp(name, text):
+            return write(tmp_path / name, text)
+
+        return {
+            "simulate": ["simulate", "--dgp", "correlated", "--rho", "0.5", "--mode", "p",
+                         "--n", "60", "--pi", "0.2", "--budget", "6", "--reps", "2",
+                         "--threads", "2", "--methods", "active,xu"],
+            "run": ["run", "--input", inp("h.csv", "id,aux,exact\na,0.5,0.2\nb,0.1,0.3\n"),
+                    "--mode", "p-general", "--method", "active", "--budget", "1",
+                    "--beta", "0.25", "--utility", "inverse", "--seed", "4"],
+            "gwas": ["gwas", "--target", inp("t.tsv", "snp\tp\nrs1\t0.5\nrs2\t0.01\n"),
+                     "--aux", inp("a.tsv", "snp\tp\nrs1\t0.4\nrs2\t0.02\n"),
+                     "--key-col", "snp", "--p-col", "p", "--budget", "1", "--beta", "0.3",
+                     "--alpha", "0.2", "--method", "active-xu", "--seed", "8"],
+            "conformal": ["conformal", "--cal", inp("cal.txt", "0.1\n0.2\n"),
+                          "--test", inp("test.txt", "0.15\n")],
+            "mt": ["mt", "--procedure", "by", "--alpha", "0.05",
+                   "--input", inp("p.txt", "0.01\n0.5\n")],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["simulate", "run", "gwas", "conformal", "mt"])
+    def test_every_parsed_option_is_echoed(self, tmp_path, command):
+        out = tmp_path / "o.csv"
+        argv = self.argv(command, tmp_path) + ["--out", str(out)]
+        options = {key: value for key, value in vars(build_parser().parse_args(argv)).items()
+                   if key not in self.UNECHOED}
+        assert main(argv) == 0
+        header = parse_config_header(out.read_text())
+        assert sorted(set(options) - set(header)) == []
+        assert {key: header[key] for key in options} == {key: str(value)
+                                                         for key, value in options.items()}
+
+
 class TestAtomicity:
     def test_prior_output_preserved_on_failure(self, tmp_path):
         out = tmp_path / "keep.csv"
@@ -471,6 +531,23 @@ class TestNonFiniteArguments:
                      "--out", str(tmp_path / "s.csv")]) == 2
         err = capsys.readouterr().err
         assert "finite sigma > 0, got nan" in err and "aux" not in err
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("method", ["xu", "all"])
+    @pytest.mark.parametrize("command", ["run", "gwas"])
+    def test_budget_checked_for_methods_that_spend_none(self, tmp_path, capsys, command, method,
+                                                        budget):
+        if command == "run":
+            argv = ["run", "--input", write(tmp_path / "h.csv", "id,aux,exact\na,0.5,0.2\n"),
+                    "--mode", "p-independent"]
+        else:
+            argv = ["gwas", "--target", write(tmp_path / "t.csv", "rsid,pval\nrs1,0.5\n"),
+                    "--aux", write(tmp_path / "a.csv", "rsid,pval\nrs1,0.4\n")]
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--method", method, "--budget", budget, "--out", str(out)]) == 2
+        assert "budget must be positive, got" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
 
 
 def _late_fault(header, row, bad, n=30_000):

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from activetest.allocation import UtilitySpec, allocate_utilities
+from activetest.allocation import allocate_utilities
 from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT, active_values
 from activetest.engine import (
     HypothesisSet,
@@ -43,7 +43,8 @@ def run_active_xu(records, beta, mode, n_b, **kw):
 
 
 def run_xu(records, beta, mode, **kw):
-    return run_method(records, MethodSpec("xu", beta=beta), mode=mode, n_b=0.0, **kw)
+    return run_method(records, MethodSpec("xu", beta=beta), mode=mode, n_b=float(len(records)),
+                      **kw)
 
 
 def run_random(records, n_b, mode=E_VALUES, **kw):
@@ -57,7 +58,7 @@ def run_all(records, mode=E_VALUES, **kw):
 class TestActiveDefaultTrace:
     def test_worked_trace(self):
         records, calls = counted_records([1.0, 2.0, 3.0], [5.0, 20.0, 30.0])
-        out = run_active(records, E_VALUES, 3.0, UtilitySpec.identity(),
+        out = run_active(records, E_VALUES, 3.0, "identity",
                          u=np.array([0.9, 0.9, 0.1]))
         np.testing.assert_allclose(out.h, [0.5, 1.0, 1.5])
         assert out.values[0] == 1.0 and not out.queried[0]
@@ -70,14 +71,14 @@ class TestActiveDefaultTrace:
     def test_full_budget_reduces_to_always_query(self):
         n = 6
         records, _ = counted_records([2.0] * n, np.arange(1.0, n + 1.0))
-        out = run_active(records, E_VALUES, float(n), UtilitySpec.identity())
+        out = run_active(records, E_VALUES, float(n), "identity")
         np.testing.assert_allclose(out.h, np.ones(n))
         assert out.n_queries == n
         np.testing.assert_allclose(out.values, 0.5 * np.arange(1.0, n + 1.0))
 
     def test_p_general_trace(self):
         records, _ = counted_records([0.5, 0.5], [0.02, 0.8])
-        out = run_active(records, P_GENERAL, 1.0, UtilitySpec.custom([0, 1], [1, 1]),
+        out = run_active(records, P_GENERAL, 1.0, "identity",
                          u=np.array([0.1, 0.1]))
         np.testing.assert_allclose(out.h, [0.5, 0.5])
         assert out.values[0] == pytest.approx(0.04)
@@ -86,7 +87,7 @@ class TestActiveDefaultTrace:
     def test_aux_domain_error_names_id(self):
         hs = HypothesisSet([0.5, 1.5], [0.5, 0.5], ids=["ok", "bad"])
         with pytest.raises(DomainError, match="bad"):
-            run_active(hs, P_INDEPENDENT, 1.0, UtilitySpec.log_inverse())
+            run_active(hs, P_INDEPENDENT, 1.0, "log_inverse")
 
 
 class TestRunAll:
@@ -125,6 +126,15 @@ class TestRunAll:
         records, _ = counted_records([1.0] * 2, [1.0] * 2)
         with pytest.raises(DomainError, match="replay"):
             run_method(records, MethodSpec(method), mode=E_VALUES, n_b=1.0, u=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("method", ["active", "active-xu", "xu", "all"])
+@pytest.mark.parametrize("n_b", [float("nan"), float("inf"), 0.0, -1.0])
+def test_budget_checked_for_every_method(method, n_b):
+    records, calls = counted_records([1.0] * 4, [1.0] * 4)
+    with pytest.raises(DomainError, match=f"^budget must be positive, got {n_b!r}$"):
+        run_method(records, MethodSpec(method), mode=E_VALUES, n_b=n_b, utility="log1p")
+    assert calls["n"] == 0
 
 
 class TestRunRandom:
@@ -303,7 +313,7 @@ class TestQueryAccounting:
             mode=E_VALUES,
             n_b=40,
             seed=31,
-            utility=UtilitySpec.log1p(),
+            utility="log1p",
         )
         assert out.n_queries == calls["n"]
         assert out.n_queries == int(np.count_nonzero(out.queried))
@@ -337,7 +347,7 @@ class TestQueryAccounting:
 
         aux = np.linspace(1.0, 5.0, 50)
         out = run_method(HypothesisSet(aux, exact), MethodSpec(method), mode=E_VALUES,
-                         n_b=10, seed=3, utility=UtilitySpec.log1p())
+                         n_b=10, seed=3, utility="log1p")
         assert len(calls) == 1
         assert all(a < b for a, b in zip(calls[0], calls[0][1:]))
         assert len(calls[0]) == out.n_queries == int(np.count_nonzero(out.queried)) > 0
@@ -367,7 +377,7 @@ class TestBudgetAdherence:
         counts = []
         expected = None
         for rep in range(200):
-            out = run_active(records, E_VALUES, float(n_b), UtilitySpec.log1p(),
+            out = run_active(records, E_VALUES, float(n_b), "log1p",
                              seed=41, rep=rep)
             counts.append(out.n_queries)
             expected = out.allocation.expected_queries
@@ -390,7 +400,7 @@ class TestOrderIndependence:
         def run(a, e, idlist):
             hs = HypothesisSet(a, e, ids=idlist)
             if runner == "active":
-                return run_active(hs, E_VALUES, 20.0, UtilitySpec.log1p(), seed=47, rep=2)
+                return run_active(hs, E_VALUES, 20.0, "log1p", seed=47, rep=2)
             if runner == "active-xu":
                 return run_active_xu(hs, beta=0.5, mode=E_VALUES, n_b=20.0, seed=47, rep=2)
             return run_xu(hs, beta=0.5, mode=E_VALUES, seed=47, rep=2)
@@ -454,7 +464,7 @@ class TestRecordsAndOutput:
                 active_values(np.full(3, 0.5), u, hs.exact_at, P_INDEPENDENT, 0.5)
             else:
                 run_method(hs, MethodSpec(entry), mode=P_INDEPENDENT, n_b=1.0,
-                           utility=UtilitySpec.log_inverse(), u=u)
+                           utility="log_inverse", u=u)
 
     @pytest.mark.parametrize("call", [
         lambda: allocate_utilities([1.0, 2.0], 5.0),
@@ -467,7 +477,7 @@ class TestRecordsAndOutput:
 
     def test_to_csv_shape(self):
         records, _ = counted_records([1.0, 2.0], [3.0, 4.0])
-        out = run_active(records, E_VALUES, 1.0, UtilitySpec.identity(), u=np.array([0.9, 0.1]))
+        out = run_active(records, E_VALUES, 1.0, "identity", u=np.array([0.9, 0.1]))
         lines = out.to_csv().strip().split("\n")
         assert lines[0] == "id,value,queried,branch,h"
         assert len(lines) == 3
@@ -487,7 +497,7 @@ class TestRecordsAndOutput:
         records, _ = counted_records([1.0, 3.0], [1.0, 1.0])
         out = run_method(
             records, MethodSpec("active"), mode=E_VALUES, n_b=1.0,
-            utility=UtilitySpec.identity(),
+            utility="identity",
         )
         np.testing.assert_allclose(out.h, [0.25, 0.75])
 

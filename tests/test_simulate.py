@@ -220,7 +220,7 @@ class TestUtilityDefaults:
         ],
     )
     def test_mapping(self, kind, mode, family):
-        assert utility_defaults(kind, mode).family == family
+        assert utility_defaults(kind, mode) == family
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
