@@ -37,10 +37,15 @@ DIRECTIONS = {"identity": "direct", "log1p": "direct",
 EPS = 1e-8
 
 
-def eval_utility(family: str, x) -> np.ndarray:
-    """Evaluate the utility family ``family`` on a scalar or array of auxiliary values."""
+def check_family(family: str) -> None:
+    """Refuse a name that is not a utility family."""
     if family not in DIRECTIONS:
         raise DomainError(f"unknown utility family {family!r}")
+
+
+def eval_utility(family: str, x) -> np.ndarray:
+    """Evaluate the utility family ``family`` on a scalar or array of auxiliary values."""
+    check_family(family)
     arr = np.asarray(x, dtype=np.float64)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
         raise DomainError("auxiliary values must be finite and >= 0")

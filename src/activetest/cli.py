@@ -21,7 +21,7 @@ from . import __version__ as VERSION
 from .core import StatMode
 from .engine import HypothesisSet, MethodSpec, csv_text, run_method
 from .errors import ActiveTestError, DataError, DomainError
-from .allocation import DIRECTIONS
+from .allocation import DIRECTIONS, check_budget
 from .pipeline import (
     align,
     conformal_p,
@@ -199,6 +199,9 @@ def _cmd_run(args) -> int:
               f"--mode {args.mode} wants a {fitting} family; the budget goes to the "
               f"least promising hypotheses", file=sys.stderr)
     method = MethodSpec(args.method, beta=args.beta)
+    # random's budget must also fit the table, so the read comes first
+    if args.method != "random" and args.budget is not None:
+        check_budget(args.budget)
     table = _read_run_input(args.input)
     n_b = args.budget if args.budget is not None else float(len(table))
     out = run_method(table, method, mode=mode, n_b=n_b, seed=args.seed, utility=utility)

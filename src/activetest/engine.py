@@ -23,7 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .allocation import AllocationResult, allocate_utilities, check_budget, eval_utility
+from .allocation import (AllocationResult, allocate_utilities, check_budget, check_family,
+                         eval_utility)
 from .core import StatMode, active_values, check_beta, check_draws, check_exact_domain
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
@@ -75,19 +76,31 @@ class UniqueIds(tuple):
 class HypothesisSet:
     """Column-oriented collection of hypotheses.
 
-    ``exact`` is either an array-like of n numbers, stored once as a float64
-    array, or one callable mapping an ascending index array to the values
-    at those rows.  It is checked once, here, and read through
-    ``exact_at``, once per run.  ``ids``, when given, is a sequence of n ids
-    held as ``UniqueIds``, so no run can rewrite the ids its stream keys
-    were hashed from.
+    ``aux`` is held as a read-only float64 vector, copied only when the
+    given array is writable.  ``exact`` is either an array-like of n
+    numbers, stored once as a float64 array, or one callable mapping an
+    ascending index array to the values at those rows.  It is checked once,
+    here, and read through ``exact_at``, once per run.  ``ids``, when given,
+    is a sequence of n ids held as ``UniqueIds``, so no run can rewrite the
+    ids its stream keys were hashed from.
+
+    A set memoizes what its runs compute from ``aux`` and ``ids`` alone:
+    the stream keys; the branch draws of the last (seed, rep); and, per
+    active variant, the allocation of the last budget, utility family (or
+    beta and mode) it ran with.  Each of these is read-only, so no run can
+    change another's inputs.  A budget above n is clamped afresh, with its
+    warning, on every run.
     """
 
     def __init__(self, aux, exact, ids=None):
-        self.aux = np.asarray(aux, dtype=np.float64)
-        if self.aux.ndim != 1 or self.aux.size == 0:
+        aux = np.asarray(aux, dtype=np.float64)
+        if aux.flags.writeable:
+            aux = aux.copy()
+            aux.flags.writeable = False
+        self.aux = aux
+        if aux.ndim != 1 or aux.size == 0:
             raise DomainError("aux must be a nonempty vector")
-        n = self.aux.size
+        n = aux.size
         if ids is not None:
             if len(ids) != n:
                 raise DomainError("ids must align with aux")
@@ -105,6 +118,10 @@ class HypothesisSet:
                 raise DomainError("exact values must align with aux")
         self._exact = exact
         self._stream_keys: Optional[np.ndarray] = None
+        # each entry is one (key, value) tuple, replaced whole, so a run on
+        # another thread never pairs a key with another key's array
+        self._draws: Optional[tuple] = None
+        self._levels: dict = {}
 
     def __len__(self) -> int:
         return self.aux.size
@@ -158,8 +175,10 @@ class RunOutput:
 
     ``h`` holds the query probability driver: the unclamped allocation level
     for the active methods, the per-hypothesis query probability for xu,
-    n_b / n for random, and 1.0 for all.  ``ids`` is this run's own list,
-    copied on first read from ``source_ids``, the hypothesis set's
+    n_b / n for random, and 1.0 for all.  For the active methods it is
+    ``allocation.h``, read-only, and may be the array the hypothesis set
+    memoized for every run with the same levels.  ``ids`` is this run's own
+    list, copied on first read from ``source_ids``, the hypothesis set's
     ``UniqueIds``: no write into it reaches another run, and a run whose ids
     nobody reads never pays for the copy.
     """
@@ -242,33 +261,82 @@ def _check_aux_domain(hs: HypothesisSet, mode: StatMode) -> None:
 
 def _branch_draws(hs: HypothesisSet, seed: int, rep: int, u) -> np.ndarray:
     if u is None:
-        return uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)
+        key = (seed, rep)
+        memo = hs._draws
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        u = uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)
+        u.flags.writeable = False
+        hs._draws = (key, u)
+        return u
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (len(hs),):
         raise DomainError("u must hold one branch draw per hypothesis")
     return u
 
 
+def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
+                utilities: Callable[[], np.ndarray]) -> AllocationResult:
+    """``allocate_utilities(utilities(), n_b)`` with read-only levels,
+    memoized per variant for the last ``key``.
+
+    A budget above n is not memoized, so it warns on every run.
+    """
+    memo = hs._levels.get(variant)
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    alloc = allocate_utilities(utilities(), n_b)
+    alloc.h.flags.writeable = False
+    if n_b <= len(hs):
+        hs._levels[variant] = (key, alloc)
+    return alloc
+
+
 def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
     """Query mask of a uniform subset of exactly ``n_b`` positions.
 
-    Partial Fisher-Yates over positions, driven by its own purpose tag.
+    A partial Fisher-Yates over positions, driven by its own purpose tag:
+    step i swaps position i with j_i = i + floor(u_i (n - i)) and picks
+    the value it finds at j_i.  That is j_i itself unless an earlier step
+    targeted j_i; then it is what the last such step moved there, the
+    value its own position held when it ran.  Position k held k at step k
+    unless an earlier step targeted k, and then that step's value.  These
+    chains only point back to earlier steps, and pointer jumping resolves
+    them with whole-array operations.
     """
     if not float(n_b).is_integer():
         raise DomainError(f"random baseline needs an integer budget, got {n_b!r}")
     n_b = int(n_b)
     if n_b < 0 or n_b > n:
         raise DomainError(f"budget must lie in [0, {n}], got {n_b}")
-    draws = uniforms(seed, rep, np.arange(n_b, dtype=np.uint64), SUBSET_DRAW).tolist()
-    # the permutation is the identity except at the positions in ``moved``
-    moved = {}
-    picks = []
-    for i, draw in enumerate(draws):
-        j = i + int(draw * (n - i))
-        picks.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
     queried = np.zeros(n, dtype=bool)
-    queried[picks] = True
+    if not n_b:
+        return queried
+    steps = np.arange(n_b)
+    draws = uniforms(seed, rep, steps, SUBSET_DRAW)
+    targets = steps + (draws * (n - steps)).astype(np.intp)
+    # steps grouped by target, in step order within a group
+    order = np.argsort(targets, kind="stable")
+    grouped = targets[order]
+    again = grouped[1:] == grouped[:-1]
+    # earlier[i]: the last step before i with i's target, or -1
+    earlier = np.full(n_b, -1)
+    earlier[order[1:][again]] = order[:-1][again]
+    # source[k]: the last step that targeted position k, or k.  No step
+    # after k targets k, and a step k that targets itself is no later
+    # step's ``earlier``, so its own entry is never read
+    last = np.append(~again, True)
+    last_target, last_step = grouped[last], order[last]
+    inside = last_target < n_b
+    source = steps.copy()
+    source[last_target[inside]] = last_step[inside]
+    # the value position k held at step k: the root of k's chain
+    while True:
+        jumped = source[source]
+        if np.array_equal(jumped, source):
+            break
+        source = jumped
+    queried[np.where(earlier >= 0, source[earlier], targets)] = True
     return queried
 
 
@@ -311,9 +379,10 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     scale; the exact statistics are then read once, at the queried rows.
     The budget ``n_b`` is checked for every method, whether or not it
     spends one.  ``utility`` names the utility family that drives the
-    active method's allocation.  ``u`` replays the per-hypothesis branch
-    draws of active, active-xu and xu; by default they come from the
-    counter-based stream keyed by id.
+    active method's allocation; every method refuses a name that is not a
+    family.  ``u`` replays the per-hypothesis branch draws of active,
+    active-xu and xu; by default they come from the counter-based stream
+    keyed by id, and the set keeps those of the last (seed, rep).
     """
     _check_aux_domain(hs, mode)
     variant, beta = method.variant, method.beta
@@ -323,15 +392,18 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     # random takes an integer budget in [0, n] and checks it itself
     if variant != "random":
         check_budget(n_b)
+    if utility is not None:
+        check_family(utility)
     alloc = None
     if variant in ("active", "active-xu"):
         if variant == "active":
             if utility is None:
                 raise DomainError("the active method requires a utility family")
-            scores = eval_utility(utility, hs.aux)
+            alloc = _allocation(hs, variant, (utility, n_b), n_b,
+                                lambda: eval_utility(utility, hs.aux))
         else:
-            scores = xu_query_prob(hs.aux, beta, mode)
-        alloc = allocate_utilities(scores, n_b)
+            alloc = _allocation(hs, variant, (beta, mode.is_e, n_b), n_b,
+                                lambda: xu_query_prob(hs.aux, beta, mode))
         h = alloc.h
         values, queried, _ = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
                                            mode, beta)

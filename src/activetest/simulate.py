@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import StatMode
-from .engine import BRANCH_METHODS, HypothesisSet, MethodSpec, run_method
+from .engine import HypothesisSet, MethodSpec, run_method
 from .errors import DomainError
 from .procedures import by, ebh
 from .rng import (
@@ -41,7 +41,6 @@ from .rng import (
     POISSON_DRAW,
     PRIMARY_NOISE,
     PROXY_NOISE,
-    QUERY_DRAW,
     SIGNAL_DRAW,
     uniforms,
 )
@@ -352,14 +351,13 @@ def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: str
         aux, exact = draw.e_aux, draw.e
     else:
         aux, exact = draw.p_aux, draw.p
+    # one set per rep: its memo draws the branch coins once for active,
+    # active-xu and xu
     hs = HypothesisSet(aux=aux, exact=exact)
-    # the branch draws each of active, active-xu and xu would make for itself
-    u = uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)
-    u.flags.writeable = False
     rows = []
     for method in methods:
         out = run_method(hs, method, mode=stat_mode, n_b=n_b, seed=seed, rep=rep,
-                         utility=utility, u=u if method.variant in BRANCH_METHODS else None)
+                         utility=utility)
         if mode == "e":
             rejections = ebh(out.values, spec.alpha)
         else:

@@ -256,6 +256,16 @@ class TestRun:
         assert "no data rows" not in err and "No such file" not in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("method", ["xu", "all", "active", "active-xu"])
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+    def test_bad_budget_refused_before_input_is_read(self, tmp_path, capsys, method, budget):
+        args = ["run", "--input", str(tmp_path / "missing.csv"), "--mode", "e",
+                "--method", method, "--budget", budget, "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"budget must be positive, got {float(budget)!r}" in err
+        assert "No such file" not in err
+
     def test_all_needs_no_budget(self, tmp_path):
         inp = self.make_input(tmp_path)
         out = tmp_path / "o.csv"

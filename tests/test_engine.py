@@ -1,8 +1,12 @@
 import csv
 import io
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activetest.allocation import allocate_utilities
 from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT, active_values
@@ -31,6 +35,19 @@ def counted_records(aux, exact):
         return values[idx]
 
     return HypothesisSet(aux, fetch, ids=[f"h{i}" for i in range(len(aux))]), calls
+
+
+def swap_reference(n, n_b, seed, rep):
+    """The Random baseline's subset as first written: partial Fisher-Yates
+    swaps in a full permutation array."""
+    perm = np.arange(n)
+    draws = uniforms(seed, rep, np.arange(n_b, dtype=np.uint64), SUBSET_DRAW)
+    for i in range(n_b):
+        j = i + int(draws[i] * (n - i))
+        perm[i], perm[j] = perm[j], perm[i]
+    want = np.zeros(n, dtype=bool)
+    want[perm[:n_b]] = True
+    return want
 
 
 def run_active(records, mode, n_b, utility, beta=0.5, **kw):
@@ -191,15 +208,15 @@ class TestRunRandom:
         (50, 49, 8, 0), (200, 20, 42, 7), (2000, 100, 42, 199),
     ])
     def test_subset_matches_swap_reference(self, n, n_b, seed, rep):
-        # the partial Fisher-Yates as first written: swaps in a full permutation array
-        perm = np.arange(n)
-        draws = uniforms(seed, rep, np.arange(n_b, dtype=np.uint64), SUBSET_DRAW)
-        for i in range(n_b):
-            j = i + int(draws[i] * (n - i))
-            perm[i], perm[j] = perm[j], perm[i]
-        want = np.zeros(n, dtype=bool)
-        want[perm[:n_b]] = True
-        np.testing.assert_array_equal(_random_subset(n, float(n_b), seed, rep), want)
+        np.testing.assert_array_equal(_random_subset(n, float(n_b), seed, rep),
+                                      swap_reference(n, n_b, seed, rep))
+
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**64 - 1), rep=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_subset_matches_swap_reference_for_every_budget(self, n, seed, rep):
+        for n_b in range(n + 1):
+            np.testing.assert_array_equal(_random_subset(n, float(n_b), seed, rep),
+                                          swap_reference(n, n_b, seed, rep))
 
     def test_non_integer_budget_rejected(self):
         records, _ = counted_records([1.0] * 4, [1.0] * 4)
@@ -500,6 +517,104 @@ class TestRecordsAndOutput:
             utility="identity",
         )
         np.testing.assert_allclose(out.h, [0.25, 0.75])
+
+
+class TestSetMemo:
+    """A set reused across runs gives what a fresh set gives, run for run."""
+
+    RUNS = [  # (method, beta, mode, n_b, seed, rep, utility)
+        ("active", 0.5, P_INDEPENDENT, 5.0, 1, 0, "log_inverse"),
+        ("active-xu", 0.5, P_INDEPENDENT, 5.0, 1, 0, "log_inverse"),
+        ("xu", 0.5, P_INDEPENDENT, 5.0, 1, 0, "log_inverse"),
+        ("random", 0.5, P_INDEPENDENT, 5.0, 1, 0, "log_inverse"),
+        ("active", 0.5, E_VALUES, 5.0, 2, 0, "log1p"),
+        ("active-xu", 0.3, E_VALUES, 5.0, 2, 0, None),
+        ("all", 0.5, P_GENERAL, 5.0, 2, 0, None),
+        ("active", 0.5, P_GENERAL, 9.0, 1, 0, "log1p"),
+        ("active", 0.5, P_GENERAL, 9.0, 1, 0, "inverse"),
+        ("active-xu", 0.3, P_GENERAL, 9.0, 1, 1, None),
+        ("active-xu", 0.3, E_VALUES, 9.0, 1, 1, None),
+        ("xu", 0.3, E_VALUES, 9.0, 1, 1, None),
+        ("active", 0.5, P_INDEPENDENT, 5.0, 1, 1, "log_inverse"),
+        ("active-xu", 0.5, P_INDEPENDENT, 5.0, 1, 0, None),
+        ("active-xu", 0.3, P_INDEPENDENT, 5.0, 1, 0, None),
+        ("random", 0.5, E_VALUES, 9.0, 2, 1, "identity"),
+        ("active", 0.5, P_INDEPENDENT, 5.0, 1, 0, "log_inverse"),
+    ]
+
+    @staticmethod
+    def make_set():
+        aux = uniforms(4, 0, np.arange(40, dtype=np.uint64), 0)
+        exact = uniforms(4, 1, np.arange(40, dtype=np.uint64), 0)
+        return HypothesisSet(aux, exact, ids=[f"r{i}" for i in range(40)])
+
+    @staticmethod
+    def run(hs, method, beta, mode, n_b, seed, rep, utility="log_inverse"):
+        return run_method(hs, MethodSpec(method, beta=beta), mode=mode, n_b=n_b, seed=seed,
+                          rep=rep, utility=utility)
+
+    def test_reused_set_equals_fresh_sets(self):
+        reused = self.make_set()
+        for args in self.RUNS:
+            got, want = self.run(reused, *args), self.run(self.make_set(), *args)
+            for name in ("method", "n_queries", "seed", "source_ids", "mode"):
+                assert getattr(got, name) == getattr(want, name), (args, name)
+            for name in ("values", "queried", "h"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert (got.allocation is None) == (want.allocation is None)
+            if got.allocation is not None:
+                np.testing.assert_array_equal(got.allocation.h, want.allocation.h)
+                assert got.allocation.expected_queries == want.allocation.expected_queries
+                assert got.allocation.clamp_count == want.allocation.clamp_count
+            assert got.to_csv() == want.to_csv()
+
+    def test_threads_sharing_a_set_get_fresh_set_results(self):
+        runs = self.RUNS * 6
+        want = [self.run(self.make_set(), *args).to_csv() for args in runs]
+        shared = self.make_set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lambda args: self.run(shared, *args).to_csv(), args)
+                           for args in runs]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_aux_is_read_only(self):
+        given_aux = np.array([0.1, 0.2])
+        hs = HypothesisSet(given_aux, [0.3, 0.4])
+        with pytest.raises(ValueError):
+            hs.aux[0] = 0.9
+        given_aux[0] = 0.9
+        assert hs.aux[0] == 0.1
+
+    @pytest.mark.parametrize("method", ["active", "active-xu"])
+    def test_memoized_levels_are_read_only(self, method):
+        hs = self.make_set()
+        first = self.run(hs, method, 0.5, P_INDEPENDENT, 5.0, 1, 0)
+        again = self.run(hs, method, 0.5, P_INDEPENDENT, 5.0, 2, 0)
+        assert again.h is first.h
+        for h in (again.h, again.allocation.h):
+            with pytest.raises(ValueError):
+                h[0] = 1.0
+
+    @pytest.mark.parametrize("method", ["active", "active-xu"])
+    def test_clamped_budget_warns_on_every_run(self, method):
+        hs = self.make_set()
+        for seed in (1, 1, 2):
+            with pytest.warns(UserWarning, match="budget 50.0 exceeds the 40 hypotheses"):
+                self.run(hs, method, 0.5, P_INDEPENDENT, 50.0, seed, 0)
+
+
+@pytest.mark.parametrize("method", ["active-xu", "xu", "random", "all"])
+def test_unknown_utility_refused_for_every_method(method):
+    records, calls = counted_records([0.5] * 4, [0.5] * 4)
+    with pytest.raises(DomainError, match="^unknown utility family 'cubic'$"):
+        run_method(records, MethodSpec(method), mode=P_INDEPENDENT, n_b=2.0, utility="cubic")
+    assert calls["n"] == 0
 
 
 class TestCsvText:
