@@ -56,11 +56,9 @@ from .simulate import (
     RunMetrics,
     SignalDraw,
     StatisticsDraw,
-    default_construction,
     gen_signal,
     make_statistics,
     run_experiment,
-    utility_defaults,
 )
 
 __all__ = [
@@ -96,7 +94,6 @@ __all__ = [
     "bh",
     "by",
     "conformal_p",
-    "default_construction",
     "dominance_check",
     "ebh",
     "eval_utility",
@@ -110,5 +107,4 @@ __all__ = [
     "run_experiment",
     "run_method",
     "uniforms",
-    "utility_defaults",
 ]

@@ -33,6 +33,8 @@ __all__ = [
 # suit e-type auxiliaries, inverse families shrink with it and suit p-type ones
 DIRECTIONS = {"identity": "direct", "log1p": "direct",
               "inverse": "inverse", "log_inverse": "inverse"}
+# the default family of each direction, range-compressed against heavy tails
+DEFAULT_FAMILY = {"direct": "log1p", "inverse": "log_inverse"}
 # keeps the inverse families finite at a zero auxiliary
 EPS = 1e-8
 

@@ -1,7 +1,7 @@
 """Command line interface.
 
-Subcommands: simulate, run, gwas, conformal, mt.  Every run echoes its full
-resolved configuration into the output header as '#'-prefixed comment lines,
+Subcommands: simulate, run, gwas, conformal, mt.  Every run echoes its options
+and derived values into the output header as '#'-prefixed comment lines,
 writes outputs atomically (temp file + rename, never a partial file), and
 exits 0 on success, 1 on usage errors, 2 on data or domain errors.
 """
@@ -18,10 +18,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__ as VERSION
-from .core import StatMode
-from .engine import HypothesisSet, MethodSpec, csv_text, run_method
+from .core import StatMode, check_beta
+from .engine import (METHOD_NAMES, HypothesisSet, MethodSpec, check_method_budget, csv_text,
+                     run_method)
 from .errors import ActiveTestError, DataError, DomainError
-from .allocation import DIRECTIONS, check_budget
+from .allocation import DEFAULT_FAMILY, DIRECTIONS
 from .pipeline import (
     align,
     conformal_p,
@@ -30,9 +31,9 @@ from .pipeline import (
     read_score_rows,
     read_summary_table,
 )
-from .procedures import bh, by, ebh
+from .procedures import bh, by, check_alpha, ebh
 from .rng import DEFAULT_SEED
-from .simulate import DgpSpec, run_experiment
+from .simulate import DESK_BUDGET, DESK_N, DESK_REPS, DGP_KINDS, DgpSpec, run_experiment
 
 PROG = "activetest"
 
@@ -40,9 +41,7 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
 
-# run --utility default per utility direction that fits the mode: large
-# e-values and small p-values are the promising ones
-_DEFAULT_UTILITY = {"direct": "log1p", "inverse": "log_inverse"}
+_OUTPUT_PATHS = ("out", "agg_out")  # options the header leaves out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,11 +69,12 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def config_header(config: dict) -> str:
-    lines = [f"# {PROG} {VERSION}"]
-    for key, value in config.items():
-        lines.append(f"# {key} = {value}")
-    return "\n".join(lines) + "\n"
+def config_header(args: argparse.Namespace, **resolved) -> str:
+    """Each parsed option but the output paths, in parse order, then the
+    derived values; a ``resolved`` value replaces the option of its name."""
+    config = {key: value for key, value in vars(args).items() if key not in _OUTPUT_PATHS}
+    config.update(resolved)
+    return "".join([f"# {PROG} {VERSION}\n"] + [f"# {k} = {v}\n" for k, v in config.items()])
 
 
 def parse_config_header(text: str) -> dict:
@@ -96,20 +96,20 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="replicate a synthetic DGP and score methods")
-    sim.add_argument("--dgp", choices=["signal", "noisy", "correlated"], required=True)
+    sim.add_argument("--dgp", choices=DGP_KINDS, required=True)
     sim.add_argument("--mode", choices=["e", "p"], default="e")
-    sim.add_argument("--n", type=int, default=2000)
+    sim.add_argument("--n", type=int, default=DESK_N)
     sim.add_argument("--pi", type=float, default=0.1)
     sim.add_argument("--sigma", type=float, default=None)
     sim.add_argument("--rho", type=float, default=None)
-    sim.add_argument("--budget", type=float, default=100.0)
+    sim.add_argument("--budget", type=float, default=float(DESK_BUDGET))
     sim.add_argument("--beta", type=float, default=0.5)
     sim.add_argument("--alpha", type=float, default=0.1)
-    sim.add_argument("--reps", type=int, default=100)
+    sim.add_argument("--reps", type=int, default=DESK_REPS)
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim.add_argument("--threads", type=int, default=1)
-    sim.add_argument("--methods", default="active,active-xu,xu,random,all",
-                     help="comma-separated subset of active,active-xu,xu,random,all")
+    sim.add_argument("--methods", default=",".join(METHOD_NAMES),
+                     help=f"comma-separated subset of {','.join(METHOD_NAMES)}")
     sim.add_argument("--out", required=True, help="per-replication metrics CSV")
     sim.add_argument("--agg-out", default=None,
                      help="aggregate metrics CSV (default: <out stem>_agg.csv)")
@@ -117,13 +117,13 @@ def build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one method on a CSV of hypotheses")
     run.add_argument("--input", required=True, help="CSV with columns id,aux,exact")
     run.add_argument("--mode", choices=["e", "p-independent", "p-general"], required=True)
-    run.add_argument("--method", choices=["active", "active-xu", "xu", "random", "all"],
-                     default="active")
+    run.add_argument("--method", choices=METHOD_NAMES, default="active")
     run.add_argument("--budget", type=float, default=None)
     run.add_argument("--beta", type=float, default=0.5)
     run.add_argument("--utility", choices=list(DIRECTIONS), default=None,
-                     help="utility family of the active method; "
-                          "default log1p for --mode e, log_inverse for the p modes")
+                     help=f"utility family of the active method; default "
+                          f"{DEFAULT_FAMILY['direct']} for --mode e, "
+                          f"{DEFAULT_FAMILY['inverse']} for the p modes")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.add_argument("--out", required=True)
 
@@ -135,8 +135,7 @@ def build_parser() -> _Parser:
     gwas.add_argument("--budget", type=float, required=True)
     gwas.add_argument("--beta", type=float, default=0.5)
     gwas.add_argument("--alpha", type=float, default=0.1)
-    gwas.add_argument("--method", choices=["active", "active-xu", "xu", "random", "all"],
-                      default="active")
+    gwas.add_argument("--method", choices=METHOD_NAMES, default="active")
     gwas.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gwas.add_argument("--out", required=True)
 
@@ -159,25 +158,8 @@ def _cmd_simulate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     result = run_experiment(spec, methods, n_b=args.budget, beta=args.beta, reps=args.reps,
                             seed=args.seed, mode=args.mode, threads=args.threads)
-    config = {
-        "command": "simulate",
-        "dgp": spec.kind,
-        "mode": args.mode,
-        "n": spec.n,
-        "pi": spec.pi,
-        "sigma": spec.sigma,
-        "rho": spec.rho,
-        "alpha": spec.alpha,
-        "tau_sq": spec.tau_sq,
-        "lambda": spec.lam,
-        "budget": args.budget,
-        "beta": args.beta,
-        "reps": args.reps,
-        "seed": args.seed,
-        "threads": args.threads,
-        "methods": ",".join(methods),
-    }
-    header = config_header(config)
+    header = config_header(args, methods=",".join(methods), tau_sq=spec.tau_sq,
+                           **{"lambda": spec.lam})
     agg_out = args.agg_out
     if agg_out is None:
         stem, ext = os.path.splitext(args.out)
@@ -193,30 +175,20 @@ def _cmd_run(args) -> int:
         raise _UsageError(f"--budget is required for method {args.method!r}")
     mode = StatMode(args.mode.replace("-", "_"))
     fitting = "direct" if mode.is_e else "inverse"
-    utility = args.utility or _DEFAULT_UTILITY[fitting]
+    utility = args.utility or DEFAULT_FAMILY[fitting]
     if args.method == "active" and DIRECTIONS[utility] != fitting:
         print(f"{PROG}: warning: utility {utility!r} is {DIRECTIONS[utility]}, but "
               f"--mode {args.mode} wants a {fitting} family; the budget goes to the "
               f"least promising hypotheses", file=sys.stderr)
     method = MethodSpec(args.method, beta=args.beta)
-    # random's budget must also fit the table, so the read comes first
-    if args.method != "random" and args.budget is not None:
-        check_budget(args.budget)
+    # random's budget must also fit the table, which run_method checks
+    if args.budget is not None:
+        check_method_budget(args.method, args.budget)
     table = _read_run_input(args.input)
     n_b = args.budget if args.budget is not None else float(len(table))
     out = run_method(table, method, mode=mode, n_b=n_b, seed=args.seed, utility=utility)
-    config = {
-        "command": "run",
-        "input": args.input,
-        "mode": args.mode,
-        "method": args.method,
-        "budget": args.budget,
-        "beta": args.beta,
-        "utility": utility,
-        "seed": args.seed,
-    }
-    summary = f"# n_queries = {out.n_queries}\n"
-    atomic_write_text(args.out, config_header(config) + summary + out.to_csv())
+    header = config_header(args, utility=utility, n_queries=out.n_queries)
+    atomic_write_text(args.out, header + out.to_csv())
     return _EXIT_OK
 
 
@@ -226,32 +198,21 @@ def _read_run_input(path: str) -> HypothesisSet:
 
 
 def _cmd_gwas(args) -> int:
+    # random's budget must also fit the joined table, which oracle_recovery checks
+    check_beta(args.beta)
+    check_method_budget(args.method, args.budget)
+    check_alpha(args.alpha)
     target = read_summary_table(args.target, args.key_col, args.p_col)
     aux = read_summary_table(args.aux, args.key_col, args.p_col)
     aligned = align(target, aux)
     result = oracle_recovery(aligned, n_b=args.budget, beta=args.beta, method=args.method,
                              alpha=args.alpha, seed=args.seed)
-    config = {
-        "command": "gwas",
-        "target": args.target,
-        "aux": args.aux,
-        "key_col": args.key_col,
-        "p_col": args.p_col,
-        "budget": args.budget,
-        "beta": args.beta,
-        "alpha": args.alpha,
-        "method": args.method,
-        "seed": args.seed,
-    }
-    summary = (
-        f"# n_queries = {result.n_queries}\n"
-        f"# oracle_size = {result.oracle.size}\n"
-        f"# recovered_size = {result.recovered.size}\n"
-        f"# efficiency = {result.efficiency!r}\n"
-    )
+    header = config_header(args, n_queries=result.n_queries, oracle_size=result.oracle.size,
+                           recovered_size=result.recovered.size,
+                           efficiency=result.efficiency)
     body = csv_text("key,active_p,queried\n",
                     [aligned.keys, result.run.values, result.run.queried])
-    atomic_write_text(args.out, config_header(config) + summary + body)
+    atomic_write_text(args.out, header + body)
     return _EXIT_OK
 
 
@@ -274,31 +235,19 @@ def _cmd_conformal(args) -> int:
     test, test_lines = read_score_rows(args.test)
     with _located((args.cal, cal_lines), (args.test, test_lines)):
         p = conformal_p(cal, test)
-    config = {
-        "command": "conformal",
-        "cal": args.cal,
-        "test": args.test,
-        "n_calibration": cal.size,
-        "n_test": test.size,
-    }
+    header = config_header(args, n_calibration=cal.size, n_test=test.size)
     body = csv_text("index,p_value\n", [np.arange(p.size), p])
-    atomic_write_text(args.out, config_header(config) + body)
+    atomic_write_text(args.out, header + body)
     return _EXIT_OK
 
 
 def _cmd_mt(args) -> int:
+    check_alpha(args.alpha)
     values, lines = read_score_rows(args.input)
     procedure = {"bh": bh, "by": by, "ebh": ebh}[args.procedure]
     with _located((args.input, lines)):
         result = procedure(values, args.alpha)
-    config = {
-        "command": "mt",
-        "procedure": args.procedure,
-        "alpha": args.alpha,
-        "input": args.input,
-        "k_hat": result.k_hat,
-    }
-    text = config_header(config) + "".join(f"{i}\n" for i in result.rejected)
+    text = config_header(args, k_hat=result.k_hat) + "".join(f"{i}\n" for i in result.rejected)
     if args.out:
         atomic_write_text(args.out, text)
     else:

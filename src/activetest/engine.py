@@ -292,6 +292,17 @@ def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
     return alloc
 
 
+def check_method_budget(variant: str, n_b: float, n: float = float("inf")) -> None:
+    """Refuse a budget ``variant`` cannot spend on ``n`` hypotheses: random
+    takes a whole number in [0, n], the others a finite number above 0."""
+    if variant != "random":
+        check_budget(n_b)
+    elif not float(n_b).is_integer():
+        raise DomainError(f"random baseline needs an integer budget, got {n_b!r}")
+    elif not 0 <= n_b <= n:
+        raise DomainError(f"budget must lie in [0, {n}], got {int(n_b)}")
+
+
 def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
     """Query mask of a uniform subset of exactly ``n_b`` positions.
 
@@ -304,11 +315,7 @@ def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
     chains only point back to earlier steps, and pointer jumping resolves
     them with whole-array operations.
     """
-    if not float(n_b).is_integer():
-        raise DomainError(f"random baseline needs an integer budget, got {n_b!r}")
     n_b = int(n_b)
-    if n_b < 0 or n_b > n:
-        raise DomainError(f"budget must lie in [0, {n}], got {n_b}")
     queried = np.zeros(n, dtype=bool)
     if not n_b:
         return queried
@@ -389,9 +396,7 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     if u is not None and variant not in BRANCH_METHODS:
         raise DomainError(f"method {variant!r} draws no branch coins to replay")
     n = len(hs)
-    # random takes an integer budget in [0, n] and checks it itself
-    if variant != "random":
-        check_budget(n_b)
+    check_method_budget(variant, n_b, n)
     if utility is not None:
         check_family(utility)
     alloc = None

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .allocation import DEFAULT_FAMILY
 from .core import P_INDEPENDENT
 from .engine import HypothesisSet, MethodSpec, RunOutput, UniqueIds, run_method
 from .errors import DataError, DomainError
@@ -351,9 +352,6 @@ class RecoveryResult:
     run: RunOutput
 
 
-PIPELINE_UTILITY = "log_inverse"
-
-
 def oracle_recovery(
     aligned: AlignedPair,
     n_b: float,
@@ -365,7 +363,7 @@ def oracle_recovery(
     """Run one budgeted method and compare with the oracle rejection set.
 
     The oracle is the BY procedure on every target p-value at ``alpha``.
-    The method sees p-type auxiliaries weighed by ``PIPELINE_UTILITY``,
+    The method sees p-type auxiliaries weighed by the inverse default family,
     spends at most the budget (exactly, for random), and its outputs go
     through the same BY procedure.  Efficiency is |recovered and oracle| /
     n_queries (0 when nothing was queried).  Both tables of p-values are
@@ -376,7 +374,7 @@ def oracle_recovery(
     """
     oracle = aligned._oracle(alpha)
     out = run_method(aligned.to_hypotheses(), MethodSpec(str(method), beta=beta),
-                     mode=P_INDEPENDENT, n_b=n_b, seed=seed, utility=PIPELINE_UTILITY)
+                     mode=P_INDEPENDENT, n_b=n_b, seed=seed, utility=DEFAULT_FAMILY["inverse"])
     recovered = by(out.values, alpha).rejected
     overlap = np.intersect1d(recovered, oracle).size
     efficiency = overlap / out.n_queries if out.n_queries else 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ class RejectionSet:
     threshold: float
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -50,7 +51,7 @@ def bh(p, alpha: float) -> RejectionSet:
     Rejects the k-hat smallest p-values where k-hat is the largest k with
     p_(k) <= k * alpha / n (0 if none).
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     arr = _check_pvalues(p)
     n = arr.size
     # no threshold exceeds the last, alpha * n / n, so only p-values at or
@@ -65,6 +66,7 @@ def bh(p, alpha: float) -> RejectionSet:
     return RejectionSet(rejected, k_hat, alpha, "bh", threshold)
 
 
+@lru_cache
 def harmonic_number(n: int) -> float:
     """Sum of 1/i for i = 1..n, accumulated from the smallest terms."""
     if n < 1:
@@ -74,7 +76,7 @@ def harmonic_number(n: int) -> float:
 
 def by(p, alpha: float) -> RejectionSet:
     """BH run at level alpha / H_n; valid under arbitrary dependence."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     arr = _check_pvalues(p)
     inner = bh(arr, alpha / harmonic_number(arr.size))
     return RejectionSet(inner.rejected, inner.k_hat, alpha, "by", inner.threshold)
@@ -83,7 +85,7 @@ def by(p, alpha: float) -> RejectionSet:
 def ebh(e, alpha: float) -> RejectionSet:
     """e-value step-up: reject the k-hat largest e-values where k-hat is the
     largest k whose k-th largest e-value is >= n / (alpha * k)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     arr = np.asarray(e, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("e-values must form a nonempty vector")

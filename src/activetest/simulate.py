@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import StatMode
+from .allocation import DEFAULT_FAMILY
+from .core import E_VALUES, P_GENERAL, P_INDEPENDENT, StatMode
 from .engine import HypothesisSet, MethodSpec, run_method
 from .errors import DomainError
 from .procedures import by, ebh
@@ -54,8 +55,6 @@ __all__ = [
     "ExperimentResult",
     "gen_signal",
     "make_statistics",
-    "utility_defaults",
-    "default_construction",
     "run_experiment",
     "DESK_N",
     "DESK_BUDGET",
@@ -216,32 +215,18 @@ def make_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int) -> S
     return StatisticsDraw(e=e, p=p, e_aux=e_aux, p_aux=p_aux)
 
 
-def utility_defaults(kind: str, mode: str) -> str:
-    """Name of the default utility family per DGP kind and statistic mode.
+def _cell_defaults(kind: str, mode: str) -> tuple[str, StatMode]:
+    """Utility family and construction of a desk cell in mode 'e' or 'p'.
 
-    signal: identity on e-type auxiliaries, log-inverse on p-type ones.
-    noisy/correlated: log1p on e-type (range compression keeps the budget
-    fully spent under heavy-tailed auxiliaries), log-inverse on p-type.
-    """
-    if kind not in DGP_KINDS:
-        raise DomainError(f"unknown DGP kind {kind!r}")
-    if mode not in ("e", "p"):
-        raise DomainError(f"mode must be 'e' or 'p', got {mode!r}")
+    e-type: identity for signal, the direct default for the heavy-tailed
+    noisy and correlated auxiliaries.  p-type: the inverse default, with the
+    independent construction for signal (auxiliaries independent of Z given
+    mu) and the general one otherwise."""
     if mode == "e":
-        return "identity" if kind == "signal" else "log1p"
-    return "log_inverse"
-
-
-def default_construction(kind: str, mode: str) -> StatMode:
-    """Default statistic mode: independent p construction for the signal DGP
-    (auxiliaries independent of Z given mu), general construction otherwise."""
-    if kind not in DGP_KINDS:
-        raise DomainError(f"unknown DGP kind {kind!r}")
-    if mode == "e":
-        return StatMode("e")
+        return ("identity" if kind == "signal" else DEFAULT_FAMILY["direct"]), E_VALUES
     if mode != "p":
         raise DomainError(f"mode must be 'e' or 'p', got {mode!r}")
-    return StatMode("p_independent") if kind == "signal" else StatMode("p_general")
+    return DEFAULT_FAMILY["inverse"], P_INDEPENDENT if kind == "signal" else P_GENERAL
 
 
 @dataclass(frozen=True)
@@ -343,11 +328,11 @@ class ExperimentResult:
                           for a in self.aggregate()))
 
 
-def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: str,
-                 stat_mode: StatMode, utility: str, seed: int, rep: int) -> list[RunMetrics]:
+def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: StatMode,
+                 utility: str, seed: int, rep: int) -> list[RunMetrics]:
     signal = gen_signal(spec, rep, seed)
     draw = make_statistics(spec, signal, rep, seed)
-    if mode == "e":
+    if mode.is_e:
         aux, exact = draw.e_aux, draw.e
     else:
         aux, exact = draw.p_aux, draw.p
@@ -356,9 +341,9 @@ def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: str
     hs = HypothesisSet(aux=aux, exact=exact)
     rows = []
     for method in methods:
-        out = run_method(hs, method, mode=stat_mode, n_b=n_b, seed=seed, rep=rep,
+        out = run_method(hs, method, mode=mode, n_b=n_b, seed=seed, rep=rep,
                          utility=utility)
-        if mode == "e":
+        if mode.is_e:
             rejections = ebh(out.values, spec.alpha)
         else:
             rejections = by(out.values, spec.alpha)
@@ -381,8 +366,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Replicate the DGP and score every method on each replication.
 
-    ``methods`` are method names, each run with ``beta``, the utility of
-    ``utility_defaults`` and the construction of ``default_construction``.
+    ``methods`` are distinct method names, each run with ``beta`` and the
+    utility family and construction of the cell (``_cell_defaults``).
     Data is generated once per replication and shared across methods, so
     comparisons are paired.  e-mode feeds the outputs to the e-value step-up
     procedure, p-mode to the BY procedure, both at spec.alpha.  ``threads``
@@ -390,8 +375,7 @@ def run_experiment(
     """
     if spec.pi == 0.0:
         raise DomainError("run_experiment requires pi > 0 (no signals to recover)")
-    utility = utility_defaults(spec.kind, mode)  # refuses a mode other than e or p
-    stat_mode = default_construction(spec.kind, mode)
+    utility, stat_mode = _cell_defaults(spec.kind, mode)
     if reps < 1:
         raise DomainError("reps must be >= 1")
     if threads < 1:
@@ -399,10 +383,12 @@ def run_experiment(
     methods_resolved = [MethodSpec(str(m), beta=beta) for m in methods]
     if not methods_resolved:
         raise DomainError("at least one method is required")
+    variants = [m.variant for m in methods_resolved]
+    if len(set(variants)) < len(variants):
+        raise DomainError(f"methods must be distinct, got {','.join(variants)}")
 
     def one(rep: int) -> list[RunMetrics]:
-        return _run_one_rep(spec, methods_resolved, n_b, mode, stat_mode, utility,
-                            seed, rep)
+        return _run_one_rep(spec, methods_resolved, n_b, stat_mode, utility, seed, rep)
 
     if threads == 1:
         per_rep = [one(rep) for rep in range(reps)]
@@ -412,4 +398,4 @@ def run_experiment(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_rep = list(pool.map(one, range(reps)))
     rows = [row for rep_rows in per_rep for row in rep_rows]
-    return ExperimentResult(rows, [m.variant for m in methods_resolved])
+    return ExperimentResult(rows, variants)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import math
+import shlex
 import subprocess
 import sys
 import warnings
@@ -58,6 +59,12 @@ class TestMt:
         missing = str(tmp_path / "nope.csv")
         assert main(["mt", "--procedure", "bh", "--input", missing]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_alpha_checked_before_input_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        assert main(["mt", "--procedure", "by", "--alpha", "1.5", "--input", missing]) == 2
+        err = capsys.readouterr().err
+        assert "alpha must lie in (0, 1), got 1.5" in err and "No such file" not in err
 
     def test_malformed_statistic_exits_2(self, tmp_path, capsys):
         inp = write(tmp_path / "p.csv", "0.5\nbroken\n")
@@ -132,6 +139,17 @@ class TestUsage:
             "simulate 0 True",
         ], proc.stderr
 
+    def test_readme_commands_parse(self):
+        # every command in the README's "Command line" block uses current flags
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("activetest ")]
+        assert sorted(argv[1] for argv in commands) == ["conformal", "gwas", "mt", "run",
+                                                        "simulate"]
+        for argv in commands:
+            assert build_parser().parse_args(argv[1:]).command == argv[1]
+
     def test_one_version_string(self, tmp_path, capsys):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -203,6 +221,12 @@ class TestSimulate:
         assert main(args) == 2  # noisy requires sigma
         assert "sigma" in capsys.readouterr().err
 
+    def test_repeated_method_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(self.ARGS + ["--methods", "active,xu,active", "--out", str(out)]) == 2
+        assert "methods must be distinct, got active,xu,active" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_run_leaves_no_output(self, tmp_path):
         out = tmp_path / "x.csv"
         args = ["simulate", "--dgp", "noisy", "--mode", "e", "--n", "100", "--pi", "0.1",
@@ -265,6 +289,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"budget must be positive, got {float(budget)!r}" in err
         assert "No such file" not in err
+
+    @pytest.mark.parametrize("budget,message", [
+        ("2.5", "random baseline needs an integer budget, got 2.5"),
+        ("nan", "random baseline needs an integer budget, got nan"),
+        ("-1", "budget must lie in [0, inf], got -1"),
+    ])
+    def test_random_budget_refused_before_input_is_read(self, tmp_path, capsys, budget,
+                                                         message):
+        args = ["run", "--input", str(tmp_path / "missing.csv"), "--mode", "e",
+                "--method", "random", "--budget", budget, "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert message in err and "No such file" not in err
+
+    def test_random_budget_above_n_refused_after_read(self, tmp_path, capsys):
+        args = ["run", "--input", self.make_input(tmp_path), "--mode", "e",
+                "--method", "random", "--budget", "1000", "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 2
+        assert "budget must lie in [0, " in capsys.readouterr().err
 
     def test_all_needs_no_budget(self, tmp_path):
         inp = self.make_input(tmp_path)
@@ -419,6 +462,22 @@ class TestGwas:
         assert flags.count("true") == int(config["n_queries"])
         assert int(config["n_queries"]) <= 10 + 4 * math.sqrt(10)
 
+    @pytest.mark.parametrize("settings,message", [
+        (["--budget", "nan"], "budget must be positive, got nan"),
+        (["--budget", "-3", "--method", "xu"], "budget must be positive, got -3.0"),
+        (["--budget", "2.5", "--method", "random"],
+         "random baseline needs an integer budget, got 2.5"),
+        (["--budget", "5", "--beta", "1.5"], "beta must lie strictly inside (0, 1), got 1.5"),
+        (["--budget", "5", "--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
+    ])
+    def test_settings_checked_before_tables_are_read(self, tmp_path, capsys, settings,
+                                                     message):
+        args = ["gwas", "--target", str(tmp_path / "missing_t.csv"),
+                "--aux", str(tmp_path / "missing_a.csv"), "--out", str(tmp_path / "o.csv")]
+        assert main(args + settings) == 2
+        err = capsys.readouterr().err
+        assert message in err and "No such file" not in err
+
     def test_no_overlap_exits_2(self, tmp_path, capsys):
         t = write(tmp_path / "t.csv", "rsid,pval\nrsA,0.5\n")
         a = write(tmp_path / "a.csv", "rsid,pval\nrsB,0.5\n")
@@ -487,6 +546,37 @@ class TestHeaderEcho:
             "mt": ["mt", "--procedure", "by", "--alpha", "0.05",
                    "--input", inp("p.txt", "0.01\n0.5\n")],
         }[command]
+
+    # the parsed options of each argv below, less the output paths, in parse order
+    PARSED = {
+        "simulate": ["command", "dgp", "mode", "n", "pi", "sigma", "rho", "budget", "beta",
+                     "alpha", "reps", "seed", "threads", "methods"],
+        "run": ["command", "input", "mode", "method", "budget", "beta", "utility", "seed"],
+        "gwas": ["command", "target", "aux", "key_col", "p_col", "budget", "beta", "alpha",
+                 "method", "seed"],
+        "conformal": ["command", "cal", "test"],
+        "mt": ["command", "procedure", "alpha", "input"],
+    }
+    DERIVED = {
+        "simulate": ["tau_sq", "lambda"],
+        "run": ["n_queries"],
+        "gwas": ["n_queries", "oracle_size", "recovered_size", "efficiency"],
+        "conformal": ["n_calibration", "n_test"],
+        "mt": ["k_hat"],
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "run", "gwas", "conformal", "mt"])
+    def test_header_keys_in_order(self, tmp_path, command):
+        out = tmp_path / "o.csv"
+        argv = self.argv(command, tmp_path) + ["--out", str(out)]
+        parsed = [key for key in vars(build_parser().parse_args(argv))
+                  if key not in ("out", "agg_out")]
+        assert parsed == self.PARSED[command]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"# activetest {__version__}"
+        keys = [line[2:].partition(" = ")[0] for line in lines[1:] if line.startswith("#")]
+        assert keys == self.PARSED[command] + self.DERIVED[command]
 
     @pytest.mark.parametrize("command", ["simulate", "run", "gwas", "conformal", "mt"])
     def test_every_parsed_option_is_echoed(self, tmp_path, command):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from activetest.engine import UniqueIds
+from activetest import pipeline
+from activetest.allocation import DEFAULT_FAMILY
+from activetest.engine import UniqueIds, run_method
 from activetest.errors import DataError, DomainError
 from activetest.pipeline import (
-    PIPELINE_UTILITY,
     AlignedPair,
     SummaryTable,
     align,
@@ -299,8 +300,17 @@ class TestOracleRecovery:
             random_eff.append(r.efficiency)
         assert np.mean(active_eff) >= np.mean(random_eff)
 
-    def test_pipeline_utility_default(self):
-        assert PIPELINE_UTILITY == "log_inverse"
+    def test_pipeline_utility_default(self, monkeypatch):
+        # the p-type auxiliaries are weighed by the inverse default family
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["utility"])
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_method", spy)
+        oracle_recovery(synthetic_pair(), n_b=20, beta=0.5, method="active", alpha=0.1)
+        assert seen == [DEFAULT_FAMILY["inverse"]] == ["log_inverse"]
 
 class TestAlignedPairMemo:
     METHODS = ("active", "active-xu", "xu", "random", "all")

@@ -85,6 +85,17 @@ class TestBy:
             sum(1.0 / i for i in range(1, 10_001)), rel=1e-12
         )
 
+    def test_harmonic_number_computed_once_per_n(self):
+        # the memo returns the same smallest-first sum, so BY's thresholds
+        # do not change
+        harmonic_number.cache_clear()
+        fresh = float(np.sum(1.0 / np.arange(100_000, 0, -1, dtype=np.float64)))
+        assert harmonic_number(100_000) == fresh
+        assert harmonic_number(100_000) == fresh
+        assert harmonic_number.cache_info()[:2] == (1, 1)  # hits, misses
+        with pytest.raises(DomainError):
+            harmonic_number(0)
+
 
 class TestEbh:
     def test_worked_example(self):

@@ -17,11 +17,10 @@ from activetest.simulate import (
     DESK_REPS,
     DgpSpec,
     SignalDraw,
-    default_construction,
+    _cell_defaults,
     gen_signal,
     make_statistics,
     run_experiment,
-    utility_defaults,
 )
 
 
@@ -220,13 +219,16 @@ class TestUtilityDefaults:
         ],
     )
     def test_mapping(self, kind, mode, family):
-        assert utility_defaults(kind, mode) == family
+        assert _cell_defaults(kind, mode)[0] == family
 
     def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            utility_defaults("spiky", "e")
-        with pytest.raises(DomainError):
-            utility_defaults("signal", "q")
+        # DgpSpec refuses the kind before any default is looked up
+        with pytest.raises(DomainError, match="unknown DGP kind"):
+            DgpSpec("spiky", n=50, pi=0.2)
+        with pytest.raises(DomainError, match="mode must be 'e' or 'p'"):
+            _cell_defaults("signal", "q")
+        with pytest.raises(DomainError, match="mode must be 'e' or 'p'"):
+            run_experiment(DgpSpec("signal", n=50, pi=0.2), ["all"], n_b=5, reps=1, mode="q")
 
     @pytest.mark.parametrize(
         "kind,mode,expected",
@@ -238,7 +240,7 @@ class TestUtilityDefaults:
         ],
     )
     def test_construction_mapping(self, kind, mode, expected):
-        assert default_construction(kind, mode).kind == expected
+        assert _cell_defaults(kind, mode)[1].kind == expected
 
 
 class TestRunExperiment:
@@ -337,6 +339,12 @@ class TestRunExperiment:
         digests = tuple(hashlib.sha256(text.encode()).hexdigest()
                         for text in (result.per_rep_csv(), result.aggregate_csv()))
         assert digests == self.GOLDEN[cell]
+
+    @pytest.mark.parametrize("methods", [["active", "active"], ["xu", "all", "xu"]])
+    def test_repeated_method_refused(self, methods):
+        spec = DgpSpec("signal", n=200, pi=0.2)
+        with pytest.raises(DomainError, match="methods must be distinct"):
+            run_experiment(spec, methods, n_b=20, reps=1, seed=1)
 
     def test_reps_and_threads_validated(self):
         spec = DgpSpec("signal", n=200, pi=0.2)
