@@ -36,7 +36,6 @@ from .errors import (
     DataError,
     DegenerateUtilitiesError,
     DomainError,
-    InternalLogicError,
 )
 from .pipeline import (
     AlignedPair,
@@ -75,7 +74,6 @@ __all__ = [
     "E_VALUES",
     "ExperimentResult",
     "HypothesisSet",
-    "InternalLogicError",
     "MethodSpec",
     "P_GENERAL",
     "P_INDEPENDENT",

@@ -70,10 +70,6 @@ class AllocationResult:
     expected_queries: float
     clamp_count: int
 
-    @property
-    def query_prob(self) -> np.ndarray:
-        return np.minimum(1.0, self.h)
-
 
 def check_budget(n_b: float) -> None:
     """Refuse a budget that is not a finite number above 0."""

@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError, InternalLogicError
+from .errors import DomainError
 from .rng import MC_BRANCH, uniforms
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "P_GENERAL",
     "check_beta",
     "check_draws",
-    "check_exact_domain",
+    "check_domain",
     "active_e",
     "active_p",
     "active_values",
@@ -102,16 +102,11 @@ P_GENERAL = StatMode("p_general")
 Lazy = Union[float, Callable[[], float]]
 
 
-def _evaluate(lazy: Lazy) -> float:
-    return float(lazy()) if callable(lazy) else float(lazy)
-
-
 def _active_one(exact: Lazy, h: float, beta: float, mode: StatMode, u: float) -> ActiveOutcome:
     """``active_values`` on one hypothesis; ``exact`` is evaluated only on query."""
-    values, queried, scales = active_values(
-        np.array([float(h)]), np.array([float(u)]), lambda idx: [_evaluate(exact) for _ in idx],
-        mode, beta,
-    )
+    fetch = lambda idx: [float(exact() if callable(exact) else exact) for _ in idx]
+    values, queried, scales = active_values(np.array([float(h)]), np.array([float(u)]), fetch,
+                                            mode, beta)
     return ActiveOutcome(value=float(values[0]), queried=bool(queried[0]), scale=float(scales[0]))
 
 
@@ -160,46 +155,47 @@ def active_values(
         raise DomainError("allocation levels must be finite and >= 0")
     queried = u < np.minimum(1.0, h)
     no_query = ~queried
-    if np.any(h[no_query] >= 1.0):
-        raise InternalLogicError("no-query branch reached with h >= 1")
-
+    query_idx = np.flatnonzero(queried)
     values = np.empty_like(h)
     scales = np.zeros_like(h)
-    query_idx = np.nonzero(queried)[0]
-    exact = np.asarray(fetch_exact(query_idx), dtype=np.float64)
     if mode.is_e:
         values[no_query] = beta / (1.0 - h[no_query])
-        if query_idx.size:
-            check_exact_domain(exact, mode, query_idx)
-            # a level near 0 is queried only on a replayed draw of 0; its
-            # scale or value may overflow to inf, and inf * 0 is the one nan:
-            # an exact 0 stays 0 at any scale
-            with np.errstate(over="ignore", invalid="ignore"):
-                scales[query_idx] = (1.0 - beta) / h[query_idx]
-                scaled = scales[query_idx] * exact
-            values[query_idx] = np.where(np.isnan(scaled), 0.0, scaled)
+        # a level near 0 is queried only on a replayed draw of 0: its scale may be inf
+        with np.errstate(over="ignore"):
+            scales[query_idx] = (1.0 - beta) / h[query_idx]
     else:
         values[no_query] = np.minimum(1.0, (1.0 - h[no_query]) / beta)
-        if query_idx.size:
-            check_exact_domain(exact, mode, query_idx)
-            if mode.kind == "p_independent":
-                scales[query_idx] = h[query_idx] / (1.0 - beta)
-            else:
-                scales[query_idx] = 1.0 / (1.0 - beta)
-            values[query_idx] = np.minimum(1.0, scales[query_idx] * exact)
+        scales[query_idx] = (h[query_idx] if mode.kind == "p_independent" else 1.0) / (1.0 - beta)
+    _construct(values, query_idx, fetch_exact, mode, lambda exact: scales[query_idx] * exact)
     return values, queried, scales
 
 
-def check_exact_domain(exact: np.ndarray, mode: StatMode, idx: np.ndarray) -> None:
-    if mode.is_e:
-        bad = ~np.isfinite(exact) | (exact < 0.0)
-        label = "e-value"
-    else:
-        bad = ~np.isfinite(exact) | (exact < 0.0) | (exact > 1.0)
-        label = "p-value"
+def _construct(values: np.ndarray, query_idx: np.ndarray, fetch_exact: Callable, mode: StatMode,
+               rule: Callable[[np.ndarray], np.ndarray]) -> None:
+    """The tail of every method: read the exact statistics once, at the rows
+    ``query_idx``, through ``fetch_exact``, check their domain, and write
+    ``rule(exact)`` over the no-query ``values`` there.  A p-type output is
+    capped at 1; an exact e-value 0 at an infinite scale stays 0."""
+    exact = np.asarray(fetch_exact(query_idx), dtype=np.float64)
+    check_domain(exact, mode, "exact", query_idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rule(exact)
+    values[query_idx] = np.minimum(1.0, out) if mode.is_p else np.where(np.isnan(out), 0.0, out)
+
+
+def check_domain(x: np.ndarray, mode: StatMode, column: str, rows=None) -> None:
+    """Refuse a value of ``x`` outside ``mode``'s domain ([0, 1] for p, finite
+    and >= 0 for e), naming the first offender's index (``rows[i]``, or its
+    position i) and value; the error carries that index."""
+    bad = ~np.isfinite(x) | (x < 0.0)
+    if mode.is_p:
+        bad |= x > 1.0
     if np.any(bad):
-        where = int(idx[np.nonzero(bad)[0][0]])
-        raise DomainError(f"exact {label} out of domain at index {where}")
+        i = int(np.flatnonzero(bad)[0])
+        row = i if rows is None else int(rows[i])
+        rule = "lie in [0, 1]" if mode.is_p else "be finite and >= 0"
+        raise DomainError(f"{column} {mode.kind[0]}-values must {rule}: offending index {row} "
+                          f"has {column} {float(x[i])!r}", index=row)
 
 
 _MIN_MC_SAMPLES = 10_000

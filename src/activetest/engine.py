@@ -7,9 +7,10 @@ Methods
     random      uniform subset of exactly n_b hypotheses
     all         query everything
 
-Each run reads the exact statistics once, at the rows its query mask
-selects, so ``n_queries`` is the number of exact statistics read.
-``run_method`` is the one entry point for all five.
+``run_method`` is the one entry point for all five.  A method picks its
+query mask, no-query values and queried-row rule; every run then ends in
+``core``'s one construction tail, which reads the exact statistics once,
+at the queried rows (so ``n_queries`` is the number read).
 Per-hypothesis randomness is keyed by the hypothesis id when ids are given
 (by position otherwise), which makes outputs invariant to input row order;
 the Random baseline draws a subset of positions by design.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .allocation import (AllocationResult, allocate_utilities, check_budget, check_family,
                          eval_utility)
-from .core import StatMode, active_values, check_beta, check_draws, check_exact_domain
+from .core import StatMode, _construct, active_values, check_beta, check_domain, check_draws
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
 
@@ -248,17 +249,6 @@ def csv_text(header: str, columns: Sequence) -> str:
     return "".join(parts)
 
 
-def _check_aux_domain(hs: HypothesisSet, mode: StatMode) -> None:
-    aux = hs.aux
-    bad = ~np.isfinite(aux) | (aux < 0.0)
-    if mode.is_p:
-        bad |= aux > 1.0
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        kind = "p-type auxiliaries must lie in [0, 1]" if mode.is_p else "e-type auxiliaries must be >= 0"
-        raise DomainError(f"{kind}: offending id {hs.id_of(i)!r} has aux {float(aux[i])!r}")
-
-
 def _branch_draws(hs: HypothesisSet, seed: int, rep: int, u) -> np.ndarray:
     if u is None:
         key = (seed, rep)
@@ -363,74 +353,68 @@ def xu_query_prob(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
     return np.maximum(0.0, 1.0 - beta * aux)
 
 
-def _fixed_rule(hs: HypothesisSet, mode: StatMode, queried: np.ndarray, values: np.ndarray,
-                on_query: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Shared kernel of xu, random and all: one rule for every queried row.
-
-    ``values`` holds the no-query values and is overwritten where queried
-    with ``on_query(exact)``, then returned.
-    """
-    idx = np.nonzero(queried)[0]
-    exact = hs.exact_at(idx)
-    check_exact_domain(exact, mode, idx)
-    values[idx] = on_query(exact)
-    return values
-
-
 def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: float,
                seed: int = DEFAULT_SEED, rep: int = 0,
                utility: Optional[str] = None, u=None) -> RunOutput:
     """Run one named method on the hypotheses.
 
-    Each method picks a query mask, the no-query values and the query
-    scale; the exact statistics are then read once, at the queried rows.
-    The budget ``n_b`` is checked for every method, whether or not it
-    spends one.  ``utility`` names the utility family that drives the
-    active method's allocation; every method refuses a name that is not a
-    family.  ``u`` replays the per-hypothesis branch draws of active,
-    active-xu and xu; by default they come from the counter-based stream
-    keyed by id, and the set keeps those of the last (seed, rep).
+    Each method picks a query mask, the no-query values and the rule for a
+    queried row; the exact statistics are then read once, at the queried
+    rows.  A value of ``aux`` or ``exact`` out of its mode's domain is
+    refused with its id.  The budget ``n_b`` is checked for every method,
+    whether or not it spends one.  ``utility`` names the utility family
+    that drives the active method's allocation; every method refuses a
+    name that is not a family.  ``u`` replays the per-hypothesis branch
+    draws of active, active-xu and xu; by default they come from the
+    counter-based stream keyed by id, and the set keeps those of the last
+    (seed, rep).
     """
-    _check_aux_domain(hs, mode)
     variant, beta = method.variant, method.beta
-    if u is not None and variant not in BRANCH_METHODS:
-        raise DomainError(f"method {variant!r} draws no branch coins to replay")
-    n = len(hs)
-    check_method_budget(variant, n_b, n)
-    if utility is not None:
-        check_family(utility)
-    alloc = None
-    if variant in ("active", "active-xu"):
+    try:
+        check_domain(hs.aux, mode, "aux")
+        if u is not None and variant not in BRANCH_METHODS:
+            raise DomainError(f"method {variant!r} draws no branch coins to replay")
+        n = len(hs)
+        check_method_budget(variant, n_b, n)
+        if utility is not None:
+            check_family(utility)
+        alloc = None
         if variant == "active":
             if utility is None:
                 raise DomainError("the active method requires a utility family")
             alloc = _allocation(hs, variant, (utility, n_b), n_b,
                                 lambda: eval_utility(utility, hs.aux))
-        else:
+        elif variant == "active-xu":
             alloc = _allocation(hs, variant, (beta, mode.is_e, n_b), n_b,
                                 lambda: xu_query_prob(hs.aux, beta, mode))
-        h = alloc.h
-        values, queried, _ = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
-                                           mode, beta)
-    elif variant == "xu":
-        # no global budget: on no-query the auxiliary itself is reported
-        h = xu_query_prob(hs.aux, beta, mode)
-        queried = check_draws(_branch_draws(hs, seed, rep, u)) < h
-        if mode.is_e:
-            values = _fixed_rule(hs, mode, queried, hs.aux.copy(),
-                                 lambda exact: (1.0 - beta) * exact)
+        elif variant == "xu":
+            # no global budget: on no-query the auxiliary itself is reported
+            h = xu_query_prob(hs.aux, beta, mode)
+            queried = check_draws(_branch_draws(hs, seed, rep, u)) < h
+            values = hs.aux.copy()
+            rule = ((lambda exact: (1.0 - beta) * exact) if mode.is_e
+                    else (lambda exact: exact / (1.0 - beta)))
         else:
-            values = _fixed_rule(hs, mode, queried, hs.aux.copy(),
-                                 lambda exact: np.minimum(1.0, exact / (1.0 - beta)))
-    else:
-        # random and all report the exact statistic unchanged, 1 elsewhere
-        if variant == "random":
-            queried = _random_subset(n, n_b, seed, rep)
-            h = np.full(n, int(n_b) / n)
+            # random and all report the exact statistic unchanged, 1 elsewhere
+            if variant == "random":
+                queried = _random_subset(n, n_b, seed, rep)
+                h = np.full(n, int(n_b) / n)
+            else:
+                queried = np.ones(n, dtype=bool)
+                h = np.ones(n)
+            values, rule = np.ones(n), (lambda exact: exact)
+        if alloc is None:
+            _construct(values, np.flatnonzero(queried), hs.exact_at, mode, rule)
         else:
-            queried = np.ones(n, dtype=bool)
-            h = np.ones(n)
-        values = _fixed_rule(hs, mode, queried, np.ones(n), lambda exact: exact)
+            h = alloc.h
+            values, queried, _ = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
+                                               mode, beta)
+    except DomainError as exc:
+        if exc.index is None:
+            raise
+        # a value out of its domain is named by its id, not its index
+        i = exc.index
+        raise DomainError(str(exc).replace(f"index {i} ", f"id {hs.id_of(i)!r} ", 1)) from None
     return RunOutput(
         method=variant,
         values=values,

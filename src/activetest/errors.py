@@ -27,7 +27,3 @@ class DegenerateUtilitiesError(DomainError):
 
 class DataError(ActiveTestError, ValueError):
     """An input table or file is malformed or inconsistent."""
-
-
-class InternalLogicError(ActiveTestError, RuntimeError):
-    """A branch that should be statically unreachable was taken."""

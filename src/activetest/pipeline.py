@@ -19,7 +19,8 @@ import numpy as np
 
 from .allocation import DEFAULT_FAMILY
 from .core import P_INDEPENDENT
-from .engine import HypothesisSet, MethodSpec, RunOutput, UniqueIds, run_method
+from .engine import (HypothesisSet, MethodSpec, RunOutput, UniqueIds, check_method_budget,
+                     run_method)
 from .errors import DataError, DomainError
 from .procedures import by
 from .rng import DEFAULT_SEED
@@ -372,9 +373,11 @@ def oracle_recovery(
     ``aligned.to_hypotheses()``.  Repeated calls on one pair reuse its
     hashed ids and its oracle for ``alpha``.
     """
+    spec = MethodSpec(str(method), beta=beta)
+    check_method_budget(spec.variant, n_b, len(aligned))
     oracle = aligned._oracle(alpha)
-    out = run_method(aligned.to_hypotheses(), MethodSpec(str(method), beta=beta),
-                     mode=P_INDEPENDENT, n_b=n_b, seed=seed, utility=DEFAULT_FAMILY["inverse"])
+    out = run_method(aligned.to_hypotheses(), spec, mode=P_INDEPENDENT, n_b=n_b, seed=seed,
+                     utility=DEFAULT_FAMILY["inverse"])
     recovered = by(out.values, alpha).rejected
     overlap = np.intersect1d(recovered, oracle).size
     efficiency = overlap / out.n_queries if out.n_queries else 0.0

@@ -18,6 +18,8 @@ from hashlib import blake2b
 
 import numpy as np
 
+from .errors import DomainError
+
 # Purpose tags.  Distinct tags yield independent streams for the same
 # (seed, rep, index).
 QUERY_DRAW = 0     # per-hypothesis query/no-query Bernoulli draw
@@ -47,17 +49,26 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _word(v) -> int:
+    try:
+        whole = int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise DomainError(f"seed, rep, index, purpose and draw must be whole numbers, got {v!r}")
+    return int(v) & _MASK
+
+
 def _words(x) -> np.ndarray:
     # Python ints (possibly negative or >64-bit) and integer arrays both map
-    # onto uint64 by wrapping.
+    # onto uint64 by wrapping; any other value must be a whole number.
     arr = np.asarray(x)
     if arr.dtype == np.uint64:
         return arr
     if arr.dtype.kind in "iu":
         return arr.astype(np.uint64)
-    if arr.ndim == 0:
-        return np.asarray(int(arr) & _MASK, dtype=np.uint64)
-    return np.asarray([int(v) & _MASK for v in arr.ravel()], dtype=np.uint64).reshape(arr.shape)
+    return np.asarray([_word(v) for v in arr.ravel().tolist()],
+                      dtype=np.uint64).reshape(arr.shape)
 
 
 def _state(seed, rep, index, purpose, draw) -> np.ndarray:

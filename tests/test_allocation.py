@@ -119,7 +119,7 @@ class TestAllocate:
 
     def test_query_prob_property(self):
         res = allocate_utilities([1.0, 2.0, 3.0], 3.0)
-        np.testing.assert_allclose(res.query_prob, [0.5, 1.0, 1.0])
+        np.testing.assert_allclose(np.minimum(1.0, res.h), [0.5, 1.0, 1.0])
 
     def test_utilities_validated(self):
         with pytest.raises(DomainError):
@@ -156,4 +156,4 @@ class TestBudget:
 
 def test_allocation_result_is_plain_accounting():
     res = AllocationResult(np.array([0.5]), 0.5, 0)
-    np.testing.assert_allclose(res.query_prob, [0.5])
+    np.testing.assert_allclose(np.minimum(1.0, res.h), [0.5])

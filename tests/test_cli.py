@@ -337,6 +337,37 @@ class TestRun:
         assert "p-value" in capsys.readouterr().err
         assert not out.exists()
 
+    # row b is queried by every method: its auxiliary draws the largest
+    # level (a sure query for xu), and the budget covers every row
+    @pytest.mark.parametrize("method", ["active", "active-xu", "xu", "random", "all"])
+    @pytest.mark.parametrize("mode,aux,good,bad", [
+        ("e", "1e300", "2.0", "-2.0"),
+        ("p-independent", "0.0", "0.2", "1.5"),
+        ("p-general", "0.0", "0.2", "nan"),
+    ])
+    def test_out_of_domain_exact_named_by_id(self, tmp_path, capsys, method, mode, aux, good,
+                                             bad):
+        other = "0.5" if mode == "e" else "0.9"
+        inp = write(tmp_path / "in.csv", f"id,aux,exact\na,{other},{good}\n"
+                                         f"b,{aux},{bad}\nc,{other},{good}\n")
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", inp, "--mode", mode, "--method", method, "--budget", "3",
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"exact {mode[0]}-values must" in err
+        assert f"offending id 'b' has exact {bad}" in err
+        assert "line" not in err and not out.exists()
+
+    @pytest.mark.parametrize("method", ["active", "xu", "all"])
+    @pytest.mark.parametrize("mode,bad", [("e", "-1.0"), ("p-general", "1.2")])
+    def test_out_of_domain_aux_named_by_id(self, tmp_path, capsys, method, mode, bad):
+        inp = write(tmp_path / "in.csv", f"id,aux,exact\na,0.5,0.5\nb,{bad},0.5\n")
+        args = ["run", "--input", inp, "--mode", mode, "--method", method, "--budget", "2",
+                "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 2
+        assert f"offending id 'b' has aux {bad}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode,family", [
         ("e", "log1p"), ("p-independent", "log_inverse"), ("p-general", "log_inverse"),
     ])

@@ -312,6 +312,27 @@ class TestOracleRecovery:
         oracle_recovery(synthetic_pair(), n_b=20, beta=0.5, method="active", alpha=0.1)
         assert seen == [DEFAULT_FAMILY["inverse"]] == ["log_inverse"]
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_b": float("nan")}, "budget must be positive"),
+        ({"n_b": 2.5, "method": "random"}, "integer budget"),
+        ({"n_b": 1e9, "method": "random"}, "budget must lie in"),
+        ({"beta": 1.5}, "beta must lie"),
+        ({"method": "bogus"}, "unknown method"),
+    ], ids=["nan-budget", "random-fraction", "random-above-n", "beta", "method"])
+    def test_settings_refused_before_oracle(self, monkeypatch, kwargs, message):
+        # a refused setting costs no BY pass over the target p-values
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return by(*args, **kw)
+
+        monkeypatch.setattr(pipeline, "by", counting)
+        settings = {"n_b": 20, "beta": 0.5, "method": "active", "alpha": 0.1, **kwargs}
+        with pytest.raises(DomainError, match=message):
+            oracle_recovery(synthetic_pair(), **settings)
+        assert calls == []
+
 class TestAlignedPairMemo:
     METHODS = ("active", "active-xu", "xu", "random", "all")
 

@@ -88,6 +88,31 @@ def test_scalar_constructions_equal_active_values(data, mode, beta):
         assert out.queried == queried[i]
 
 
+@PROPERTY
+@given(data=st.data(), mode=st.sampled_from(MODES), beta=betas)
+def test_sure_levels_always_queried(data, mode, beta):
+    # a draw lies in [0, 1), so a level h >= 1 is queried at every draw and
+    # the no-query value, which needs h < 1, is never formed from it
+    aux, exact = data.draw(hypotheses(mode))
+    n = exact.size
+    levels = st.one_of(st.floats(min_value=0.0, max_value=10.0), st.sampled_from([1.0, 1e300]))
+    h = np.array(data.draw(st.lists(levels, min_size=n, max_size=n)))
+    u = np.array(data.draw(st.lists(draws, min_size=n, max_size=n)))
+    _, queried, _ = active_values(h, u, lambda idx: exact[idx], mode, beta)
+    assert queried[h >= 1.0].all()
+
+    n_b = float(data.draw(st.integers(1, n)))
+    hs = HypothesisSet(aux, exact)
+    utility = "log1p" if mode.is_e else "log_inverse"
+    for method in ("active", "active-xu", "xu"):
+        try:
+            out = run_method(hs, MethodSpec(method, beta=beta), mode=mode, n_b=n_b,
+                             utility=utility, u=u)
+        except DegenerateUtilitiesError:
+            continue  # all-zero utilities are rejected by design
+        assert out.queried[out.h >= 1.0].all()
+
+
 def closed_form(method, mode, beta, aux, exact, h, queried):
     """Per-row value of each method's rule, in plain Python floats."""
     out = []

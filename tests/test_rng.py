@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from activetest import rng
+from activetest.errors import DomainError
 from activetest.rng import (
     DEFAULT_SEED,
     MC_BRANCH,
@@ -35,6 +36,26 @@ class TestDeterminism:
         u0 = uniforms(base["seed"], base["rep"], base["index"], base["purpose"], base["draw"])
         u1 = uniforms(bumped["seed"], bumped["rep"], bumped["index"], bumped["purpose"], bumped["draw"])
         assert u0 != u1
+
+    @pytest.mark.parametrize("field", ["seed", "rep", "index", "purpose", "draw"])
+    @pytest.mark.parametrize("bad", [1.7, 0.2, np.array([0.2, 0.9, 1.0]), float("nan"),
+                                     float("inf"), "3"],
+                             ids=["1.7", "0.2", "array", "nan", "inf", "text"])
+    def test_words_that_are_not_whole_numbers_refused(self, field, bad):
+        words = {**dict(seed=1, rep=0, index=3, purpose=QUERY_DRAW, draw=0), field: bad}
+        with pytest.raises(DomainError, match="must be whole numbers"):
+            uniforms(**words)
+
+    def test_whole_words_draw_as_their_integers(self):
+        idx = np.array([0, 5, 2**40])
+        want = uniforms(3, 1, idx, QUERY_DRAW)
+        np.testing.assert_array_equal(uniforms(3.0, 1.0, idx.astype(float), QUERY_DRAW), want)
+        np.testing.assert_array_equal(uniforms(np.int32(3), True, idx.astype(object),
+                                               QUERY_DRAW), want)
+        # Python ints of any size wrap onto 64 bits, as integer arrays do
+        assert uniforms(2**64 + 3, 1 - 2**64, 5, QUERY_DRAW) == want[1]
+        assert uniforms(-1, 0, 0, 0) == uniforms(2**64 - 1, 0, 0, 0)
+        np.testing.assert_array_equal(uniforms(3, 1, idx.astype(np.uint64), QUERY_DRAW), want)
 
 
 class TestRange:
