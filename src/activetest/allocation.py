@@ -49,7 +49,8 @@ def eval_utility(family: str, x) -> np.ndarray:
     """Evaluate the utility family ``family`` on a scalar or array of auxiliary values."""
     check_family(family)
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
+    # min and max are nan when any value is
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
         raise DomainError("auxiliary values must be finite and >= 0")
     if family == "identity":
         out = arr.copy()
@@ -94,7 +95,7 @@ def allocate_utilities(utilities, n_b: float) -> AllocationResult:
             level, frame = level + 1, frame.f_back
         warnings.warn(f"budget {n_b} exceeds the {u.size} hypotheses; clamping", stacklevel=level)
         n_b = float(u.size)
-    if np.any(~np.isfinite(u)) or np.any(u < 0.0):
+    if not (u.min() >= 0.0 and u.max() < np.inf):
         raise DomainError("utilities must be finite and >= 0")
     # sorted pairwise sum: permutation-invariant total, so allocations are
     # reproducible regardless of input order or reduction scheduling

@@ -153,6 +153,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
+    flag = {"noisy": "sigma", "correlated": "rho"}.get(args.dgp)
+    if flag is not None and getattr(args, flag) is None:
+        raise _UsageError(f"--{flag} is required for --dgp {args.dgp}")
     spec = DgpSpec(kind=args.dgp, n=args.n, pi=args.pi, alpha=args.alpha,
                    sigma=args.sigma, rho=args.rho)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

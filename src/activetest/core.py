@@ -151,20 +151,22 @@ def active_values(
     u = check_draws(u)
     if h.shape != u.shape:
         raise DomainError("h and u must be aligned")
-    if np.any(~np.isfinite(h)) or np.any(h < 0.0):
+    # min and max are nan when any level is
+    if h.size and not (h.min() >= 0.0 and h.max() < np.inf):
         raise DomainError("allocation levels must be finite and >= 0")
     queried = u < np.minimum(1.0, h)
-    no_query = ~queried
     query_idx = np.flatnonzero(queried)
-    values = np.empty_like(h)
     scales = np.zeros_like(h)
+    # the no-query value on every row: u < 1, so each row with h >= 1 (whose
+    # value here is inf or out of domain) is queried and _construct overwrites it
     if mode.is_e:
-        values[no_query] = beta / (1.0 - h[no_query])
+        with np.errstate(divide="ignore"):
+            values = beta / (1.0 - h)
         # a level near 0 is queried only on a replayed draw of 0: its scale may be inf
         with np.errstate(over="ignore"):
             scales[query_idx] = (1.0 - beta) / h[query_idx]
     else:
-        values[no_query] = np.minimum(1.0, (1.0 - h[no_query]) / beta)
+        values = np.minimum(1.0, (1.0 - h) / beta)
         scales[query_idx] = (h[query_idx] if mode.kind == "p_independent" else 1.0) / (1.0 - beta)
     _construct(values, query_idx, fetch_exact, mode, lambda exact: scales[query_idx] * exact)
     return values, queried, scales
@@ -187,15 +189,20 @@ def check_domain(x: np.ndarray, mode: StatMode, column: str, rows=None) -> None:
     """Refuse a value of ``x`` outside ``mode``'s domain ([0, 1] for p, finite
     and >= 0 for e), naming the first offender's index (``rows[i]``, or its
     position i) and value; the error carries that index."""
+    if not x.size:
+        return
+    # min and max are nan when any value is; the mask is built only to name it
+    top = x.max()
+    if x.min() >= 0.0 and (top <= 1.0 if mode.is_p else top < np.inf):
+        return
     bad = ~np.isfinite(x) | (x < 0.0)
     if mode.is_p:
         bad |= x > 1.0
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        row = i if rows is None else int(rows[i])
-        rule = "lie in [0, 1]" if mode.is_p else "be finite and >= 0"
-        raise DomainError(f"{column} {mode.kind[0]}-values must {rule}: offending index {row} "
-                          f"has {column} {float(x[i])!r}", index=row)
+    i = int(np.flatnonzero(bad)[0])
+    row = i if rows is None else int(rows[i])
+    rule = "lie in [0, 1]" if mode.is_p else "be finite and >= 0"
+    raise DomainError(f"{column} {mode.kind[0]}-values must {rule}: offending index {row} "
+                      f"has {column} {float(x[i])!r}", index=row)
 
 
 _MIN_MC_SAMPLES = 10_000

@@ -379,7 +379,7 @@ def oracle_recovery(
     out = run_method(aligned.to_hypotheses(), spec, mode=P_INDEPENDENT, n_b=n_b, seed=seed,
                      utility=DEFAULT_FAMILY["inverse"])
     recovered = by(out.values, alpha).rejected
-    overlap = np.intersect1d(recovered, oracle).size
+    overlap = np.intersect1d(recovered, oracle, assume_unique=True).size
     efficiency = overlap / out.n_queries if out.n_queries else 0.0
     return RecoveryResult(
         oracle=oracle,

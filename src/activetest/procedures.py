@@ -39,8 +39,9 @@ def _check_pvalues(p) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("p-values must form a nonempty vector")
-    bad = ~((arr >= 0.0) & (arr <= 1.0))
-    if bad.any():
+    # min and max are nan when any p-value is; the mask is built only to name it
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        bad = ~((arr >= 0.0) & (arr <= 1.0))
         raise DomainError("p-values must lie in [0, 1]", index=int(bad.argmax()))
     return arr
 
@@ -89,9 +90,8 @@ def ebh(e, alpha: float) -> RejectionSet:
     arr = np.asarray(e, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("e-values must form a nonempty vector")
-    bad = ~(arr >= 0.0)
-    if bad.any():
-        raise DomainError("e-values must be >= 0", index=int(bad.argmax()))
+    if not arr.min() >= 0.0:
+        raise DomainError("e-values must be >= 0", index=int((~(arr >= 0.0)).argmax()))
     n = arr.size
     # no threshold falls below the last, n / (alpha * n), so only e-values at
     # or above it can pass: sorting them alone gives the same k-hat

@@ -100,7 +100,7 @@ class DgpSpec:
             raise DomainError(f"sigma does not apply to the {self.kind!r} DGP")
         if self.kind == "correlated":
             if self.rho is None or not -1.0 < self.rho < 1.0:
-                raise DomainError("the correlated DGP requires rho in (-1, 1)")
+                raise DomainError(f"the correlated DGP requires rho in (-1, 1), got {self.rho!r}")
         elif self.rho is not None:
             raise DomainError(f"rho does not apply to the {self.kind!r} DGP")
 
@@ -111,6 +111,12 @@ class DgpSpec:
     @property
     def lam(self) -> float:
         return math.sqrt(math.log(self.n / self.alpha))
+
+
+# one draw call per stage: a draw is a pure function of its words, so a
+# column of purposes against the index row gives each purpose's own stream
+_SIGNAL_PURPOSES = np.array([[MIXTURE_DRAW], [SIGNAL_DRAW], [PRIMARY_NOISE]], dtype=np.uint64)
+_AUX_PURPOSES = np.array([[POISSON_DRAW], [BETA_DRAW]], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,11 @@ def gen_signal(spec: DgpSpec, rep: int, seed: int) -> SignalDraw:
     """Draw the latent means, primary observations, and truth labels."""
     from scipy.special import ndtri
 
-    idx = np.arange(spec.n, dtype=np.uint64)
-    truth = uniforms(seed, rep, idx, MIXTURE_DRAW) < spec.pi
-    magnitude = np.abs(ndtri(uniforms(seed, rep, idx, SIGNAL_DRAW))) * math.sqrt(spec.tau_sq)
-    mu = np.where(truth, magnitude, 0.0)
-    z = mu + ndtri(uniforms(seed, rep, idx, PRIMARY_NOISE))
+    draws = uniforms(seed, rep, np.arange(spec.n, dtype=np.uint64), _SIGNAL_PURPOSES)
+    truth = draws[0] < spec.pi
+    magnitude, noise = ndtri(draws[1:])
+    mu = np.where(truth, np.abs(magnitude) * math.sqrt(spec.tau_sq), 0.0)
+    z = mu + noise
     return SignalDraw(mu=mu, z=z, truth=truth)
 
 
@@ -202,8 +208,9 @@ def make_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int) -> S
     idx = np.arange(spec.n, dtype=np.uint64)
     if spec.kind == "signal":
         shape = 1.0 + signal.mu
-        e_aux = _poisson_inverse(uniforms(seed, rep, idx, POISSON_DRAW), shape)
-        p_aux = 1.0 - uniforms(seed, rep, idx, BETA_DRAW) ** (1.0 / shape)
+        u_poisson, u_beta = uniforms(seed, rep, idx, _AUX_PURPOSES)
+        e_aux = _poisson_inverse(u_poisson, shape)
+        p_aux = 1.0 - u_beta ** (1.0 / shape)
     else:
         noise = ndtri(uniforms(seed, rep, idx, PROXY_NOISE))
         if spec.kind == "noisy":

@@ -216,10 +216,25 @@ class TestSimulate:
         assert agg.exists()
 
     def test_domain_error_exits_2(self, tmp_path, capsys):
-        args = ["simulate", "--dgp", "noisy", "--mode", "e", "--n", "100", "--pi", "0.1",
-                "--budget", "10", "--reps", "1", "--out", str(tmp_path / "x.csv")]
-        assert main(args) == 2  # noisy requires sigma
+        args = ["simulate", "--dgp", "noisy", "--sigma", "0", "--mode", "e", "--n", "100",
+                "--pi", "0.1", "--budget", "10", "--reps", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(args) == 2  # noisy requires sigma > 0
         assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dgp,flag", [("noisy", "--sigma"), ("correlated", "--rho")])
+    def test_missing_dgp_parameter_is_a_usage_error(self, tmp_path, capsys, dgp, flag):
+        # refused before any work: n = 1 would otherwise be a domain error
+        args = ["simulate", "--dgp", dgp, "--mode", "e", "--n", "1", "--pi", "0.1",
+                "--budget", "10", "--reps", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(args) == 1
+        assert f"{flag} is required for --dgp {dgp}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rho_out_of_domain_is_echoed(self, tmp_path, capsys):
+        args = ["simulate", "--dgp", "correlated", "--rho", "1.5", "--mode", "e", "--n", "100",
+                "--pi", "0.1", "--budget", "10", "--reps", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(args) == 2
+        assert "requires rho in (-1, 1), got 1.5" in capsys.readouterr().err
 
     def test_repeated_method_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -229,8 +244,8 @@ class TestSimulate:
 
     def test_failed_run_leaves_no_output(self, tmp_path):
         out = tmp_path / "x.csv"
-        args = ["simulate", "--dgp", "noisy", "--mode", "e", "--n", "100", "--pi", "0.1",
-                "--budget", "10", "--reps", "1", "--out", str(out)]
+        args = ["simulate", "--dgp", "noisy", "--sigma", "0", "--mode", "e", "--n", "100",
+                "--pi", "0.1", "--budget", "10", "--reps", "1", "--out", str(out)]
         assert main(args) == 2
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,38 @@ class TestVectorizedAgreement:
             assert values[i] == out.value
             assert queried[i] == out.queried
             assert scales[i] == out.scale
+
+    @pytest.mark.parametrize("mode", [E_VALUES, P_INDEPENDENT, P_GENERAL])
+    def test_matches_masked_no_query_fill_at_edge_levels(self, mode):
+        # h = 0, h = 1 and h > 1, on replayed draws that include 0; the no-query
+        # formula, formed over every row, divides by zero at h = 1 in e-mode
+        h = np.array([0.0, 0.0, 1.0, 1.0, 1.5, 1e300, 0.3, 0.3, 1e-310, 0.999999])
+        u = np.array([0.0, 0.5, 0.0, 0.99, 0.0, 0.5, 0.0, 0.7, 0.0, 0.9999999])
+        exact = np.linspace(0.0, 0.9, h.size)
+        beta = 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, queried, scales = active_values(h, u, lambda idx: exact[idx], mode, beta)
+        want_queried = u < np.minimum(1.0, h)
+        no_query = ~want_queried
+        want = np.empty_like(h)
+        want_scales = np.zeros_like(h)
+        with np.errstate(over="ignore"):
+            if mode.is_e:
+                want[no_query] = beta / (1.0 - h[no_query])
+                want_scales[want_queried] = (1.0 - beta) / h[want_queried]
+            else:
+                want[no_query] = np.minimum(1.0, (1.0 - h[no_query]) / beta)
+                top = h[want_queried] if mode.kind == "p_independent" else 1.0
+                want_scales[want_queried] = top / (1.0 - beta)
+        with np.errstate(invalid="ignore"):
+            out = want_scales[want_queried] * exact[want_queried]
+        want[want_queried] = (np.minimum(1.0, out) if mode.is_p
+                              else np.where(np.isnan(out), 0.0, out))
+        np.testing.assert_array_equal(queried, want_queried)
+        assert queried[h >= 1.0].all()
+        assert scales.tobytes() == want_scales.tobytes()
+        assert values.tobytes() == want.tobytes()
 
     def test_fetch_receives_query_indices_only(self):
         h = np.array([0.0, 0.9, 0.2, 1.5, 0.7])

@@ -11,6 +11,8 @@ of the unit tests and the benchmark.
 * With ids, permuting the rows permutes every output the same way.
 * The bulk table reader returns the same keys and bit-identical values as
   the per-row ``csv.reader`` loop it falls back to.
+* Every domain check refuses exactly when an element mask finds an
+  offender, naming the same first offender with the same message.
 * The signal DGP's Poisson sampler equals ``scipy.stats.poisson.ppf`` bit
   for bit, at CDF steps too, and returns for every finite mean.
 """
@@ -33,12 +35,14 @@ from activetest.core import (
     active_e,
     active_p,
     active_values,
+    check_domain,
 )
 from activetest import pipeline
 from activetest.engine import (
     METHOD_NAMES, HypothesisSet, MethodSpec, UniqueIds, run_method, xu_query_prob,
 )
-from activetest.errors import DegenerateUtilitiesError
+from activetest.errors import DegenerateUtilitiesError, DomainError
+from activetest.procedures import bh, by, ebh
 from activetest.simulate import _poisson_inverse
 
 MODES = [E_VALUES, P_INDEPENDENT, P_GENERAL]
@@ -309,6 +313,78 @@ def test_bulk_reader_matches_csv_reader(table, block):
     assert type(bulk[0]) is type(rows[0]) is UniqueIds
     for got, ref, want in zip(bulk[1], rows[1], values):
         assert got.tobytes() == ref.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+# the edges of the domain checks: both zeros, subnormals, 1 and its
+# neighbours, nan, both infinities and the largest finite value
+IN_UNIT = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, math.nextafter(1.0, 0.0)]
+OUTSIDE = [math.nan, math.inf, -math.inf, -5e-324, -1.0, math.nextafter(1.0, 2.0),
+           1.7976931348623157e308]
+EDGE_CHECKS = settings(PROPERTY, max_examples=200)
+
+
+@st.composite
+def edge_vectors(draw):
+    """Up to 50 values in [0, 1], of which up to two are then replaced by
+    any float, so that vectors inside each domain are drawn often."""
+    xs = draw(st.lists(st.sampled_from(IN_UNIT) | unit, max_size=50))
+    for _ in range(draw(st.integers(0, 2)) if xs else 0):
+        xs[draw(st.integers(0, len(xs) - 1))] = draw(st.sampled_from(OUTSIDE) | st.floats())
+    return np.array(xs, dtype=np.float64)
+
+
+def refusal(call):
+    """(message, index) of the domain refusal ``call`` raises, or None."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            call()
+    except DegenerateUtilitiesError:
+        return None
+    except DomainError as exc:
+        return str(exc), exc.index
+    return None
+
+
+def first(bad: np.ndarray):
+    return int(np.flatnonzero(bad)[0]) if bad.any() else None
+
+
+@EDGE_CHECKS
+@given(x=edge_vectors(), mode=st.sampled_from(MODES), with_rows=st.booleans())
+def test_check_domain_refuses_as_the_element_mask(x, mode, with_rows):
+    rows = np.arange(x.size) * 3 + 7 if with_rows else None
+    bad = ~np.isfinite(x) | (x < 0.0)
+    if mode.is_p:
+        bad |= x > 1.0
+    i = first(bad)
+    want = None
+    if i is not None:
+        row = i if rows is None else int(rows[i])
+        rule = "lie in [0, 1]" if mode.is_p else "be finite and >= 0"
+        want = (f"exact {mode.kind[0]}-values must {rule}: offending index {row} "
+                f"has exact {float(x[i])!r}", row)
+    assert refusal(lambda: check_domain(x, mode, "exact", rows)) == want
+
+
+@EDGE_CHECKS
+@given(x=edge_vectors())
+def test_procedure_and_utility_checks_refuse_as_the_element_mask(x):
+    empty = x.size == 0
+    i = first(~((x >= 0.0) & (x <= 1.0)))
+    want = (("p-values must form a nonempty vector", None) if empty
+            else None if i is None else ("p-values must lie in [0, 1]", i))
+    assert refusal(lambda: bh(x, 0.1)) == want
+    assert refusal(lambda: by(x, 0.1)) == want
+    i = first(~(x >= 0.0))
+    want = (("e-values must form a nonempty vector", None) if empty
+            else None if i is None else ("e-values must be >= 0", i))
+    assert refusal(lambda: ebh(x, 0.1)) == want
+    offending = bool((~np.isfinite(x) | (x < 0.0)).any())
+    want = ("auxiliary values must be finite and >= 0", None) if offending else None
+    assert refusal(lambda: eval_utility("identity", x)) == want
+    want = (("utilities must be a nonempty vector", None) if empty
+            else ("utilities must be finite and >= 0", None) if offending else None)
+    assert refusal(lambda: allocate_utilities(x, 0.5)) == want
 
 
 def assert_ppf_bits(u, mean):

@@ -37,6 +37,16 @@ class TestDeterminism:
         u1 = uniforms(bumped["seed"], bumped["rep"], bumped["index"], bumped["purpose"], bumped["draw"])
         assert u0 != u1
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    def test_purpose_column_matches_per_purpose_draws(self, dtype):
+        # one call with a column of purposes draws each purpose's own stream
+        idx = np.arange(50, dtype=dtype)
+        purposes = np.array([MC_BRANCH, QUERY_DRAW, SUBSET_DRAW, MC_SAMPLE], dtype=np.uint64)
+        table = uniforms(9, 4, idx, purposes[:, None])
+        assert table.shape == (4, 50)
+        for j, purpose in enumerate(purposes):
+            assert table[j].tobytes() == uniforms(9, 4, idx, purpose).tobytes()
+
     @pytest.mark.parametrize("field", ["seed", "rep", "index", "purpose", "draw"])
     @pytest.mark.parametrize("bad", [1.7, 0.2, np.array([0.2, 0.9, 1.0]), float("nan"),
                                      float("inf"), "3"],

@@ -61,6 +61,11 @@ class TestDgpSpec:
         with pytest.raises(DomainError):
             DgpSpec("correlated", n=100, pi=0.1, rho=1.0)
 
+    @pytest.mark.parametrize("rho", [None, 1.5, -1.0, float("nan")])
+    def test_correlated_rho_message_echoes_the_value(self, rho):
+        with pytest.raises(DomainError, match=rf"rho in \(-1, 1\), got {rho!r}$"):
+            DgpSpec("correlated", n=100, pi=0.1, rho=rho)
+
     def test_pi_domain(self):
         with pytest.raises(DomainError):
             DgpSpec("signal", n=100, pi=-0.1)
@@ -110,6 +115,40 @@ class TestGenSignal:
         np.testing.assert_array_equal(a.z, b.z)
         c = gen_signal(spec, rep=6, seed=9)
         assert not np.array_equal(a.z, c.z)
+
+
+def per_purpose_draws(spec, rep, seed):
+    """gen_signal and make_statistics written with one draw call per purpose."""
+    from scipy.special import ndtri
+
+    idx = np.arange(spec.n, dtype=np.uint64)
+    draw = lambda purpose: simulate.uniforms(seed, rep, idx, purpose)
+    truth = draw(simulate.MIXTURE_DRAW) < spec.pi
+    magnitude = np.abs(ndtri(draw(simulate.SIGNAL_DRAW))) * math.sqrt(spec.tau_sq)
+    mu = np.where(truth, magnitude, 0.0)
+    z = mu + ndtri(draw(simulate.PRIMARY_NOISE))
+    lam = spec.lam
+    if spec.kind == "signal":
+        e_aux = stats.poisson.ppf(draw(simulate.POISSON_DRAW), 1.0 + mu)
+        p_aux = 1.0 - draw(simulate.BETA_DRAW) ** (1.0 / (1.0 + mu))
+    else:
+        noise = ndtri(draw(simulate.PROXY_NOISE))
+        y = z + spec.sigma * noise if spec.kind == "noisy" else \
+            spec.rho * z + math.sqrt(1.0 - spec.rho**2) * noise
+        e_aux, p_aux = np.exp(lam * y - 0.5 * lam * lam), ndtr(-y)
+    return mu, z, truth, e_aux, p_aux
+
+
+@pytest.mark.parametrize("kind,extra", [("signal", {}), ("noisy", {"sigma": 2.0}),
+                                        ("correlated", {"rho": -0.4})])
+def test_one_draw_call_per_stage_equals_per_purpose_draws(kind, extra):
+    spec = DgpSpec(kind, n=3000, pi=0.2, **extra)
+    for rep in range(3):
+        signal = gen_signal(spec, rep, seed=13)
+        draw = make_statistics(spec, signal, rep, seed=13)
+        got = (signal.mu, signal.z, signal.truth, draw.e_aux, draw.p_aux)
+        for a, b in zip(got, per_purpose_draws(spec, rep, seed=13)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestMakeStatistics:
