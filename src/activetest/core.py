@@ -20,7 +20,7 @@ exact statistic is itself valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -138,6 +138,8 @@ def active_values(
     fetch_exact: Callable[[np.ndarray], np.ndarray],
     mode: StatMode,
     beta: float,
+    *,
+    plan: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized active construction.
 
@@ -145,31 +147,48 @@ def active_values(
     and returns the exact statistics for those positions.  Returns
     (values, queried, scales) aligned with ``h``; ``scales`` is 0.0 on the
     no-query branch.  ``active_e`` / ``active_p`` are its one-element form.
+
+    ``plan`` is the engine's: the no-query values ``_active_plan`` made
+    from these ``h``, ``mode`` and ``beta``, passed with draws ``u`` it
+    has already checked.  Neither is checked again.
     """
     beta = check_beta(beta)
     h = np.asarray(h, dtype=np.float64)
-    u = check_draws(u)
-    if h.shape != u.shape:
-        raise DomainError("h and u must be aligned")
-    # min and max are nan when any level is
-    if h.size and not (h.min() >= 0.0 and h.max() < np.inf):
-        raise DomainError("allocation levels must be finite and >= 0")
-    queried = u < np.minimum(1.0, h)
+    if plan is None:
+        u = check_draws(u)
+        if h.shape != u.shape:
+            raise DomainError("h and u must be aligned")
+        values = _active_plan(h, mode, beta)
+    else:
+        values = plan.copy()
+    # every draw lies in [0, 1), so u < h is u < min(1, h)
+    queried = u < h
     query_idx = np.flatnonzero(queried)
     scales = np.zeros_like(h)
-    # the no-query value on every row: u < 1, so each row with h >= 1 (whose
-    # value here is inf or out of domain) is queried and _construct overwrites it
     if mode.is_e:
-        with np.errstate(divide="ignore"):
-            values = beta / (1.0 - h)
         # a level near 0 is queried only on a replayed draw of 0: its scale may be inf
         with np.errstate(over="ignore"):
             scales[query_idx] = (1.0 - beta) / h[query_idx]
     else:
-        values = np.minimum(1.0, (1.0 - h) / beta)
         scales[query_idx] = (h[query_idx] if mode.kind == "p_independent" else 1.0) / (1.0 - beta)
     _construct(values, query_idx, fetch_exact, mode, lambda exact: scales[query_idx] * exact)
     return values, queried, scales
+
+
+def _active_plan(h: np.ndarray, mode: StatMode, beta: float) -> np.ndarray:
+    """The seed-free half of ``active_values``: check the levels ``h`` and
+    return the no-query value of every row.
+
+    A draw is below 1, so each row with h >= 1 (whose value here is inf or
+    out of domain) is queried, and the construction overwrites it.
+    """
+    # min and max are nan when any level is
+    if h.size and not (h.min() >= 0.0 and h.max() < np.inf):
+        raise DomainError("allocation levels must be finite and >= 0")
+    if mode.is_e:
+        with np.errstate(divide="ignore"):
+            return beta / (1.0 - h)
+    return np.minimum(1.0, (1.0 - h) / beta)
 
 
 def _construct(values: np.ndarray, query_idx: np.ndarray, fetch_exact: Callable, mode: StatMode,

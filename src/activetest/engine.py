@@ -26,7 +26,8 @@ import numpy as np
 
 from .allocation import (AllocationResult, allocate_utilities, check_budget, check_family,
                          eval_utility)
-from .core import StatMode, _construct, active_values, check_beta, check_domain, check_draws
+from .core import (StatMode, _active_plan, _construct, active_values, check_beta, check_domain,
+                   check_draws)
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
 
@@ -86,11 +87,14 @@ class HypothesisSet:
     ids its stream keys were hashed from.
 
     A set memoizes what its runs compute from ``aux`` and ``ids`` alone:
-    the stream keys; the branch draws of the last (seed, rep); and, per
-    active variant, the allocation of the last budget, utility family (or
-    beta and mode) it ran with.  Each of these is read-only, so no run can
-    change another's inputs.  A budget above n is clamped afresh, with its
-    warning, on every run.
+    the domains ``aux`` has passed; the stream keys; the branch draws of the
+    last (seed, rep); and, per active variant, the allocation of the last
+    budget, utility family (or beta and mode) it ran with, next to the
+    no-query value of every row for the last beta and e-or-p domain (8
+    bytes per row per variant).  Each of these is read-only, so no run can
+    change another's inputs.  Draws a run replays are checked on every
+    run.  A budget above n is clamped afresh, with its warning, on every
+    run.
     """
 
     def __init__(self, aux, exact, ids=None):
@@ -119,6 +123,8 @@ class HypothesisSet:
                 raise DomainError("exact values must align with aux")
         self._exact = exact
         self._stream_keys: Optional[np.ndarray] = None
+        # is_p of each mode whose domain aux has passed
+        self._aux_checked: frozenset = frozenset()
         # each entry is one (key, value) tuple, replaced whole, so a run on
         # another thread never pairs a key with another key's array
         self._draws: Optional[tuple] = None
@@ -262,24 +268,34 @@ def _branch_draws(hs: HypothesisSet, seed: int, rep: int, u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (len(hs),):
         raise DomainError("u must hold one branch draw per hypothesis")
-    return u
+    # the set's own draws lie in (0, 1); a replayed one is checked on every run
+    return check_draws(u)
 
 
 def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
-                utilities: Callable[[], np.ndarray]) -> AllocationResult:
-    """``allocate_utilities(utilities(), n_b)`` with read-only levels,
-    memoized per variant for the last ``key``.
+                utilities: Callable[[], np.ndarray], mode: StatMode,
+                beta: float) -> tuple[AllocationResult, np.ndarray]:
+    """``allocate_utilities(utilities(), n_b)`` with read-only levels, and
+    the no-query values ``_active_plan`` makes from them for ``mode`` and
+    ``beta``; memoized per variant for the last ``key`` and the last
+    (e-or-p, beta) it ran with.
 
     A budget above n is not memoized, so it warns on every run.
     """
     memo = hs._levels.get(variant)
+    plan_key = (mode.is_e, beta)
     if memo is not None and memo[0] == key:
-        return memo[1]
-    alloc = allocate_utilities(utilities(), n_b)
-    alloc.h.flags.writeable = False
+        alloc = memo[1]
+        if memo[2] == plan_key:
+            return alloc, memo[3]
+    else:
+        alloc = allocate_utilities(utilities(), n_b)
+        alloc.h.flags.writeable = False
+    plan = _active_plan(alloc.h, mode, beta)
+    plan.flags.writeable = False
     if n_b <= len(hs):
-        hs._levels[variant] = (key, alloc)
-    return alloc
+        hs._levels[variant] = (key, alloc, plan_key, plan)
+    return alloc, plan
 
 
 def check_method_budget(variant: str, n_b: float, n: float = float("inf")) -> None:
@@ -312,8 +328,9 @@ def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
     steps = np.arange(n_b)
     draws = uniforms(seed, rep, steps, SUBSET_DRAW)
     targets = steps + (draws * (n - steps)).astype(np.intp)
-    # steps grouped by target, in step order within a group
-    order = np.argsort(targets, kind="stable")
+    # steps grouped by target, in step order within a group: the keys are
+    # unique, so any sort orders them as a stable sort of the targets would
+    order = np.argsort(targets * n_b + steps)
     grouped = targets[order]
     again = grouped[1:] == grouped[:-1]
     # earlier[i]: the last step before i with i's target, or -1
@@ -347,7 +364,8 @@ def xu_query_prob(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
     beta = check_beta(beta)
     aux = np.asarray(aux, dtype=np.float64)
     if mode.is_e:
-        with np.errstate(divide="ignore"):
+        # a subnormal aux overflows to -inf, probability 0
+        with np.errstate(divide="ignore", over="ignore"):
             raw = 1.0 - beta / aux
         return np.where(aux > 0.0, np.maximum(0.0, raw), 0.0)
     return np.maximum(0.0, 1.0 - beta * aux)
@@ -371,7 +389,9 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     """
     variant, beta = method.variant, method.beta
     try:
-        check_domain(hs.aux, mode, "aux")
+        if mode.is_p not in hs._aux_checked:
+            check_domain(hs.aux, mode, "aux")
+            hs._aux_checked |= {mode.is_p}
         if u is not None and variant not in BRANCH_METHODS:
             raise DomainError(f"method {variant!r} draws no branch coins to replay")
         n = len(hs)
@@ -382,15 +402,15 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
         if variant == "active":
             if utility is None:
                 raise DomainError("the active method requires a utility family")
-            alloc = _allocation(hs, variant, (utility, n_b), n_b,
-                                lambda: eval_utility(utility, hs.aux))
+            alloc, plan = _allocation(hs, variant, (utility, n_b), n_b,
+                                      lambda: eval_utility(utility, hs.aux), mode, beta)
         elif variant == "active-xu":
-            alloc = _allocation(hs, variant, (beta, mode.is_e, n_b), n_b,
-                                lambda: xu_query_prob(hs.aux, beta, mode))
+            alloc, plan = _allocation(hs, variant, (beta, mode.is_e, n_b), n_b,
+                                      lambda: xu_query_prob(hs.aux, beta, mode), mode, beta)
         elif variant == "xu":
             # no global budget: on no-query the auxiliary itself is reported
             h = xu_query_prob(hs.aux, beta, mode)
-            queried = check_draws(_branch_draws(hs, seed, rep, u)) < h
+            queried = _branch_draws(hs, seed, rep, u) < h
             values = hs.aux.copy()
             rule = ((lambda exact: (1.0 - beta) * exact) if mode.is_e
                     else (lambda exact: exact / (1.0 - beta)))
@@ -408,7 +428,7 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
         else:
             h = alloc.h
             values, queried, _ = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
-                                               mode, beta)
+                                               mode, beta, plan=plan)
     except DomainError as exc:
         if exc.index is None:
             raise

@@ -46,6 +46,24 @@ def _check_pvalues(p) -> np.ndarray:
     return arr
 
 
+def _step_up(arr: np.ndarray, level: float, alpha: float, procedure: str) -> RejectionSet:
+    """Reject the k-hat smallest of the checked p-values ``arr``, k-hat the
+    largest k with p_(k) <= k * level / n (0 if none)."""
+    n = arr.size
+    # no threshold exceeds the last, level * n / n, so only p-values at or
+    # below it can pass: sorting them alone gives the same k-hat, and they
+    # hold every rejection
+    candidates = np.flatnonzero(arr <= level * n / n)
+    values = arr[candidates]
+    ordered = np.sort(values)
+    passing = np.nonzero(ordered <= level * np.arange(1, ordered.size + 1) / n)[0]
+    if passing.size == 0:
+        return RejectionSet(np.empty(0, dtype=np.intp), 0, alpha, procedure, 0.0)
+    k_hat = int(passing[-1]) + 1
+    threshold = k_hat * level / n
+    return RejectionSet(candidates[values <= threshold], k_hat, alpha, procedure, threshold)
+
+
 def bh(p, alpha: float) -> RejectionSet:
     """Step-up procedure on p-values with thresholds k * alpha / n.
 
@@ -53,18 +71,7 @@ def bh(p, alpha: float) -> RejectionSet:
     p_(k) <= k * alpha / n (0 if none).
     """
     alpha = check_alpha(alpha)
-    arr = _check_pvalues(p)
-    n = arr.size
-    # no threshold exceeds the last, alpha * n / n, so only p-values at or
-    # below it can pass: sorting them alone gives the same k-hat
-    ordered = np.sort(arr[arr <= alpha * n / n])
-    passing = np.nonzero(ordered <= alpha * np.arange(1, ordered.size + 1) / n)[0]
-    if passing.size == 0:
-        return RejectionSet(np.empty(0, dtype=np.intp), 0, alpha, "bh", 0.0)
-    k_hat = int(passing[-1]) + 1
-    threshold = k_hat * alpha / n
-    rejected = np.nonzero(arr <= threshold)[0]
-    return RejectionSet(rejected, k_hat, alpha, "bh", threshold)
+    return _step_up(_check_pvalues(p), alpha, alpha, "bh")
 
 
 @lru_cache
@@ -79,8 +86,7 @@ def by(p, alpha: float) -> RejectionSet:
     """BH run at level alpha / H_n; valid under arbitrary dependence."""
     alpha = check_alpha(alpha)
     arr = _check_pvalues(p)
-    inner = bh(arr, alpha / harmonic_number(arr.size))
-    return RejectionSet(inner.rejected, inner.k_hat, alpha, "by", inner.threshold)
+    return _step_up(arr, alpha / harmonic_number(arr.size), alpha, "by")
 
 
 def ebh(e, alpha: float) -> RejectionSet:
@@ -94,12 +100,14 @@ def ebh(e, alpha: float) -> RejectionSet:
         raise DomainError("e-values must be >= 0", index=int((~(arr >= 0.0)).argmax()))
     n = arr.size
     # no threshold falls below the last, n / (alpha * n), so only e-values at
-    # or above it can pass: sorting them alone gives the same k-hat
-    ordered = np.sort(arr[arr >= n / (alpha * n)])[::-1]
+    # or above it can pass: sorting them alone gives the same k-hat, and they
+    # hold every rejection
+    candidates = np.flatnonzero(arr >= n / (alpha * n))
+    values = arr[candidates]
+    ordered = np.sort(values)[::-1]
     passing = np.nonzero(ordered >= n / (alpha * np.arange(1, ordered.size + 1)))[0]
     if passing.size == 0:
         return RejectionSet(np.empty(0, dtype=np.intp), 0, alpha, "ebh", np.inf)
     k_hat = int(passing[-1]) + 1
     threshold = n / (alpha * k_hat)
-    rejected = np.nonzero(arr >= threshold)[0]
-    return RejectionSet(rejected, k_hat, alpha, "ebh", threshold)
+    return RejectionSet(candidates[values >= threshold], k_hat, alpha, "ebh", threshold)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .allocation import DEFAULT_FAMILY
 from .core import E_VALUES, P_GENERAL, P_INDEPENDENT, StatMode
-from .engine import HypothesisSet, MethodSpec, run_method
+from .engine import HypothesisSet, MethodSpec, check_method_budget, run_method
 from .errors import DomainError
 from .procedures import by, ebh
 from .rng import (
@@ -116,7 +116,6 @@ class DgpSpec:
 # one draw call per stage: a draw is a pure function of its words, so a
 # column of purposes against the index row gives each purpose's own stream
 _SIGNAL_PURPOSES = np.array([[MIXTURE_DRAW], [SIGNAL_DRAW], [PRIMARY_NOISE]], dtype=np.uint64)
-_AUX_PURPOSES = np.array([[POISSON_DRAW], [BETA_DRAW]], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -165,33 +164,39 @@ def _poisson_inverse(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Poisson(mean) quantiles at u in (0, 1], equal bit for bit to scipy's
     ``poisson.ppf``; one uniform per draw keeps the stream fixed-consumption.
 
-    A pmf recurrence runs each row up to the first k whose summed CDF
-    reaches u, and ``pdtr`` confirms pdtr(k - 1) < u <= pdtr(k) (the CDF
-    below 0 is 0).  A row it cannot confirm with a relative margin to spare
-    -- u close to a CDF step, or a recurrence that stalled short of u
-    because exp(-mean) underflows or the sum stops growing -- takes scipy's
-    own formula.  Every step grows each running sum or drops the row, so
-    the loop ends for every finite mean.
+    A pmf recurrence runs each row up to the first k whose running CDF sum
+    S_k reaches u.  The row is confirmed when S_(k-1) < u and S_k >= u
+    each hold with a relative margin to spare (S_(-1) = 0).  The sums
+    start from exp(-mean), within one ulp, and each step rounds twice in
+    the pmf and once in the sum, so S_k is within (3k + 4) 2^-53 of the
+    CDF, relatively.  The recurrence runs only while exp(-mean) is a
+    normal double (mean below 708.4), so k stays near 1000 at most and the
+    error below 4e-13, far inside the margin.  A row it cannot confirm --
+    u close to a CDF step, a sum that stopped growing short of u, or
+    exp(-mean) below the smallest normal double -- takes scipy's own
+    formula.  Every step grows each running sum or drops the row, so the
+    loop ends for every finite mean.
     """
-    from scipy.special import pdtr
-
     u = np.asarray(u, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     pmf = np.exp(-mean)
     k = np.zeros(u.shape)
+    below = np.zeros(u.shape)
+    at = pmf.copy()
     rows = np.nonzero(pmf < u)[0]
     m, target, p, cdf = mean[rows], u[rows], pmf[rows], pmf[rows]
     step = 0
     while rows.size:
         step += 1
-        k[rows] = step
         p = p * m / step
         grown = cdf + p
         going = (grown < target) & (grown > cdf)
+        stop = ~going
+        done = rows[stop]
+        k[done], below[done], at[done] = step, cdf[stop], grown[stop]
         rows, m, target, p, cdf = rows[going], m[going], target[going], p[going], grown[going]
-    below = np.where(k > 0, pdtr(k - 1, mean), 0.0)
-    confirmed = (below < u * (1.0 - _PPF_MARGIN)) & (pdtr(k, mean) >= u * (1.0 + _PPF_MARGIN))
-    unsure = np.nonzero(~confirmed)[0]
+    unsure = np.nonzero((below >= u * (1.0 - _PPF_MARGIN)) | (at < u * (1.0 + _PPF_MARGIN))
+                        | (pmf < np.finfo(np.float64).tiny))[0]
     if unsure.size:
         k[unsure] = _scipy_poisson_ppf(u[unsure], mean[unsure])
     return k
@@ -199,27 +204,35 @@ def _poisson_inverse(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 def make_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int) -> StatisticsDraw:
     """Compute (E, P, E_aux, P_aux) for one replication."""
+    e_aux, e = _mode_statistics(spec, signal, rep, seed, True)
+    p_aux, p = _mode_statistics(spec, signal, rep, seed, False)
+    return StatisticsDraw(e=e, p=p, e_aux=e_aux, p_aux=p_aux)
+
+
+def _mode_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int,
+                     is_e: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(aux, exact) of ``make_statistics`` for e-values or for p-values
+    alone: each purpose's stream is a pure function of its words, so the
+    other pair's draws are not made."""
     from scipy.special import ndtr, ndtri
 
     lam = spec.lam
-    z = signal.z
-    e = np.exp(lam * z - 0.5 * lam * lam)
-    p = ndtr(-z)
+    statistic = (lambda x: np.exp(lam * x - 0.5 * lam * lam)) if is_e else (lambda x: ndtr(-x))
     idx = np.arange(spec.n, dtype=np.uint64)
     if spec.kind == "signal":
         shape = 1.0 + signal.mu
-        u_poisson, u_beta = uniforms(seed, rep, idx, _AUX_PURPOSES)
-        e_aux = _poisson_inverse(u_poisson, shape)
-        p_aux = 1.0 - u_beta ** (1.0 / shape)
+        if is_e:
+            aux = _poisson_inverse(uniforms(seed, rep, idx, POISSON_DRAW), shape)
+        else:
+            aux = 1.0 - uniforms(seed, rep, idx, BETA_DRAW) ** (1.0 / shape)
     else:
         noise = ndtri(uniforms(seed, rep, idx, PROXY_NOISE))
         if spec.kind == "noisy":
-            y = z + spec.sigma * noise
+            y = signal.z + spec.sigma * noise
         else:
-            y = spec.rho * z + math.sqrt(1.0 - spec.rho**2) * noise
-        e_aux = np.exp(lam * y - 0.5 * lam * lam)
-        p_aux = ndtr(-y)
-    return StatisticsDraw(e=e, p=p, e_aux=e_aux, p_aux=p_aux)
+            y = spec.rho * signal.z + math.sqrt(1.0 - spec.rho**2) * noise
+        aux = statistic(y)
+    return aux, statistic(signal.z)
 
 
 def _cell_defaults(kind: str, mode: str) -> tuple[str, StatMode]:
@@ -338,11 +351,7 @@ class ExperimentResult:
 def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: StatMode,
                  utility: str, seed: int, rep: int) -> list[RunMetrics]:
     signal = gen_signal(spec, rep, seed)
-    draw = make_statistics(spec, signal, rep, seed)
-    if mode.is_e:
-        aux, exact = draw.e_aux, draw.e
-    else:
-        aux, exact = draw.p_aux, draw.p
+    aux, exact = _mode_statistics(spec, signal, rep, seed, mode.is_e)
     # one set per rep: its memo draws the branch coins once for active,
     # active-xu and xu
     hs = HypothesisSet(aux=aux, exact=exact)
@@ -393,6 +402,9 @@ def run_experiment(
     variants = [m.variant for m in methods_resolved]
     if len(set(variants)) < len(variants):
         raise DomainError(f"methods must be distinct, got {','.join(variants)}")
+    # before any rep runs, so no method warns or writes before another refuses
+    for variant in variants:
+        check_method_budget(variant, n_b, spec.n)
 
     def one(rep: int) -> list[RunMetrics]:
         return _run_one_rep(spec, methods_resolved, n_b, stat_mode, utility, seed, rep)

@@ -242,6 +242,16 @@ class TestSimulate:
         assert "methods must be distinct, got active,xu,active" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_budget_checked_for_every_method_before_any_rep(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        args = ["simulate", "--dgp", "signal", "--n", "50", "--reps", "2", "--budget", "100",
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "budget must lie in [0, 50], got 100" in err
+        assert "warning" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_run_leaves_no_output(self, tmp_path):
         out = tmp_path / "x.csv"
         args = ["simulate", "--dgp", "noisy", "--sigma", "0", "--mode", "e", "--n", "100",

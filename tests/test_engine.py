@@ -50,6 +50,36 @@ def swap_reference(n, n_b, seed, rep):
     return want
 
 
+def stable_argsort_subset(n, n_b, seed, rep):
+    """The Random baseline's pointer-jumping subset with its steps grouped
+    by a stable argsort of their targets, as it was before grouping moved
+    to a sort of unique (target, step) keys."""
+    n_b = int(n_b)
+    queried = np.zeros(n, dtype=bool)
+    if not n_b:
+        return queried
+    steps = np.arange(n_b)
+    draws = uniforms(seed, rep, steps, SUBSET_DRAW)
+    targets = steps + (draws * (n - steps)).astype(np.intp)
+    order = np.argsort(targets, kind="stable")
+    grouped = targets[order]
+    again = grouped[1:] == grouped[:-1]
+    earlier = np.full(n_b, -1)
+    earlier[order[1:][again]] = order[:-1][again]
+    last = np.append(~again, True)
+    last_target, last_step = grouped[last], order[last]
+    inside = last_target < n_b
+    source = steps.copy()
+    source[last_target[inside]] = last_step[inside]
+    while True:
+        jumped = source[source]
+        if np.array_equal(jumped, source):
+            break
+        source = jumped
+    queried[np.where(earlier >= 0, source[earlier], targets)] = True
+    return queried
+
+
 def run_active(records, mode, n_b, utility, beta=0.5, **kw):
     return run_method(records, MethodSpec("active", beta=beta), mode=mode, n_b=n_b,
                       utility=utility, **kw)
@@ -218,6 +248,14 @@ class TestRunRandom:
             np.testing.assert_array_equal(_random_subset(n, float(n_b), seed, rep),
                                           swap_reference(n, n_b, seed, rep))
 
+    @given(n=st.integers(1, 5000), fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1),
+           rep=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_subset_matches_stable_argsort_version(self, n, fraction, seed, rep):
+        for n_b in {0, 1, n, int(fraction * n)}:
+            np.testing.assert_array_equal(_random_subset(n, float(n_b), seed, rep),
+                                          stable_argsort_subset(n, n_b, seed, rep))
+
     def test_non_integer_budget_rejected(self):
         records, _ = counted_records([1.0] * 4, [1.0] * 4)
         with pytest.raises(DomainError):
@@ -255,6 +293,10 @@ class TestRunXu:
         assert xu_query_prob(np.array([0.4]), 0.5, E_VALUES)[0] == 0.0
         assert xu_query_prob(np.array([0.0]), 0.5, E_VALUES)[0] == 0.0
         assert xu_query_prob(np.array([0.2]), 0.5, P_INDEPENDENT)[0] == 1.0 - 0.5 * 0.2
+
+    def test_subnormal_aux_has_probability_zero_without_a_warning(self):
+        # the test suite turns warnings into errors
+        assert xu_query_prob(np.array([5e-324, 1e-310]), 0.5, E_VALUES).tolist() == [0.0, 0.0]
 
     def test_e_mode_no_query_reports_aux(self):
         records, calls = counted_records([0.4], [100.0])

@@ -279,6 +279,9 @@ def assert_same_outcome(got: RejectionSet, want) -> None:
 @example((0.1, np.zeros(5)))
 @example((0.1, np.ones(5)))
 @example((0.1, np.array([0.02, 0.04, 0.06, 0.08, 0.1])))
+@example((0.1, np.array([0.1])))
+@example((0.2, np.array([0.04, 0.04, 0.04, 0.3, 0.04, 0.3])))
+@example((0.2, np.array([0.4, 0.4, 0.2, 0.2, 0.2])))
 def test_bh_and_by_match_full_sort(case):
     alpha, p = case
     assert_same_outcome(bh(p, alpha), full_sort_bh(p, alpha))
@@ -292,6 +295,8 @@ def test_bh_and_by_match_full_sort(case):
 @example((0.1, np.full(5, np.inf)))
 @example((0.1, np.zeros(5)))
 @example((0.5, np.array([np.inf, 10.0, 0.0, 5.0, 2.0])))
+@example((0.2, np.array([5.0, 5.0, 25.0, 5.0, 25.0])))
+@example((0.2, np.array([10.0, 10.0, 10.0, 1.0])))
 def test_ebh_matches_full_sort(case):
     alpha, e = case
     assert_same_outcome(ebh(e, alpha), full_sort_ebh(e, alpha))
@@ -316,3 +321,33 @@ def test_raising_an_e_value_never_unrejects(case, data):
     raised = e.copy()
     raised[j] = data.draw(st.one_of(st.floats(e[j], np.inf), st.just(np.inf)))
     assert rset(ebh(raised, alpha)) >= rset(ebh(e, alpha))
+
+
+@pytest.mark.parametrize("procedure", [bh, by, ebh])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, np.nan])
+def test_bad_alpha_message(procedure, alpha):
+    with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\), got "):
+        procedure([0.5, 0.2], alpha)
+
+
+@pytest.mark.parametrize("procedure", [bh, by])
+@pytest.mark.parametrize("p, index", [([0.5, 1.5, -1.0], 1), ([0.2, 0.3, np.nan], 2),
+                                      ([-0.0, -1e-300], 1)])
+def test_bad_p_value_message(procedure, p, index):
+    with pytest.raises(DomainError, match=r"^p-values must lie in \[0, 1\]$") as info:
+        procedure(p, 0.1)
+    assert info.value.index == index
+
+
+@pytest.mark.parametrize("procedure, kind", [(bh, "p"), (by, "p"), (ebh, "e")])
+@pytest.mark.parametrize("bad", [[], [[0.1, 0.2]]])
+def test_bad_shape_message(procedure, kind, bad):
+    with pytest.raises(DomainError, match=rf"^{kind}-values must form a nonempty vector$"):
+        procedure(bad, 0.1)
+
+
+@pytest.mark.parametrize("e, index", [([1.0, -2.0], 1), ([np.nan, 1.0], 0)])
+def test_bad_e_value_message(e, index):
+    with pytest.raises(DomainError, match=r"^e-values must be >= 0$") as info:
+        ebh(e, 0.1)
+    assert info.value.index == index

@@ -9,6 +9,8 @@ of the unit tests and the benchmark.
 * Every method's values lie in their domain (e >= 0, p in [0, 1]), and the
   allocation's expected queries stay within the budget.
 * With ids, permuting the rows permutes every output the same way.
+* A set's memo never leaks: any sequence of runs on one set gives what
+  the same runs give on fresh sets, and a replayed draw is always checked.
 * The bulk table reader returns the same keys and bit-identical values as
   the per-row ``csv.reader`` loop it falls back to.
 * Every domain check refuses exactly when an element mask finds an
@@ -20,9 +22,11 @@ of the unit tests and the benchmark.
 import math
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
@@ -252,6 +256,79 @@ def test_row_order_permutes_outputs(data, method, mode, beta, seed):
     assert moved.ids == list(ids[perm])
     for name in ("values", "queried", "h"):
         assert getattr(moved, name).tobytes() == getattr(out, name)[perm].tobytes()
+
+
+@st.composite
+def run_calls(draw, n):
+    """A sequence of run_method keyword sets over every variant, mode, beta,
+    budget (some above n), utility family, seed and rep, some replaying u.
+    Each call after the first changes one setting of the call before it (or
+    none), so runs keep meeting a memo made for settings one step away."""
+    fields = {
+        "variant": st.sampled_from(METHOD_NAMES),
+        "mode": st.sampled_from(MODES),
+        "beta": st.sampled_from([0.3, 0.5]),
+        "budget": st.sampled_from([0, 1, n, n + 2]).map(float),
+        "utility": st.sampled_from(["identity", "log1p", "inverse", "log_inverse"]),
+        "seed": st.integers(0, 2),
+        "rep": st.integers(0, 1),
+        "u": st.one_of(st.none(), st.lists(draws, min_size=n, max_size=n).map(np.array)),
+    }
+    settings_ = [{name: draw(field) for name, field in fields.items()}]
+    for _ in range(draw(st.integers(1, 24))):
+        step = dict(settings_[-1])
+        changed = draw(st.sampled_from([None, *fields]))
+        if changed is not None:
+            step[changed] = draw(fields[changed])
+        settings_.append(step)
+    calls = []
+    for step in settings_:
+        variant = step["variant"]
+        n_b = step["budget"]
+        if variant != "random":
+            n_b = n_b or 0.5 * n
+        elif n_b > n:
+            n_b = float(n)
+        calls.append(dict(method=MethodSpec(variant, beta=step["beta"]), mode=step["mode"],
+                          n_b=n_b, utility=step["utility"], seed=step["seed"], rep=step["rep"],
+                          u=step["u"] if variant in ("active", "active-xu", "xu") else None))
+    return calls
+
+
+def outcome(hs, call):
+    """run_method's outputs and warnings, or the error it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = run_method(hs, **call)
+        except DomainError as exc:
+            return type(exc), str(exc)
+    return (out.values.tobytes(), out.queried.tobytes(), out.h.tobytes(), out.n_queries,
+            [str(w.message) for w in caught])
+
+
+@PROPERTY
+@given(data=st.data(), with_ids=st.booleans(), aux_mode=st.sampled_from([E_VALUES, P_GENERAL]))
+def test_memo_runs_equal_fresh_runs(data, with_ids, aux_mode):
+    # statistics in [0, 1] lie in every mode's domain; larger e-values only
+    # in the e domain, so p-mode runs on them are refused
+    aux, exact = data.draw(hypotheses(aux_mode, max_size=12))
+    n = aux.size
+    ids = [f"h{i}" for i in range(n)] if with_ids else None
+    shared = HypothesisSet(aux, exact, ids=ids)
+    for call in data.draw(run_calls(n)):
+        assert outcome(shared, call) == outcome(HypothesisSet(aux, exact, ids=ids), call)
+    # the set memoizes its own draws, then is handed bad ones
+    run_method(shared, MethodSpec("xu"), mode=aux_mode, n_b=1.0)
+    for variant in ("active", "active-xu", "xu"):
+        if variant == "active-xu" and not np.any(xu_query_prob(aux, 0.5, aux_mode) > 0.0):
+            continue  # all-zero utilities are rejected before the draws are read
+        for bad in (1.0, np.nan):
+            u = np.full(n, 0.5)
+            u[-1] = bad
+            with pytest.raises(DomainError, match=r"branch draw u must lie in \[0, 1\)"):
+                run_method(shared, MethodSpec(variant), mode=aux_mode, n_b=1.0,
+                           utility="inverse", u=u)
 
 
 # characters csv.reader keeps inside a field but str.splitlines would break on
