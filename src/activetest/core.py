@@ -148,9 +148,10 @@ def active_values(
     (values, queried, scales) aligned with ``h``; ``scales`` is 0.0 on the
     no-query branch.  ``active_e`` / ``active_p`` are its one-element form.
 
-    ``plan`` is the engine's: the no-query values ``_active_plan`` made
-    from these ``h``, ``mode`` and ``beta``, passed with draws ``u`` it
-    has already checked.  Neither is checked again.
+    ``plan`` is the engine's: an array of the no-query values
+    ``_active_plan`` made from these ``h``, ``mode`` and ``beta``, passed
+    with draws ``u`` it has already checked.  Neither is checked again, and
+    the values are written into ``plan`` and returned as it.
     """
     beta = check_beta(beta)
     h = np.asarray(h, dtype=np.float64)
@@ -160,7 +161,7 @@ def active_values(
             raise DomainError("h and u must be aligned")
         values = _active_plan(h, mode, beta)
     else:
-        values = plan.copy()
+        values = plan
     # every draw lies in [0, 1), so u < h is u < min(1, h)
     queried = u < h
     query_idx = np.flatnonzero(queried)

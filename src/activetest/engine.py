@@ -89,12 +89,12 @@ class HypothesisSet:
     A set memoizes what its runs compute from ``aux`` and ``ids`` alone:
     the domains ``aux`` has passed; the stream keys; the branch draws of the
     last (seed, rep); and, per active variant, the allocation of the last
-    budget, utility family (or beta and mode) it ran with, next to the
-    no-query value of every row for the last beta and e-or-p domain (8
-    bytes per row per variant).  Each of these is read-only, so no run can
-    change another's inputs.  Draws a run replays are checked on every
-    run.  A budget above n is clamped afresh, with its warning, on every
-    run.
+    budget, utility family (or beta and mode) it ran with.  Once that
+    allocation runs a second time, the no-query value of every row for the
+    last beta and e-or-p domain is kept next to it (8 bytes per row per
+    variant).  Each of these is read-only, so no run can change another's
+    inputs.  Draws a run replays are checked on every run.  A budget above
+    n is clamped afresh, with its warning, on every run.
     """
 
     def __init__(self, aux, exact, ids=None):
@@ -276,26 +276,29 @@ def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
                 utilities: Callable[[], np.ndarray], mode: StatMode,
                 beta: float) -> tuple[AllocationResult, np.ndarray]:
     """``allocate_utilities(utilities(), n_b)`` with read-only levels, and
-    the no-query values ``_active_plan`` makes from them for ``mode`` and
-    ``beta``; memoized per variant for the last ``key`` and the last
-    (e-or-p, beta) it ran with.
+    a fresh array of the no-query values ``_active_plan`` makes from them
+    for ``mode`` and ``beta``, which the run may write its values into.
 
-    A budget above n is not memoized, so it warns on every run.
+    The levels are memoized per variant for the last ``key``.  The plan is
+    memoized only when the same levels run again on the set, for the last
+    (e-or-p, beta) such a run used; each run then takes a copy.  A set that
+    runs each allocation once, as a CLI run or a replication does, keeps no
+    plan.  A budget above n is not memoized, so it warns on every run.
     """
     memo = hs._levels.get(variant)
-    plan_key = (mode.is_e, beta)
-    if memo is not None and memo[0] == key:
-        alloc = memo[1]
-        if memo[2] == plan_key:
-            return alloc, memo[3]
-    else:
+    if memo is None or memo[0] != key:
         alloc = allocate_utilities(utilities(), n_b)
         alloc.h.flags.writeable = False
-    plan = _active_plan(alloc.h, mode, beta)
-    plan.flags.writeable = False
-    if n_b <= len(hs):
-        hs._levels[variant] = (key, alloc, plan_key, plan)
-    return alloc, plan
+        if n_b <= len(hs):
+            hs._levels[variant] = (key, alloc, None, None)
+        return alloc, _active_plan(alloc.h, mode, beta)
+    alloc, plan_key = memo[1], (mode.is_e, beta)
+    if memo[2] != plan_key:
+        plan = _active_plan(alloc.h, mode, beta)
+        plan.flags.writeable = False
+        memo = (key, alloc, plan_key, plan)
+        hs._levels[variant] = memo
+    return alloc, memo[3].copy()
 
 
 def check_method_budget(variant: str, n_b: float, n: float = float("inf")) -> None:

@@ -10,6 +10,11 @@ even, so draws there are spaced 2^-52 apart.  The top value k = 2^53 - 1
 would round to 1.0 and is clamped to the largest float below 1, so outputs
 lie strictly inside (0, 1), which satisfies the [0, 1) contract and keeps
 inverse-CDF samplers and query coins away from both corners.
+
+The kernel makes that same stream with few temporaries: leading scalar
+words (seed, and rep when it is one number) fold in Python ints, and the
+array words are absorbed in place in one state buffer and one scratch
+buffer per call, so a large draw allocates no array per operation.
 """
 
 from __future__ import annotations
@@ -35,18 +40,32 @@ MC_SAMPLE = 9      # statistic draws inside the Monte Carlo validity testers
 
 DEFAULT_SEED = 42
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MULT1 = np.uint64(0xBF58476D1CE4E5B9)
-_MULT2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MULT1 = 0xBF58476D1CE4E5B9
+_MULT2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+_GAMMA_U64, _MULT1_U64, _MULT2_U64 = np.uint64(_GAMMA), np.uint64(_MULT1), np.uint64(_MULT2)
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = map(np.uint64, (11, 27, 30, 31))
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; full avalanche on uint64 arrays
-    z = (z ^ (z >> np.uint64(30))) * _MULT1
-    z = (z ^ (z >> np.uint64(27))) * _MULT2
-    return z ^ (z >> np.uint64(31))
+def _mix_int(z: int) -> int:
+    # splitmix64 finalizer on one word, in Python ints
+    z = ((z ^ (z >> 30)) * _MULT1) & _MASK
+    z = ((z ^ (z >> 27)) * _MULT2) & _MASK
+    return z ^ (z >> 31)
+
+
+def _mix_into(z: np.ndarray, scratch: np.ndarray) -> None:
+    # the same finalizer on a uint64 array, in place; products wrap mod 2^64
+    np.right_shift(z, _SHIFT30, scratch)
+    np.bitwise_xor(z, scratch, z)
+    np.multiply(z, _MULT1_U64, z)
+    np.right_shift(z, _SHIFT27, scratch)
+    np.bitwise_xor(z, scratch, z)
+    np.multiply(z, _MULT2_U64, z)
+    np.right_shift(z, _SHIFT31, scratch)
+    np.bitwise_xor(z, scratch, z)
 
 
 def _word(v) -> int:
@@ -59,34 +78,77 @@ def _word(v) -> int:
     return int(v) & _MASK
 
 
-def _words(x) -> np.ndarray:
+def _words(x):
     # Python ints (possibly negative or >64-bit) and integer arrays both map
-    # onto uint64 by wrapping; any other value must be a whole number.
+    # onto uint64 by wrapping; any other value must be a whole number.  A
+    # 0-d word comes back as a Python int, any other as a uint64 array that
+    # may be ``x`` itself or a view of it: it is only read.
+    if type(x) is int:
+        return x & _MASK
     arr = np.asarray(x)
+    if not arr.ndim:
+        return _word(arr.item())
     if arr.dtype == np.uint64:
         return arr
+    if arr.dtype == np.int64:
+        return arr.view(np.uint64)
     if arr.dtype.kind in "iu":
         return arr.astype(np.uint64)
     return np.asarray([_word(v) for v in arr.ravel().tolist()],
                       dtype=np.uint64).reshape(arr.shape)
 
 
-def _state(seed, rep, index, purpose, draw) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        s = _mix(_words(seed) + _GAMMA)
-        for word in (rep, index, purpose, draw):
-            s = _mix(s ^ (_words(word) + _GAMMA))
-    return s
+def _state(seed, rep, index, purpose, draw):
+    """The hashed state of each draw: from s = 0, each word in turn is
+    absorbed as s = mix(s ^ (word + gamma)), mod 2^64.
+
+    Leading 0-d words fold in Python ints.  From the first array word on, s
+    lives in one of two uint64 buffers sized for the broadcast shape and is
+    mixed in place, with the other as scratch.  A word that widens s writes
+    the wider s into the other buffer.  Returns a uint64 array, or a numpy
+    uint64 when every word is 0-d.
+    """
+    words = [_words(w) for w in (seed, rep, index, purpose, draw)]
+    s, k = 0, 0
+    while k < len(words) and type(words[k]) is int:
+        s = _mix_int(s ^ ((words[k] + _GAMMA) & _MASK))
+        k += 1
+    if k == len(words):
+        return np.uint64(s)
+    full = np.broadcast(*[w for w in words[k:] if type(w) is not int])
+    if not full.size:
+        # a word with no draws; before it, s may be wider than the result
+        return np.empty(full.shape, np.uint64)
+    held, spare = np.empty(full.size, np.uint64), np.empty(full.size, np.uint64)
+    w = words[k]
+    z = np.add(w, _GAMMA_U64, held[:w.size].reshape(w.shape))
+    z ^= np.uint64(s)
+    _mix_into(z, spare[:z.size].reshape(z.shape))
+    for w in words[k + 1:]:
+        if type(w) is int:
+            z ^= np.uint64((w + _GAMMA) & _MASK)
+        else:
+            wide = np.broadcast(z, w)
+            if wide.shape == z.shape:
+                np.bitwise_xor(z, w + _GAMMA_U64, z)
+            else:
+                held, spare = spare, held
+                z = np.bitwise_xor(z, w + _GAMMA_U64, held[:wide.size].reshape(wide.shape))
+        _mix_into(z, spare[:z.size].reshape(z.shape))
+    return z
 
 
 def uniforms(seed, rep, index, purpose, draw=0) -> np.ndarray:
     """Uniform draws in (0, 1), vectorized over broadcastable arguments.
 
-    ``index`` (or ``draw``) may be an integer array; the result has the
-    broadcast shape of the two.
+    Any word may be an integer array; the result has the broadcast shape of
+    all of them.  A column of reps (or purposes) against an index row gives
+    each rep its own draws, bit for bit.
     """
     s = _state(seed, rep, index, purpose, draw)
-    u = ((s >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = (s >> _SHIFT11).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
     if u.ndim:
         return np.minimum(u, _BELOW_ONE, out=u)
     return min(u, _BELOW_ONE)

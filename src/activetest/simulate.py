@@ -25,6 +25,7 @@ imported inside the functions that call it, so only simulate runs load it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,6 +67,10 @@ DGP_KINDS = ("signal", "noisy", "correlated")
 DESK_N = 2000
 DESK_BUDGET = 100
 DESK_REPS = 100
+
+# draws per DGP stage in one run_experiment pass: a block holds
+# max(1, _BLOCK_ELEMENTS // n) reps, so one rep at large n
+_BLOCK_ELEMENTS = 8000
 
 
 @dataclass(frozen=True)
@@ -133,13 +138,23 @@ class StatisticsDraw:
     p_aux: np.ndarray
 
 
-def gen_signal(spec: DgpSpec, rep: int, seed: int) -> SignalDraw:
-    """Draw the latent means, primary observations, and truth labels."""
+def _rep_word(rep, trailing: int):
+    # a vector of reps as a column against ``trailing`` further axes
+    return rep if np.ndim(rep) == 0 else np.asarray(rep).reshape(-1, *(1,) * trailing)
+
+
+def gen_signal(spec: DgpSpec, rep, seed: int) -> SignalDraw:
+    """Draw the latent means, primary observations, and truth labels.
+
+    ``rep`` may also be a vector of reps: each array then gains a leading
+    axis, and its row b holds the draws of rep[b] alone, bit for bit.
+    """
     from scipy.special import ndtri
 
-    draws = uniforms(seed, rep, np.arange(spec.n, dtype=np.uint64), _SIGNAL_PURPOSES)
-    truth = draws[0] < spec.pi
-    magnitude, noise = ndtri(draws[1:])
+    draws = uniforms(seed, _rep_word(rep, 2), np.arange(spec.n, dtype=np.uint64),
+                     _SIGNAL_PURPOSES)
+    truth = draws[..., 0, :] < spec.pi
+    magnitude, noise = np.moveaxis(ndtri(draws[..., 1:, :]), -2, 0)
     mu = np.where(truth, np.abs(magnitude) * math.sqrt(spec.tau_sq), 0.0)
     z = mu + noise
     return SignalDraw(mu=mu, z=z, truth=truth)
@@ -163,6 +178,7 @@ def _scipy_poisson_ppf(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
 def _poisson_inverse(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Poisson(mean) quantiles at u in (0, 1], equal bit for bit to scipy's
     ``poisson.ppf``; one uniform per draw keeps the stream fixed-consumption.
+    ``u`` and ``mean`` share one shape, of any number of axes.
 
     A pmf recurrence runs each row up to the first k whose running CDF sum
     S_k reaches u.  The row is confirmed when S_(k-1) < u and S_k >= u
@@ -178,7 +194,8 @@ def _poisson_inverse(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     loop ends for every finite mean.
     """
     u = np.asarray(u, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
+    shape = u.shape
+    u, mean = u.ravel(), np.asarray(mean, dtype=np.float64).ravel()
     pmf = np.exp(-mean)
     k = np.zeros(u.shape)
     below = np.zeros(u.shape)
@@ -199,7 +216,7 @@ def _poisson_inverse(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
                         | (pmf < np.finfo(np.float64).tiny))[0]
     if unsure.size:
         k[unsure] = _scipy_poisson_ppf(u[unsure], mean[unsure])
-    return k
+    return k.reshape(shape)
 
 
 def make_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int) -> StatisticsDraw:
@@ -209,15 +226,17 @@ def make_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int) -> S
     return StatisticsDraw(e=e, p=p, e_aux=e_aux, p_aux=p_aux)
 
 
-def _mode_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int,
+def _mode_statistics(spec: DgpSpec, signal: SignalDraw, rep, seed: int,
                      is_e: bool) -> tuple[np.ndarray, np.ndarray]:
     """(aux, exact) of ``make_statistics`` for e-values or for p-values
     alone: each purpose's stream is a pure function of its words, so the
-    other pair's draws are not made."""
+    other pair's draws are not made.  Takes a vector of reps as
+    ``gen_signal`` does, with that call's ``signal``."""
     from scipy.special import ndtr, ndtri
 
     lam = spec.lam
     statistic = (lambda x: np.exp(lam * x - 0.5 * lam * lam)) if is_e else (lambda x: ndtr(-x))
+    rep = _rep_word(rep, 1)
     idx = np.arange(spec.n, dtype=np.uint64)
     if spec.kind == "signal":
         shape = 1.0 + signal.mu
@@ -348,24 +367,30 @@ class ExperimentResult:
                           for a in self.aggregate()))
 
 
-def _run_one_rep(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: StatMode,
-                 utility: str, seed: int, rep: int) -> list[RunMetrics]:
-    signal = gen_signal(spec, rep, seed)
-    aux, exact = _mode_statistics(spec, signal, rep, seed, mode.is_e)
-    # one set per rep: its memo draws the branch coins once for active,
-    # active-xu and xu
-    hs = HypothesisSet(aux=aux, exact=exact)
+def _run_block(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: StatMode,
+               utility: str, seed: int, reps: range) -> list[RunMetrics]:
+    """Score every method on each rep of ``reps``, one rep at a time, after
+    drawing the DGP of all of them in one pass per stage."""
+    block = np.arange(reps.start, reps.stop)
+    signal = gen_signal(spec, block, seed)
+    aux, exact = _mode_statistics(spec, signal, block, seed, mode.is_e)
+    # read-only, so each rep's set holds its row without a copy
+    aux.flags.writeable = False
     rows = []
-    for method in methods:
-        out = run_method(hs, method, mode=mode, n_b=n_b, seed=seed, rep=rep,
-                         utility=utility)
-        if mode.is_e:
-            rejections = ebh(out.values, spec.alpha)
-        else:
-            rejections = by(out.values, spec.alpha)
-        expected = out.allocation.expected_queries if out.allocation is not None else None
-        rows.append(_metrics(method.variant, rep, rejections.rejected, signal.truth,
-                             out.n_queries, expected))
+    for b, rep in enumerate(reps):
+        # one set per rep: its memo draws the branch coins once for active,
+        # active-xu and xu
+        hs = HypothesisSet(aux=aux[b], exact=exact[b])
+        for method in methods:
+            out = run_method(hs, method, mode=mode, n_b=n_b, seed=seed, rep=rep,
+                             utility=utility)
+            if mode.is_e:
+                rejections = ebh(out.values, spec.alpha)
+            else:
+                rejections = by(out.values, spec.alpha)
+            expected = out.allocation.expected_queries if out.allocation is not None else None
+            rows.append(_metrics(method.variant, rep, rejections.rejected, signal.truth[b],
+                                 out.n_queries, expected))
     return rows
 
 
@@ -386,8 +411,10 @@ def run_experiment(
     utility family and construction of the cell (``_cell_defaults``).
     Data is generated once per replication and shared across methods, so
     comparisons are paired.  e-mode feeds the outputs to the e-value step-up
-    procedure, p-mode to the BY procedure, both at spec.alpha.  ``threads``
-    parallelizes over replications without changing any output bit.
+    procedure, p-mode to the BY procedure, both at spec.alpha.  The DGP is
+    drawn a block of reps per call; the methods run one rep at a time.
+    ``threads`` maps the blocks over at most that many workers, and no more
+    than there are blocks or CPUs, without changing any output bit.
     """
     if spec.pi == 0.0:
         raise DomainError("run_experiment requires pi > 0 (no signals to recover)")
@@ -406,15 +433,18 @@ def run_experiment(
     for variant in variants:
         check_method_budget(variant, n_b, spec.n)
 
-    def one(rep: int) -> list[RunMetrics]:
-        return _run_one_rep(spec, methods_resolved, n_b, stat_mode, utility, seed, rep)
+    def one(block: range) -> list[RunMetrics]:
+        return _run_block(spec, methods_resolved, n_b, stat_mode, utility, seed, block)
 
-    if threads == 1:
-        per_rep = [one(rep) for rep in range(reps)]
+    size = max(1, _BLOCK_ELEMENTS // spec.n)
+    blocks = [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers == 1:
+        per_block = list(map(one, blocks))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(one, range(reps)))
-    rows = [row for rep_rows in per_rep for row in rep_rows]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_block = list(pool.map(one, blocks))
+    rows = [row for block_rows in per_block for row in block_rows]
     return ExperimentResult(rows, variants)

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from activetest import rng
@@ -149,3 +151,120 @@ class TestIdKeys:
         assert any(k >= 1 << 63 for k in scalar)
         assert any(k >> 56 == 0 for k in scalar) and any(k & 0xFF == 0 for k in scalar)
         assert keys_for_ids(ids).tolist() == scalar
+
+
+# A frozen copy of the word hashing and float tail that the in-place kernel
+# replaced: a fresh array per operation, every word absorbed as a numpy
+# uint64 (scalars included).  The kernel must give the same bits.
+_REF_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_REF_MULT1 = np.uint64(0xBF58476D1CE4E5B9)
+_REF_MULT2 = np.uint64(0x94D049BB133111EB)
+
+
+def _ref_mix(z):
+    z = (z ^ (z >> np.uint64(30))) * _REF_MULT1
+    z = (z ^ (z >> np.uint64(27))) * _REF_MULT2
+    return z ^ (z >> np.uint64(31))
+
+
+def _ref_word(v):
+    if not int(v) == v:
+        raise DomainError("not whole")
+    return int(v) & ((1 << 64) - 1)
+
+
+def _ref_words(x):
+    arr = np.asarray(x)
+    if arr.dtype == np.uint64:
+        return arr
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.uint64)
+    return np.asarray([_ref_word(v) for v in arr.ravel().tolist()],
+                      dtype=np.uint64).reshape(arr.shape)
+
+
+def _ref_state(seed, rep, index, purpose, draw):
+    with np.errstate(over="ignore"):
+        s = _ref_mix(_ref_words(seed) + _REF_GAMMA)
+        for word in (rep, index, purpose, draw):
+            s = _ref_mix(s ^ (_ref_words(word) + _REF_GAMMA))
+    return s
+
+
+def _ref_uniforms(*words):
+    s = _ref_state(*words)
+    u = ((s >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    if u.ndim:
+        return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    return min(u, np.nextafter(1.0, 0.0))
+
+
+_BIG = st.integers(-(2**70), 2**70)
+_SCALAR_WORDS = st.one_of(
+    _BIG,
+    st.integers(2**64, 2**80),
+    st.integers(-(2**53), 2**53).map(float),
+    st.booleans(),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**53), 2**53).map(np.float64),
+    _BIG.map(lambda v: np.array(v, dtype=object)),
+    st.integers(-(2**63), 2**63 - 1).map(np.array),
+)
+_ARRAY_KINDS = {
+    "int64": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "uint64": (st.integers(0, 2**64 - 1), np.uint64),
+    "object": (_BIG, object),
+    "int8": (st.integers(-128, 127), np.int8),
+    "float": (st.integers(-(2**53), 2**53).map(float), np.float64),
+    "bool": (st.booleans(), np.bool_),
+}
+
+
+@st.composite
+def _word_tuples(draw):
+    """Five words, each a scalar of some kind or an array whose shape
+    broadcasts against the others, such as (B, 1, 1) x (n,) x (3, 1)."""
+    full = draw(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, 6)))
+    words = []
+    for _ in range(5):
+        if draw(st.booleans()):
+            words.append(draw(_SCALAR_WORDS))
+            continue
+        ndim = draw(st.integers(1, 3))
+        shape = tuple(size if draw(st.booleans()) else 1 for size in full[3 - ndim:])
+        values, dtype = _ARRAY_KINDS[draw(st.sampled_from(sorted(_ARRAY_KINDS)))]
+        flat = draw(st.lists(values, min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        arr = np.array(flat, dtype=dtype).reshape(shape)
+        if draw(st.booleans()):
+            arr.flags.writeable = False
+        words.append(arr)
+    return words
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_word_tuples())
+def test_kernel_equals_the_frozen_per_operation_version(words):
+    before = [w.copy() for w in words if isinstance(w, np.ndarray) and w.ndim]
+    got_state, want_state = rng._state(*words), _ref_state(*words)
+    assert type(got_state) is type(want_state)
+    assert np.shape(got_state) == np.shape(want_state)
+    assert np.asarray(got_state).tobytes() == np.asarray(want_state).tobytes()
+    got, want = uniforms(*words), _ref_uniforms(*words)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    after = [w for w in words if isinstance(w, np.ndarray) and w.ndim]
+    for old, new in zip(before, after):
+        assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
+
+
+def test_block_of_reps_draws_each_reps_own_stream():
+    idx = np.arange(7, dtype=np.uint64)
+    purposes = np.array([[3], [4], [5]], dtype=np.uint64)
+    block = uniforms(11, np.arange(5).reshape(5, 1, 1), idx, purposes)
+    assert block.shape == (5, 3, 7)
+    for rep in range(5):
+        assert block[rep].tobytes() == uniforms(11, rep, idx, purposes).tobytes()

@@ -151,6 +151,68 @@ def test_one_draw_call_per_stage_equals_per_purpose_draws(kind, extra):
             assert a.tobytes() == b.tobytes()
 
 
+# n at which a run_experiment block holds 4 reps, and one at which it holds 1
+BLOCK_CASES = [(simulate._BLOCK_ELEMENTS // 4 - 1, 4), (simulate._BLOCK_ELEMENTS + 1, 1)]
+DGP_CELLS = [("signal", {}), ("noisy", {"sigma": 2.0}), ("correlated", {"rho": -0.4})]
+
+
+@pytest.mark.parametrize("n,block", BLOCK_CASES)
+@pytest.mark.parametrize("mode", ["e", "p"])
+@pytest.mark.parametrize("kind,extra", DGP_CELLS)
+def test_block_draws_equal_per_rep_draws(monkeypatch, kind, extra, mode, n, block):
+    # every block run_experiment draws equals its reps drawn one at a time
+    assert max(1, simulate._BLOCK_ELEMENTS // n) == block
+    spec = DgpSpec(kind, n=n, pi=0.2, **extra)
+    is_e = mode == "e"
+    drawn = []
+    gen, stats_of = simulate.gen_signal, simulate._mode_statistics
+
+    def spy(spec, signal, rep, seed, is_e):
+        out = stats_of(spec, signal, rep, seed, is_e)
+        drawn.append((rep, signal, out))
+        return out
+
+    monkeypatch.setattr(simulate, "_mode_statistics", spy)
+    for reps in sorted({1, block - 1, block, block + 1, 2 * block + 3} - {0}):
+        drawn.clear()
+        run_experiment(spec, ["all"], n_b=10, reps=reps, seed=31, mode=mode)
+        assert [r.tolist() for r, _, _ in drawn] == [
+            list(range(start, min(start + block, reps))) for start in range(0, reps, block)]
+        for rep_block, signal, (aux, exact) in drawn:
+            for b, rep in enumerate(rep_block.tolist()):
+                one = gen(spec, rep, seed=31)
+                one_aux, one_exact = stats_of(spec, one, rep, 31, is_e)
+                got = (signal.mu[b], signal.z[b], signal.truth[b], aux[b], exact[b])
+                want = (one.mu, one.z, one.truth, one_aux, one_exact)
+                for a, w in zip(got, want):
+                    assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("kind,extra", DGP_CELLS)
+def test_block_runs_equal_one_rep_runs(monkeypatch, kind, extra):
+    # the same experiment with a block of one rep per call gives the same bytes
+    spec = DgpSpec(kind, n=simulate._BLOCK_ELEMENTS // 4 - 1, pi=0.1, **extra)
+    kw = dict(n_b=20, reps=11, seed=37, mode="p" if kind == "noisy" else "e")
+    blocked = run_experiment(spec, METHOD_NAMES, **kw)
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 1)
+    one_by_one = run_experiment(spec, METHOD_NAMES, **kw)
+    assert blocked.per_rep_csv() == one_by_one.per_rep_csv()
+    assert blocked.aggregate_csv() == one_by_one.aggregate_csv()
+
+
+def test_poisson_inverse_on_rows_equals_row_by_row():
+    rng = np.random.default_rng(3)
+    means = np.concatenate([rng.uniform(0.0, 40.0, (4, 29)), np.full((4, 2), 750.0)], axis=1)
+    u = rng.uniform(1e-12, 1.0, means.shape)
+    # right on a CDF step, where scipy's formula decides
+    u[0, :3] = stats.poisson.cdf([0, 2, 5], means[0, :3])
+    got = simulate._poisson_inverse(u, means)
+    assert got.shape == u.shape
+    want = np.stack([simulate._poisson_inverse(u[i], means[i]) for i in range(len(u))])
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == stats.poisson.ppf(u, means).tobytes()
+
+
 class TestMakeStatistics:
     def test_exact_statistic_formulas(self):
         spec = DgpSpec("signal", n=2, pi=0.1)
@@ -330,6 +392,49 @@ class TestRunExperiment:
         assert base.per_rep_csv() == again.per_rep_csv()
         assert base.per_rep_csv() == threaded.per_rep_csv()
         assert base.aggregate_csv() == threaded.aggregate_csv()
+
+    @pytest.mark.parametrize("threads,reps,cpus,workers", [
+        (8, 9, 3, 3),     # capped by the CPUs
+        (2, 9, 3, 2),     # by the threads asked for
+        (8, 5, 16, 2),    # by the blocks: 5 reps in blocks of 4
+        (4, 3, 16, None),  # one block runs on the calling thread
+        (4, 9, None, None),  # an unknown CPU count counts as one
+    ])
+    def test_pool_starts_at_most_one_worker_per_block_and_cpu(self, monkeypatch, threads, reps,
+                                                              cpus, workers):
+        import concurrent.futures
+        import os
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = DgpSpec("signal", n=simulate._BLOCK_ELEMENTS // 4, pi=0.2)
+        result = run_experiment(spec, ["all"], n_b=10, reps=reps, seed=3, threads=threads)
+        assert started == ([] if workers is None else [workers])
+        assert [r.rep for r in result.rows] == list(range(reps))
+
+    def test_threads_give_the_same_outputs_on_a_partial_block(self):
+        spec = DgpSpec("correlated", n=simulate._BLOCK_ELEMENTS // 4, pi=0.2, rho=0.3)
+        kw = dict(n_b=15, reps=10, seed=41, mode="e")
+        base = run_experiment(spec, METHOD_NAMES, threads=1, **kw)
+        for threads in (2, 4):
+            threaded = run_experiment(spec, METHOD_NAMES, threads=threads, **kw)
+            assert threaded.per_rep_csv() == base.per_rep_csv()
+            assert threaded.aggregate_csv() == base.aggregate_csv()
 
     def test_method_spec_beta_preserved(self):
         spec = DgpSpec("signal", n=300, pi=0.2)
