@@ -86,23 +86,21 @@ class HypothesisSet:
     is a sequence of n ids held as ``UniqueIds``, so no run can rewrite the
     ids its stream keys were hashed from.
 
-    A set memoizes what its runs compute from ``aux`` and ``ids`` alone:
-    the domains ``aux`` has passed; the stream keys; the branch draws of the
-    last (seed, rep); and, per active variant, the allocation of the last
-    budget, utility family (or beta and mode) it ran with.  Once that
-    allocation runs a second time, the no-query value of every row for the
-    last beta and e-or-p domain is kept next to it (8 bytes per row per
-    variant).  Each of these is read-only, so no run can change another's
-    inputs.  Draws a run replays are checked on every run.  A budget above
-    n is clamped afresh, with its warning, on every run.
+    A set memoizes what its runs compute from ``aux`` and ``ids`` alone, in
+    one ``_memo`` read through ``_cached``, one value per slot: the stream
+    keys; each domain ``aux`` has passed; the branch draws of the last
+    (seed, rep); per active variant, the allocation of the last budget and
+    utility family (or beta and mode); and, once that allocation runs again,
+    the no-query values of the last beta and e-or-p domain (8 bytes per
+    row), dropped when the variant's levels change.  Each is read-only, so
+    no run can change another's inputs.  Draws a run replays are checked on
+    every run.  A budget above n is clamped afresh, with its warning, on
+    every run.
     """
 
     def __init__(self, aux, exact, ids=None):
         aux = np.asarray(aux, dtype=np.float64)
-        if aux.flags.writeable:
-            aux = aux.copy()
-            aux.flags.writeable = False
-        self.aux = aux
+        self.aux = aux = _read_only(aux.copy()) if aux.flags.writeable else aux
         if aux.ndim != 1 or aux.size == 0:
             raise DomainError("aux must be a nonempty vector")
         n = aux.size
@@ -122,13 +120,7 @@ class HypothesisSet:
             if exact.shape != (n,):
                 raise DomainError("exact values must align with aux")
         self._exact = exact
-        self._stream_keys: Optional[np.ndarray] = None
-        # is_p of each mode whose domain aux has passed
-        self._aux_checked: frozenset = frozenset()
-        # each entry is one (key, value) tuple, replaced whole, so a run on
-        # another thread never pairs a key with another key's array
-        self._draws: Optional[tuple] = None
-        self._levels: dict = {}
+        self._memo: dict = {}
 
     def __len__(self) -> int:
         return self.aux.size
@@ -153,14 +145,27 @@ class HypothesisSet:
 
     def stream_keys(self) -> np.ndarray:
         """Read-only uint64 stream indices: id-hash when ids exist, position otherwise."""
-        if self._stream_keys is None:
-            if self.ids is None:
-                keys = np.arange(len(self), dtype=np.uint64)
-            else:
-                keys = keys_for_ids(self.ids)
-            keys.flags.writeable = False
-            self._stream_keys = keys
-        return self._stream_keys
+        return _cached(self._memo, "keys", None, lambda: _read_only(
+            np.arange(len(self), dtype=np.uint64) if self.ids is None
+            else keys_for_ids(self.ids)))
+
+
+def _cached(memo: dict, slot, key, make: Callable[[], object]):
+    """``make()``, kept in ``memo[slot]`` until a caller asks that slot for
+    another ``key``.  The entry is one (key, value) tuple, replaced whole,
+    so a run on another thread never pairs a key with another key's value.
+    """
+    entry = memo.get(slot)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    value = make()
+    memo[slot] = (key, value)
+    return value
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -257,14 +262,8 @@ def csv_text(header: str, columns: Sequence) -> str:
 
 def _branch_draws(hs: HypothesisSet, seed: int, rep: int, u) -> np.ndarray:
     if u is None:
-        key = (seed, rep)
-        memo = hs._draws
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        u = uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)
-        u.flags.writeable = False
-        hs._draws = (key, u)
-        return u
+        return _cached(hs._memo, "draws", (seed, rep), lambda: _read_only(
+            uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)))
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (len(hs),):
         raise DomainError("u must hold one branch draw per hypothesis")
@@ -280,25 +279,28 @@ def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
     for ``mode`` and ``beta``, which the run may write its values into.
 
     The levels are memoized per variant for the last ``key``.  The plan is
-    memoized only when the same levels run again on the set, for the last
-    (e-or-p, beta) such a run used; each run then takes a copy.  A set that
-    runs each allocation once, as a CLI run or a replication does, keeps no
-    plan.  A budget above n is not memoized, so it warns on every run.
+    memoized only when the same levels run again on the set, keyed by them
+    and by the (e-or-p, beta) of the run; each run then takes a copy.  A
+    set that runs each allocation once, as a CLI run or a replication does,
+    keeps no plan.  A budget above n is not memoized, so it warns on every
+    run.
     """
-    memo = hs._levels.get(variant)
-    if memo is None or memo[0] != key:
+    first = False
+
+    def levels() -> AllocationResult:
+        nonlocal first
+        first = True
+        hs._memo.pop(("plan", variant), None)
         alloc = allocate_utilities(utilities(), n_b)
-        alloc.h.flags.writeable = False
-        if n_b <= len(hs):
-            hs._levels[variant] = (key, alloc, None, None)
+        _read_only(alloc.h)
+        return alloc
+
+    alloc = levels() if n_b > len(hs) else _cached(hs._memo, variant, key, levels)
+    if first:
         return alloc, _active_plan(alloc.h, mode, beta)
-    alloc, plan_key = memo[1], (mode.is_e, beta)
-    if memo[2] != plan_key:
-        plan = _active_plan(alloc.h, mode, beta)
-        plan.flags.writeable = False
-        memo = (key, alloc, plan_key, plan)
-        hs._levels[variant] = memo
-    return alloc, memo[3].copy()
+    plan = _cached(hs._memo, ("plan", variant), (key, mode.is_e, beta),
+                   lambda: _read_only(_active_plan(alloc.h, mode, beta)))
+    return alloc, plan.copy()
 
 
 def check_method_budget(variant: str, n_b: float, n: float = float("inf")) -> None:
@@ -392,9 +394,7 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     """
     variant, beta = method.variant, method.beta
     try:
-        if mode.is_p not in hs._aux_checked:
-            check_domain(hs.aux, mode, "aux")
-            hs._aux_checked |= {mode.is_p}
+        _cached(hs._memo, ("aux", mode.is_p), None, lambda: check_domain(hs.aux, mode, "aux"))
         if u is not None and variant not in BRANCH_METHODS:
             raise DomainError(f"method {variant!r} draws no branch coins to replay")
         n = len(hs)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .allocation import DEFAULT_FAMILY
 from .core import P_INDEPENDENT
-from .engine import (HypothesisSet, MethodSpec, RunOutput, UniqueIds, check_method_budget,
-                     run_method)
+from .engine import (HypothesisSet, MethodSpec, RunOutput, UniqueIds, _cached, _read_only,
+                     check_method_budget, run_method)
 from .errors import DataError, DomainError
 from .procedures import by
 from .rng import DEFAULT_SEED
@@ -71,7 +71,8 @@ class SummaryTable:
 def read_columns(path: str, key_col: str, value_cols: Sequence[str],
                  delimiter: Optional[str] = None,
                  unit_interval: bool = False) -> tuple[UniqueIds, list]:
-    """Read a key column and numeric value columns from a delimited UTF-8 file.
+    """Read a key column and numeric value columns from a delimited UTF-8
+    file, skipping a leading byte-order mark.
 
     Returns ``(keys, values)``: the key strings in file order as
     ``UniqueIds``, certified by the reader's own duplicate check, and one
@@ -89,12 +90,12 @@ def read_columns(path: str, key_col: str, value_cols: Sequence[str],
     try:
         # universal newlines: the bulk path sees every line end as "\n", and
         # the lines are the ones csv.reader gets from a newline="" file
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             delim, header, key_idx, value_idxs = _read_header(fh, path, key_col, value_cols,
                                                               delimiter)
             table = _parse_blocks(fh, delim, len(header), key_idx, value_idxs, unit_interval)
         if table is None:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
                 delim, header, key_idx, value_idxs = _read_header(fh, path, key_col,
                                                                   value_cols, delimiter)
                 table = _parse_rows(fh, path, delim, header, key_col, key_idx, value_idxs,
@@ -264,25 +265,22 @@ class AlignedPair:
     at the queried rows; the oracle pass alone reads them all.
 
     ``keys`` is held as ``UniqueIds``, like ``SummaryTable.keys``.  Per-id
-    work is done once per pair: ``to_hypotheses`` returns one memoized
-    HypothesisSet that shares ``keys`` (and whose id-hashed stream keys are
-    cached), and the oracle rejection set is memoized per ``alpha``.  Both
-    statistic columns are read-only copies, so no write through the pair can
-    desync those caches.
+    work is done once per pair, in one ``_memo`` read through
+    ``engine._cached``: ``to_hypotheses`` returns one HypothesisSet that
+    shares ``keys`` (and memoizes its id-hashed stream keys), and the oracle
+    rejection set is kept per ``alpha``.  Both statistic columns are
+    read-only copies, so no write through the pair can desync those caches.
     """
 
     keys: UniqueIds
     aux_stats: np.ndarray
     target_stats: np.ndarray
-    _hypotheses: Optional[HypothesisSet] = field(default=None, init=False, repr=False,
-                                                 compare=False)
-    _oracles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "keys", UniqueIds(self.keys))
         for name in ("aux_stats", "target_stats"):
-            stats = np.array(getattr(self, name), dtype=np.float64)
-            stats.flags.writeable = False
+            stats = _read_only(np.array(getattr(self, name), dtype=np.float64))
             object.__setattr__(self, name, stats)
         n = len(self.keys)
         if not self.aux_stats.shape == self.target_stats.shape == (n,):
@@ -293,19 +291,13 @@ class AlignedPair:
         return len(self.keys)
 
     def to_hypotheses(self) -> HypothesisSet:
-        if self._hypotheses is None:
-            hs = HypothesisSet(aux=self.aux_stats, exact=self.target_stats, ids=self.keys)
-            object.__setattr__(self, "_hypotheses", hs)
-        return self._hypotheses
+        return _cached(self._memo, "hypotheses", None, lambda: HypothesisSet(
+            aux=self.aux_stats, exact=self.target_stats, ids=self.keys))
 
     def _oracle(self, alpha: float) -> np.ndarray:
         """Read-only BY rejection set on every target p-value, per alpha."""
-        rejected = self._oracles.get(alpha)
-        if rejected is None:
-            rejected = by(self.target_stats, alpha).rejected
-            rejected.flags.writeable = False
-            self._oracles[alpha] = rejected
-        return rejected
+        return _cached(self._memo, ("oracle", alpha), None,
+                       lambda: _read_only(by(self.target_stats, alpha).rejected))
 
 
 def align(target: SummaryTable, aux: SummaryTable) -> AlignedPair:
@@ -391,12 +383,13 @@ def oracle_recovery(
 
 
 def read_score_rows(path: str) -> tuple[np.ndarray, list]:
-    """Read a single-column numeric file, tolerating one optional header
-    row; returns the values and the line number of each."""
+    """Read a single-column numeric UTF-8 file, tolerating a leading
+    byte-order mark and one optional header row; returns the values and
+    the line number of each."""
     values = []
     lines = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text or text.startswith("#"):

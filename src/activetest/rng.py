@@ -13,8 +13,9 @@ inverse-CDF samplers and query coins away from both corners.
 
 The kernel makes that same stream with few temporaries: leading scalar
 words (seed, and rep when it is one number) fold in Python ints, and the
-array words are absorbed in place in one state buffer and one scratch
-buffer per call, so a large draw allocates no array per operation.
+array words are absorbed in place, into a state array and a scratch array
+made when the first array word arrives and again only when a word widens
+the state, so a large draw allocates no array per operation.
 """
 
 from __future__ import annotations
@@ -103,39 +104,29 @@ def _state(seed, rep, index, purpose, draw):
     absorbed as s = mix(s ^ (word + gamma)), mod 2^64.
 
     Leading 0-d words fold in Python ints.  From the first array word on, s
-    lives in one of two uint64 buffers sized for the broadcast shape and is
-    mixed in place, with the other as scratch.  A word that widens s writes
-    the wider s into the other buffer.  Returns a uint64 array, or a numpy
-    uint64 when every word is 0-d.
+    is a uint64 array mixed in place, with a scratch array of its shape;
+    both are made afresh only when a word widens s.  Returns a uint64
+    array, or a numpy uint64 when every word is 0-d.
     """
-    words = [_words(w) for w in (seed, rep, index, purpose, draw)]
-    s, k = 0, 0
-    while k < len(words) and type(words[k]) is int:
-        s = _mix_int(s ^ ((words[k] + _GAMMA) & _MASK))
-        k += 1
-    if k == len(words):
-        return np.uint64(s)
-    full = np.broadcast(*[w for w in words[k:] if type(w) is not int])
-    if not full.size:
-        # a word with no draws; before it, s may be wider than the result
-        return np.empty(full.shape, np.uint64)
-    held, spare = np.empty(full.size, np.uint64), np.empty(full.size, np.uint64)
-    w = words[k]
-    z = np.add(w, _GAMMA_U64, held[:w.size].reshape(w.shape))
-    z ^= np.uint64(s)
-    _mix_into(z, spare[:z.size].reshape(z.shape))
-    for w in words[k + 1:]:
+    s, z = 0, None
+    # every word is checked before any is absorbed
+    for w in [_words(x) for x in (seed, rep, index, purpose, draw)]:
         if type(w) is int:
+            if z is None:
+                s = _mix_int(s ^ ((w + _GAMMA) & _MASK))
+                continue
             z ^= np.uint64((w + _GAMMA) & _MASK)
+        elif z is None:
+            z = w + _GAMMA_U64
+            z ^= np.uint64(s)
+            scratch = np.empty_like(z)
+        elif np.broadcast(z, w).shape == z.shape:
+            np.bitwise_xor(z, w + _GAMMA_U64, z)
         else:
-            wide = np.broadcast(z, w)
-            if wide.shape == z.shape:
-                np.bitwise_xor(z, w + _GAMMA_U64, z)
-            else:
-                held, spare = spare, held
-                z = np.bitwise_xor(z, w + _GAMMA_U64, held[:wide.size].reshape(wide.shape))
-        _mix_into(z, spare[:z.size].reshape(z.shape))
-    return z
+            z = z ^ (w + _GAMMA_U64)
+            scratch = np.empty_like(z)
+        _mix_into(z, scratch)
+    return np.uint64(s) if z is None else z
 
 
 def uniforms(seed, rep, index, purpose, draw=0) -> np.ndarray:

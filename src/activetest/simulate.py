@@ -25,6 +25,7 @@ imported inside the functions that call it, so only simulate runs load it.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -92,8 +93,9 @@ class DgpSpec:
     def __post_init__(self) -> None:
         if self.kind not in DGP_KINDS:
             raise DomainError(f"unknown DGP kind {self.kind!r}; expected one of {DGP_KINDS}")
-        if int(self.n) != self.n or self.n < 2:
+        if not (isinstance(self.n, numbers.Real) and float(self.n).is_integer() and self.n >= 2):
             raise DomainError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if not 0.0 <= self.pi <= 1.0:
             raise DomainError(f"pi must lie in [0, 1], got {self.pi!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -419,8 +421,9 @@ def run_experiment(
     if spec.pi == 0.0:
         raise DomainError("run_experiment requires pi > 0 (no signals to recover)")
     utility, stat_mode = _cell_defaults(spec.kind, mode)
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
+    if not (isinstance(reps, numbers.Real) and float(reps).is_integer() and reps >= 1):
+        raise DomainError(f"reps must be a whole number >= 1, got {reps!r}")
+    reps = int(reps)
     if threads < 1:
         raise DomainError("threads must be >= 1")
     methods_resolved = [MethodSpec(str(m), beta=beta) for m in methods]

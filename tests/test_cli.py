@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import activetest
 from activetest import __version__
 from activetest.cli import build_parser, main, parse_config_header
 from activetest.pipeline import conformal_p
@@ -21,6 +23,14 @@ from conftest import oracle_bh, oracle_ebh
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def run_python(args):
+    """This Python on ``args``, with the package under test importable."""
+    src = str(Path(activetest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestMt:
@@ -88,11 +98,7 @@ class TestUsage:
         assert "activetest" in capsys.readouterr().out
 
     def test_console_script_installed(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "activetest", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-m", "activetest", "--version"])
         assert proc.returncode == 0
         assert "activetest" in proc.stdout
 
@@ -100,13 +106,9 @@ class TestUsage:
     def test_import_leaves_scipy_stats_out(self):
         # scipy.special is the slowest import and only simulate needs it;
         # the version lookup and the thread pool are not needed at all
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, activetest.cli; print(sorted(m for m in "
-             "('scipy', 'importlib.metadata', 'concurrent.futures') if m in sys.modules))"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-c", "import sys, activetest.cli; print(sorted(m for m in "
+                           "('scipy', 'importlib.metadata', 'concurrent.futures') "
+                           "if m in sys.modules))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -132,7 +134,7 @@ class TestUsage:
             f"    rc = main(argv + ['--out', {str(tmp_path)!r} + '/' + argv[0] + '.out'])\n"
             "    print(argv[0], rc, 'scipy' in sys.modules)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = run_python(["-c", script])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "run 0 False", "gwas 0 False", "mt 0 False", "conformal 0 False",
@@ -575,6 +577,65 @@ class TestConformal:
         assert config["n_test"] == "1"
 
 
+def write_with_bom(path, text):
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return str(path)
+
+
+class TestByteOrderMark:
+    """A file saved with a leading UTF-8 byte-order mark reads as without it."""
+
+    @staticmethod
+    def body(path):
+        return [l for l in Path(path).read_text(encoding="utf-8").splitlines()
+                if not l.startswith("#")]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "per-row"])
+    @pytest.mark.parametrize("method", ["active", "all"])
+    def test_run(self, tmp_path, method, quoted):
+        text = "id,aux,exact\n" + "".join(f"h{i},{(i + 1) / 50},{(i + 1) / 45}\n"
+                                          for i in range(40))
+        if quoted:
+            text += '"h,40",0.5,0.5\n'
+        bodies = []
+        for inp in (write(tmp_path / "plain.csv", text), write_with_bom(tmp_path / "bom.csv", text)):
+            out = tmp_path / "out.csv"
+            assert main(["run", "--input", inp, "--mode", "p-general", "--method", method,
+                         "--budget", "8", "--out", str(out)]) == 0
+            bodies.append(self.body(out))
+        assert bodies[0] == bodies[1]
+        assert len(bodies[0]) == 41 + quoted
+
+    def test_gwas(self, tmp_path):
+        target, aux = TestGwas().make_tables(tmp_path)
+        bom_target = write_with_bom(tmp_path / "bom_target.csv", Path(target).read_text())
+        bom_aux = write_with_bom(tmp_path / "bom_aux.csv", Path(aux).read_text())
+        bodies = []
+        for t, a in ((target, aux), (bom_target, bom_aux)):
+            out = tmp_path / "g.csv"
+            assert main(["gwas", "--target", t, "--aux", a, "--budget", "10", "--method",
+                         "active", "--seed", "3", "--out", str(out)]) == 0
+            bodies.append(self.body(out))
+        assert bodies[0] == bodies[1]
+        assert len(bodies[0]) == 51
+
+    def test_conformal_keeps_the_first_calibration_score(self, tmp_path):
+        cal = write_with_bom(tmp_path / "cal.csv", "0.1\n0.2\n0.3\n")
+        test = write_with_bom(tmp_path / "test.csv", "0.15\n")
+        out = tmp_path / "p.csv"
+        assert main(["conformal", "--cal", cal, "--test", test, "--out", str(out)]) == 0
+        config = parse_config_header(out.read_text())
+        assert (config["n_calibration"], config["n_test"]) == ("3", "1")
+        assert self.body(out)[1:] == ["0,0.5"]
+
+    def test_mt_keeps_the_first_statistic(self, tmp_path, capsys):
+        inp = write_with_bom(tmp_path / "p.csv", "0.01\n0.02\n0.5\n")
+        assert main(["mt", "--procedure", "bh", "--alpha", "0.1", "--input", inp]) == 0
+        out = capsys.readouterr().out
+        assert parse_config_header(out)["k_hat"] == "2"
+        assert [l for l in out.splitlines() if not l.startswith("#")] == ["0", "1"]
+
+
 class TestHeaderEcho:
     """Every option a subcommand parses is echoed as a '# key = value' line,
     except the paths its outputs go to, so no run leaves a setting unrecorded."""
@@ -718,7 +779,7 @@ GWAS_HEADER = "rsid,pval\n"
 RUN_MALFORMED = [
     ("empty file", b"", 1),
     ("header only", RUN_HEADER.encode(), 1),
-    ("BOM header", b"\xef\xbb\xbf" + RUN_HEADER.encode() + b"a,0.5,0.5\n", 1),
+    ("BOM and header only", b"\xef\xbb\xbf" + RUN_HEADER.encode(), 1),
     ("ragged row", (RUN_HEADER + "a,0.5,0.5\nb,0.5\n").encode(), 3),
     ("ragged rows that balance", (RUN_HEADER + "1,0.1,0.2,9\n2,0.3\n").encode(), 3),
     ("bad number", (RUN_HEADER + "a,0.5,0.5\nb,0.5,x\n").encode(), 3),
@@ -734,7 +795,7 @@ RUN_MALFORMED = [
 GWAS_MALFORMED = [
     ("empty file", b"", 1),
     ("header only", GWAS_HEADER.encode(), 1),
-    ("BOM header", b"\xef\xbb\xbf" + GWAS_HEADER.encode() + b"rs1,0.5\n", 1),
+    ("BOM and header only", b"\xef\xbb\xbf" + GWAS_HEADER.encode(), 1),
     ("ragged row", b"rsid,pval\nrs1,0.5\nrs2\n", 3),
     ("ragged rows that balance", b"rsid,pval\nrs1,0.5,0.25\n0.5\n", 3),
     ("bad number", b"rsid,pval\nrs1,0.5\nrs2,x\n", 3),

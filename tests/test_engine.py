@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from activetest import engine
 from activetest.allocation import allocate_utilities
 from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT, active_values
 from activetest.engine import (
@@ -649,6 +650,43 @@ class TestSetMemo:
         for seed in (1, 1, 2):
             with pytest.warns(UserWarning, match="budget 50.0 exceeds the 40 hypotheses"):
                 self.run(hs, method, 0.5, P_INDEPENDENT, 50.0, seed, 0)
+
+
+class TestSetMemoBounds:
+    """The set keeps one levels entry per active variant and at most one plan."""
+
+    def test_budgets_a_a_b_b_a_keep_one_levels_entry_and_at_most_one_plan(self):
+        hs = TestSetMemo.make_set()
+        variants = ("active", "active-xu")
+        for step, n_b in enumerate((5.0, 5.0, 9.0, 9.0, 5.0)):
+            for variant in variants:
+                args = (variant, 0.5, P_INDEPENDENT, n_b, step, 0)
+                got = TestSetMemo.run(hs, *args)
+                assert got.to_csv() == TestSetMemo.run(TestSetMemo.make_set(), *args).to_csv()
+            # a plan is kept from the second run of the same levels on, and
+            # dropped when they change
+            plans = {("plan", v) for v in variants} if step in (1, 3) else set()
+            assert set(hs._memo) == {"keys", ("aux", True), "draws", *variants, *plans}
+
+    def test_plan_made_while_the_levels_change_is_not_paired_with_them(self, monkeypatch):
+        # replays one interleaving of two threads: a second run of budget 5
+        # makes its plan while another run moves the levels to budget 9
+        hs = TestSetMemo.make_set()
+        original = engine._active_plan
+        pending = [9.0]
+
+        def interleaved(h, mode, beta):
+            if pending:
+                TestSetMemo.run(hs, "active", 0.5, P_INDEPENDENT, pending.pop(), 1, 0)
+            return original(h, mode, beta)
+
+        TestSetMemo.run(hs, "active", 0.5, P_INDEPENDENT, 5.0, 1, 0)
+        monkeypatch.setattr(engine, "_active_plan", interleaved)
+        TestSetMemo.run(hs, "active", 0.5, P_INDEPENDENT, 5.0, 1, 0)
+        assert not pending
+        args = ("active", 0.5, P_INDEPENDENT, 9.0, 2, 0)
+        got = TestSetMemo.run(hs, *args)
+        assert got.to_csv() == TestSetMemo.run(TestSetMemo.make_set(), *args).to_csv()
 
 
 @pytest.mark.parametrize("method", ["active-xu", "xu", "random", "all"])

@@ -443,6 +443,13 @@ class TestReadScoreColumn:
         with pytest.raises(DataError, match="line 2"):
             read_score_rows(str(f))[0]
 
+    def test_byte_order_mark_keeps_the_first_value(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"\xef\xbb\xbf0.5\n0.25\n")
+        values, lines = read_score_rows(str(f))
+        np.testing.assert_array_equal(values, [0.5, 0.25])
+        assert lines == [1, 2]
+
     def test_no_rows(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("header_only\n")

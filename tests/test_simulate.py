@@ -34,6 +34,11 @@ class TestDgpSpec:
     def test_desk_scale_constants(self):
         assert (DESK_N, DESK_BUDGET, DESK_REPS) == (2000, 100, 100)
 
+    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), "200", 1])
+    def test_n_must_be_a_whole_number(self, n):
+        with pytest.raises(DomainError, match="n must be an integer >= 2"):
+            DgpSpec("signal", n=n, pi=0.1)
+
     def test_kind_validation(self):
         with pytest.raises(DomainError):
             DgpSpec("triangular", n=100, pi=0.1)
@@ -383,12 +388,34 @@ class TestRunExperiment:
             else:
                 assert row.expected_queries is None
 
-    def test_seed_determinism_and_thread_invariance(self):
-        spec = DgpSpec("noisy", n=250, pi=0.2, sigma=2.0)
+    def test_seed_determinism_and_thread_invariance(self, monkeypatch):
+        import concurrent.futures
+        import os
+        import threading
+
+        # 8 reps in blocks of 4: threads=4 starts a pool of 2 on any machine
+        spec = DgpSpec("noisy", n=simulate._BLOCK_ELEMENTS // 4, pi=0.2, sigma=2.0)
         kw = dict(n_b=25, reps=8, seed=19, mode="p")
         base = run_experiment(spec, ["active", "random"], **kw)
         again = run_experiment(spec, ["active", "random"], **kw)
+        started, block_threads = [], set()
+        run_block = simulate._run_block
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        def recording_block(*args):
+            block_threads.add(threading.current_thread())
+            return run_block(*args)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(simulate, "_run_block", recording_block)
         threaded = run_experiment(spec, ["active", "random"], threads=4, **kw)
+        assert started == [2]
+        assert block_threads and threading.current_thread() not in block_threads
         assert base.per_rep_csv() == again.per_rep_csv()
         assert base.per_rep_csv() == threaded.per_rep_csv()
         assert base.aggregate_csv() == threaded.aggregate_csv()
@@ -496,3 +523,19 @@ class TestRunExperiment:
             run_experiment(spec, ["all"], n_b=20, reps=0, seed=1)
         with pytest.raises(DomainError):
             run_experiment(spec, ["all"], n_b=20, reps=1, seed=1, threads=0)
+
+    @pytest.mark.parametrize("reps", [2.5, float("nan"), "3", None])
+    def test_reps_must_be_a_whole_number(self, reps):
+        spec = DgpSpec("signal", n=200, pi=0.2)
+        with pytest.raises(DomainError, match="reps must be a whole number >= 1"):
+            run_experiment(spec, ["all"], n_b=20, reps=reps, seed=1)
+
+    def test_whole_float_n_and_reps_run_as_their_integers(self):
+        kw = dict(n_b=20, seed=5, mode="e")
+        want = run_experiment(DgpSpec("signal", n=2000, pi=0.1), ["active", "random"], reps=5,
+                              **kw)
+        spec = DgpSpec("signal", n=2000.0, pi=0.1)
+        assert type(spec.n) is int
+        got = run_experiment(spec, ["active", "random"], reps=5.0, **kw)
+        assert got.per_rep_csv() == want.per_rep_csv()
+        assert got.aggregate_csv() == want.aggregate_csv()
