@@ -37,7 +37,7 @@ show(res, f"== count-proxy DGP, e-values, N={DESK_N}, budget {DESK_BUDGET}, "
           f"50 reps ==")
 
 # the threshold rule has no budget: at pi=0.2 it queries ~10x the allowance
-xu_mean = np.mean([r.queries for r in res.for_method("xu")])
+xu_mean = np.mean(res.column("xu", "queries"))
 print(f"note the xu row: {xu_mean:.0f} mean queries against a budget of "
       f"{DESK_BUDGET}\n")
 

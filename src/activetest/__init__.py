@@ -52,9 +52,7 @@ from .simulate import (
     AggregateMetrics,
     DgpSpec,
     ExperimentResult,
-    RunMetrics,
     SignalDraw,
-    StatisticsDraw,
     gen_signal,
     make_statistics,
     run_experiment,
@@ -79,11 +77,9 @@ __all__ = [
     "P_INDEPENDENT",
     "RecoveryResult",
     "RejectionSet",
-    "RunMetrics",
     "RunOutput",
     "SignalDraw",
     "StatMode",
-    "StatisticsDraw",
     "SummaryTable",
     "active_e",
     "active_p",

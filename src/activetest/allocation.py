@@ -99,7 +99,12 @@ def allocate_utilities(utilities, n_b: float) -> AllocationResult:
         raise DomainError("utilities must be finite and >= 0")
     # sorted pairwise sum: permutation-invariant total, so allocations are
     # reproducible regardless of input order or reduction scheduling
-    total = float(np.sum(np.sort(u)))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.sort(u)))
+    if not np.isfinite(total):
+        raise DomainError("utilities overflow: their sum exceeds the largest float; scale "
+                          "the auxiliary values down or use a range-compressed family such "
+                          "as log1p")
     if total <= 0.0:
         raise DegenerateUtilitiesError(
             "all utilities are zero; use a strictly positive family such as "

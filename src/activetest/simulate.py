@@ -34,7 +34,7 @@ import numpy as np
 
 from .allocation import DEFAULT_FAMILY
 from .core import E_VALUES, P_GENERAL, P_INDEPENDENT, StatMode
-from .engine import HypothesisSet, MethodSpec, check_method_budget, run_method
+from .engine import HypothesisSet, MethodSpec, check_method_budget, csv_text, run_method
 from .errors import DomainError
 from .procedures import by, ebh
 from .rng import (
@@ -51,8 +51,6 @@ from .rng import (
 __all__ = [
     "DgpSpec",
     "SignalDraw",
-    "StatisticsDraw",
-    "RunMetrics",
     "AggregateMetrics",
     "ExperimentResult",
     "gen_signal",
@@ -96,17 +94,18 @@ class DgpSpec:
         if not (isinstance(self.n, numbers.Real) and float(self.n).is_integer() and self.n >= 2):
             raise DomainError(f"n must be an integer >= 2, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if not 0.0 <= self.pi <= 1.0:
+        # each check refuses a value that is not a real number, None included
+        if not (isinstance(self.pi, numbers.Real) and 0.0 <= self.pi <= 1.0):
             raise DomainError(f"pi must lie in [0, 1], got {self.pi!r}")
-        if not 0.0 < self.alpha < 1.0:
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.kind == "noisy":
-            if self.sigma is None or not 0.0 < self.sigma < math.inf:
+            if not (isinstance(self.sigma, numbers.Real) and 0.0 < self.sigma < math.inf):
                 raise DomainError(f"the noisy DGP requires a finite sigma > 0, got {self.sigma!r}")
         elif self.sigma is not None:
             raise DomainError(f"sigma does not apply to the {self.kind!r} DGP")
         if self.kind == "correlated":
-            if self.rho is None or not -1.0 < self.rho < 1.0:
+            if not (isinstance(self.rho, numbers.Real) and -1.0 < self.rho < 1.0):
                 raise DomainError(f"the correlated DGP requires rho in (-1, 1), got {self.rho!r}")
         elif self.rho is not None:
             raise DomainError(f"rho does not apply to the {self.kind!r} DGP")
@@ -130,14 +129,6 @@ class SignalDraw:
     mu: np.ndarray
     z: np.ndarray
     truth: np.ndarray  # True = non-null
-
-
-@dataclass(frozen=True)
-class StatisticsDraw:
-    e: np.ndarray
-    p: np.ndarray
-    e_aux: np.ndarray
-    p_aux: np.ndarray
 
 
 def _rep_word(rep, trailing: int):
@@ -221,18 +212,11 @@ def _poisson_inverse(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return k.reshape(shape)
 
 
-def make_statistics(spec: DgpSpec, signal: SignalDraw, rep: int, seed: int) -> StatisticsDraw:
-    """Compute (E, P, E_aux, P_aux) for one replication."""
-    e_aux, e = _mode_statistics(spec, signal, rep, seed, True)
-    p_aux, p = _mode_statistics(spec, signal, rep, seed, False)
-    return StatisticsDraw(e=e, p=p, e_aux=e_aux, p_aux=p_aux)
-
-
-def _mode_statistics(spec: DgpSpec, signal: SignalDraw, rep, seed: int,
-                     is_e: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(aux, exact) of ``make_statistics`` for e-values or for p-values
-    alone: each purpose's stream is a pure function of its words, so the
-    other pair's draws are not made.  Takes a vector of reps as
+def make_statistics(spec: DgpSpec, signal: SignalDraw, rep, seed: int,
+                    is_e: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(aux, exact) statistics of one replication: (E_aux, E) when ``is_e``,
+    else (P_aux, P).  Each purpose's stream is a pure function of its words,
+    so the other pair's draws are not made.  Takes a vector of reps as
     ``gen_signal`` does, with that call's ``signal``."""
     from scipy.special import ndtr, ndtri
 
@@ -270,24 +254,8 @@ def _cell_defaults(kind: str, mode: str) -> tuple[str, StatMode]:
     return DEFAULT_FAMILY["inverse"], P_INDEPENDENT if kind == "signal" else P_GENERAL
 
 
-@dataclass(frozen=True)
-class RunMetrics:
-    """Per-replication outcome of one method.
-
-    ``expected_queries`` is the allocation-level sum of query probabilities
-    (None for methods without an allocation); the realized ``queries`` count
-    fluctuates around it.
-    """
-
-    method: str
-    rep: int
-    fdp: float
-    tpp: float
-    queries: int
-    efficiency: float
-    n_rejected: int
-    n_true_discoveries: int
-    expected_queries: Optional[float] = None
+# the per-rep counts _run_block records, in the order of its array's first axis
+_COUNTS = ("n_rejected", "n_true_discoveries", "queries", "n_signals", "expected_queries")
 
 
 @dataclass(frozen=True)
@@ -302,98 +270,92 @@ class AggregateMetrics:
     efficiency_se: float
 
 
-def _metrics(method: str, rep: int, rejected: np.ndarray, truth: np.ndarray,
-             n_queries: int, expected_queries: Optional[float]) -> RunMetrics:
-    n_rejected = int(rejected.size)
-    n_true = int(np.count_nonzero(truth[rejected])) if n_rejected else 0
-    fdp = (n_rejected - n_true) / max(n_rejected, 1)
-    n_signals = int(np.count_nonzero(truth))
-    tpp = n_true / n_signals if n_signals else 0.0
-    efficiency = n_true / n_queries if n_queries else 0.0
-    return RunMetrics(
-        method=method,
-        rep=rep,
-        fdp=fdp,
-        tpp=tpp,
-        queries=int(n_queries),
-        efficiency=efficiency,
-        n_rejected=n_rejected,
-        n_true_discoveries=n_true,
-        expected_queries=expected_queries,
-    )
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # num / den, and 0.0 where den is 0
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
 class ExperimentResult:
-    """Per-rep metric rows plus aggregation and CSV serialization."""
+    """Per-rep metrics of each method, with aggregation and CSV serialization.
 
-    def __init__(self, rows: Sequence[RunMetrics], methods: Sequence[str]):
-        self.rows = list(rows)
+    Each metric is a (methods, reps) array.  ``n_rejected``,
+    ``n_true_discoveries``, ``queries`` and ``n_signals`` are counts.
+    ``expected_queries`` is the allocation-level sum of query probabilities,
+    around which the realized ``queries`` fluctuate, and nan for a method
+    without an allocation.  ``fdp``, ``tpp`` and ``efficiency`` are derived
+    from the counts, and are 0.0 where their denominator is 0.  ``counts``
+    is a (counts, methods, reps) array in the order of ``_COUNTS``.
+    """
+
+    def __init__(self, methods: Sequence[str], counts: np.ndarray):
         self.methods = list(methods)
+        rejected, true, queries, signals = counts[:4].astype(np.int64)
+        self._columns = dict(zip(_COUNTS, (rejected, true, queries, signals, counts[4])),
+                             fdp=_ratio(rejected - true, rejected), tpp=_ratio(true, signals),
+                             efficiency=_ratio(true, queries))
 
-    def for_method(self, method: str) -> list[RunMetrics]:
-        return [r for r in self.rows if r.method == method]
+    def column(self, method: str, name: str) -> np.ndarray:
+        """The values of metric ``name`` for ``method``, one per rep in rep order."""
+        return self._columns[name][self.methods.index(method)]
+
+    def _aggregate_columns(self) -> list[np.ndarray]:
+        fdp, tpp, eff = (self._columns[name] for name in ("fdp", "tpp", "efficiency"))
+        k = fdp.shape[1]
+        se = lambda a: np.std(a, axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(len(a))
+        queries = self._columns["queries"].astype(np.float64)
+        return [fdp.mean(axis=1), se(fdp), tpp.mean(axis=1), se(tpp), queries.mean(axis=1),
+                eff.mean(axis=1), se(eff)]
 
     def aggregate(self) -> list[AggregateMetrics]:
-        out = []
-        for method in self.methods:
-            rows = self.for_method(method)
-            fdp = np.array([r.fdp for r in rows])
-            tpp = np.array([r.tpp for r in rows])
-            eff = np.array([r.efficiency for r in rows])
-            queries = np.array([r.queries for r in rows], dtype=np.float64)
-            k = len(rows)
-            sd = lambda a: float(np.std(a, ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-            out.append(
-                AggregateMetrics(
-                    method=method,
-                    fdr=float(np.mean(fdp)),
-                    fdr_se=sd(fdp),
-                    tpr=float(np.mean(tpp)),
-                    tpr_se=sd(tpp),
-                    queries_mean=float(np.mean(queries)),
-                    efficiency_mean=float(np.mean(eff)),
-                    efficiency_se=sd(eff),
-                )
-            )
-        return out
+        return [AggregateMetrics(method, *map(float, values))
+                for method, values in zip(self.methods, zip(*self._aggregate_columns()))]
 
     def per_rep_csv(self) -> str:
-        return "method,rep,fdp,tpp,queries,efficiency\n" + "".join(
-            f"{r.method},{r.rep},{r.fdp!r},{r.tpp!r},{r.queries},{r.efficiency!r}\n"
-            for r in self.rows)
+        # a row per (rep, method): rep by rep, the methods in order within each
+        reps = self._columns["fdp"].shape[1]
+        return csv_text("method,rep,fdp,tpp,queries,efficiency\n",
+                        [self.methods * reps, np.repeat(np.arange(reps), len(self.methods)),
+                         *(self._columns[name].T.ravel()
+                           for name in ("fdp", "tpp", "queries", "efficiency"))])
 
     def aggregate_csv(self) -> str:
-        return ("method,fdr,fdr_se,tpr,tpr_se,queries_mean,efficiency_mean,efficiency_se\n"
-                + "".join(f"{a.method},{a.fdr!r},{a.fdr_se!r},{a.tpr!r},{a.tpr_se!r},"
-                          f"{a.queries_mean!r},{a.efficiency_mean!r},{a.efficiency_se!r}\n"
-                          for a in self.aggregate()))
+        return csv_text(
+            "method,fdr,fdr_se,tpr,tpr_se,queries_mean,efficiency_mean,efficiency_se\n",
+            [self.methods, *self._aggregate_columns()])
 
 
 def _run_block(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: StatMode,
-               utility: str, seed: int, reps: range) -> list[RunMetrics]:
+               utility: str, seed: int, reps: range) -> np.ndarray:
     """Score every method on each rep of ``reps``, one rep at a time, after
-    drawing the DGP of all of them in one pass per stage."""
+    drawing the DGP of all of them in one pass per stage.  Returns the
+    ``_COUNTS`` of each (method, rep) as a (counts, methods, reps) array."""
     block = np.arange(reps.start, reps.stop)
     signal = gen_signal(spec, block, seed)
-    aux, exact = _mode_statistics(spec, signal, block, seed, mode.is_e)
+    aux, exact = make_statistics(spec, signal, block, seed, mode.is_e)
     # read-only, so each rep's set holds its row without a copy
     aux.flags.writeable = False
-    rows = []
+    counts = np.full((len(_COUNTS), len(methods), len(reps)), np.nan)
+    counts[3] = np.count_nonzero(signal.truth, axis=-1)
+    procedure = ebh if mode.is_e else by
     for b, rep in enumerate(reps):
         # one set per rep: its memo draws the branch coins once for active,
         # active-xu and xu
         hs = HypothesisSet(aux=aux[b], exact=exact[b])
-        for method in methods:
+        for m, method in enumerate(methods):
             out = run_method(hs, method, mode=mode, n_b=n_b, seed=seed, rep=rep,
                              utility=utility)
-            if mode.is_e:
-                rejections = ebh(out.values, spec.alpha)
-            else:
-                rejections = by(out.values, spec.alpha)
-            expected = out.allocation.expected_queries if out.allocation is not None else None
-            rows.append(_metrics(method.variant, rep, rejections.rejected, signal.truth[b],
-                                 out.n_queries, expected))
-    return rows
+            rejected = procedure(out.values, spec.alpha).rejected
+            counts[:3, m, b] = (rejected.size, np.count_nonzero(signal.truth[b, rejected]),
+                                out.n_queries)
+            if out.allocation is not None:
+                counts[4, m, b] = out.allocation.expected_queries
+    return counts
+
+
+def _whole_number(name: str, value) -> int:
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= 1):
+        raise DomainError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 def run_experiment(
@@ -421,11 +383,7 @@ def run_experiment(
     if spec.pi == 0.0:
         raise DomainError("run_experiment requires pi > 0 (no signals to recover)")
     utility, stat_mode = _cell_defaults(spec.kind, mode)
-    if not (isinstance(reps, numbers.Real) and float(reps).is_integer() and reps >= 1):
-        raise DomainError(f"reps must be a whole number >= 1, got {reps!r}")
-    reps = int(reps)
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
+    reps, threads = _whole_number("reps", reps), _whole_number("threads", threads)
     methods_resolved = [MethodSpec(str(m), beta=beta) for m in methods]
     if not methods_resolved:
         raise DomainError("at least one method is required")
@@ -436,7 +394,7 @@ def run_experiment(
     for variant in variants:
         check_method_budget(variant, n_b, spec.n)
 
-    def one(block: range) -> list[RunMetrics]:
+    def one(block: range) -> np.ndarray:
         return _run_block(spec, methods_resolved, n_b, stat_mode, utility, seed, block)
 
     size = max(1, _BLOCK_ELEMENTS // spec.n)
@@ -449,5 +407,4 @@ def run_experiment(
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_block = list(pool.map(one, blocks))
-    rows = [row for block_rows in per_block for row in block_rows]
-    return ExperimentResult(rows, variants)
+    return ExperimentResult(variants, np.concatenate(per_block, axis=-1))

@@ -84,7 +84,7 @@ def _report(tag, ok, detail):
 
 
 def _queries(result, method):
-    return np.array([r.queries for r in result.for_method(method)], dtype=np.float64)
+    return result.column(method, "queries").astype(np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +136,11 @@ def test_02_budget_adherence(desk):
     violations = []
     for key, result in desk.items():
         for method in BUDGETED:
-            rows = result.for_method(method)
             q = _queries(result, method)
             se = q.std(ddof=1) / np.sqrt(q.size) if q.size > 1 else 0.0
             if method != "random":
-                if any(r.expected_queries is None
-                       or r.expected_queries > DESK_BUDGET + 1e-9 for r in rows):
+                expected = result.column(method, "expected_queries")
+                if np.isnan(expected).any() or np.any(expected > DESK_BUDGET + 1e-9):
                     violations.append(f"{key}/{method}: allocation over budget")
             elif not np.all(q == DESK_BUDGET):
                 violations.append(f"{key}/random: realized count != {DESK_BUDGET}")
@@ -188,8 +187,8 @@ def test_05_efficiency_ordering(desk):
     sign_p_max = 0.0
     for key in REPRESENTATIVE_CELLS:
         result = desk[key]
-        ea = np.array([r.efficiency for r in result.for_method("active")])
-        er = np.array([r.efficiency for r in result.for_method("random")])
+        ea = result.column("active", "efficiency")
+        er = result.column("random", "efficiency")
         if ea.mean() < er.mean():
             violations.append(f"{key}: mean ordering")
         n_plus = int(np.sum(ea > er))

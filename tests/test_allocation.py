@@ -72,6 +72,13 @@ class TestAllocate:
         with pytest.raises(DegenerateUtilitiesError, match="log"):
             allocate_utilities([0.0, 0.0], 1.0)
 
+    def test_overflowing_sum_refused(self):
+        with pytest.raises(DomainError, match="utilities overflow"):
+            allocate_utilities([1e308, 1e308, 1.0], 2.0)
+        # a sum just inside the largest float still allocates
+        res = allocate_utilities([1e308, 7e307, 1.0], 2.0)
+        assert abs(np.sum(res.h) - 2.0) <= 1e-15
+
     def test_budget_identity_large_scale(self):
         rng = np.random.default_rng(31)
         u = rng.exponential(size=200_000) * np.exp(rng.normal(0, 4, size=200_000))

@@ -428,6 +428,16 @@ class TestRun:
         assert len(err_lines) == 1 and "warning" in err_lines[0] and family in err_lines[0]
         assert parse_config_header(out.read_text())["utility"] == family
 
+    def test_overflowing_utilities_refused(self, tmp_path, capsys):
+        inp = write(tmp_path / "big.csv", "id,aux,exact\na,1e308,2.0\nb,1e308,0.5\nc,1,1.0\n")
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", inp, "--mode", "e", "--utility", "identity", "--budget", "2",
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "error: utilities overflow" in err and "warning" not in err
+        assert not out.exists()
+
     def test_unknown_utility_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         args = ["run", "--input", self.make_input(tmp_path), "--mode", "e", "--budget", "5",

@@ -52,7 +52,7 @@ class TestDgpSpec:
         with pytest.raises(DomainError):
             DgpSpec("noisy", n=100, pi=0.1, sigma=0.0)
 
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0, "3"])
     def test_noisy_sigma_must_be_finite_and_positive(self, sigma):
         with pytest.raises(DomainError, match="finite sigma > 0"):
             DgpSpec("noisy", n=100, pi=0.1, sigma=sigma)
@@ -66,7 +66,7 @@ class TestDgpSpec:
         with pytest.raises(DomainError):
             DgpSpec("correlated", n=100, pi=0.1, rho=1.0)
 
-    @pytest.mark.parametrize("rho", [None, 1.5, -1.0, float("nan")])
+    @pytest.mark.parametrize("rho", [None, 1.5, -1.0, float("nan"), "0.5"])
     def test_correlated_rho_message_echoes_the_value(self, rho):
         with pytest.raises(DomainError, match=rf"rho in \(-1, 1\), got {rho!r}$"):
             DgpSpec("correlated", n=100, pi=0.1, rho=rho)
@@ -76,6 +76,10 @@ class TestDgpSpec:
             DgpSpec("signal", n=100, pi=-0.1)
         with pytest.raises(DomainError):
             DgpSpec("signal", n=100, pi=1.1)
+        with pytest.raises(DomainError, match=r"pi must lie in \[0, 1\], got '0.1'"):
+            DgpSpec("signal", n=100, pi="0.1")
+        with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\), got '0.1'"):
+            DgpSpec("signal", n=100, pi=0.1, alpha="0.1")
 
 
 class TestGenSignal:
@@ -150,8 +154,9 @@ def test_one_draw_call_per_stage_equals_per_purpose_draws(kind, extra):
     spec = DgpSpec(kind, n=3000, pi=0.2, **extra)
     for rep in range(3):
         signal = gen_signal(spec, rep, seed=13)
-        draw = make_statistics(spec, signal, rep, seed=13)
-        got = (signal.mu, signal.z, signal.truth, draw.e_aux, draw.p_aux)
+        e_aux, _ = make_statistics(spec, signal, rep, 13, True)
+        p_aux, _ = make_statistics(spec, signal, rep, 13, False)
+        got = (signal.mu, signal.z, signal.truth, e_aux, p_aux)
         for a, b in zip(got, per_purpose_draws(spec, rep, seed=13)):
             assert a.tobytes() == b.tobytes()
 
@@ -170,14 +175,14 @@ def test_block_draws_equal_per_rep_draws(monkeypatch, kind, extra, mode, n, bloc
     spec = DgpSpec(kind, n=n, pi=0.2, **extra)
     is_e = mode == "e"
     drawn = []
-    gen, stats_of = simulate.gen_signal, simulate._mode_statistics
+    gen, stats_of = simulate.gen_signal, simulate.make_statistics
 
     def spy(spec, signal, rep, seed, is_e):
         out = stats_of(spec, signal, rep, seed, is_e)
         drawn.append((rep, signal, out))
         return out
 
-    monkeypatch.setattr(simulate, "_mode_statistics", spy)
+    monkeypatch.setattr(simulate, "make_statistics", spy)
     for reps in sorted({1, block - 1, block, block + 1, 2 * block + 3} - {0}):
         drawn.clear()
         run_experiment(spec, ["all"], n_b=10, reps=reps, seed=31, mode=mode)
@@ -225,9 +230,10 @@ class TestMakeStatistics:
         forced = SignalDraw(
             mu=np.zeros(2), z=np.array([lam, 0.0]), truth=np.zeros(2, dtype=bool)
         )
-        draw = make_statistics(spec, forced, rep=0, seed=1)
-        assert draw.e[0] == pytest.approx(math.exp(0.5 * lam * lam), rel=1e-14)
-        assert draw.p[1] == 0.5
+        _, e = make_statistics(spec, forced, 0, 1, True)
+        _, p = make_statistics(spec, forced, 0, 1, False)
+        assert e[0] == pytest.approx(math.exp(0.5 * lam * lam), rel=1e-14)
+        assert p[1] == 0.5
 
     def test_desk_poisson_draws_confirmed_by_recurrence(self):
         # on desk draws every count comes from the pmf recurrence, none from
@@ -237,11 +243,11 @@ class TestMakeStatistics:
             signal = gen_signal(spec, rep, seed=42)
             with mock.patch.object(simulate, "_scipy_poisson_ppf",
                                    side_effect=AssertionError("fallback taken")):
-                draw = make_statistics(spec, signal, rep, seed=42)
+                e_aux, _ = make_statistics(spec, signal, rep, 42, True)
             u = simulate.uniforms(42, rep, np.arange(DESK_N, dtype=np.uint64),
                                   simulate.POISSON_DRAW)
             want = stats.poisson.ppf(u, 1.0 + signal.mu)
-            assert draw.e_aux.tobytes() == want.tobytes()
+            assert e_aux.tobytes() == want.tobytes()
 
     def test_normal_cdf_against_high_precision(self):
         mpmath.mp.dps = 40
@@ -254,19 +260,19 @@ class TestMakeStatistics:
     def test_null_beta_aux_is_uniform(self):
         spec = DgpSpec("signal", n=100_000, pi=0.0)
         signal = gen_signal(spec, rep=0, seed=5)
-        draw = make_statistics(spec, signal, rep=0, seed=5)
-        se = draw.p_aux.std(ddof=1) / math.sqrt(spec.n)
-        assert abs(draw.p_aux.mean() - 0.5) <= 3.0 * se
-        assert abs(np.var(draw.p_aux, ddof=1) - 1.0 / 12.0) <= 4.0 * math.sqrt(1.0 / 180.0 / spec.n)
+        p_aux, _ = make_statistics(spec, signal, 0, 5, False)
+        se = p_aux.std(ddof=1) / math.sqrt(spec.n)
+        assert abs(p_aux.mean() - 0.5) <= 3.0 * se
+        assert abs(np.var(p_aux, ddof=1) - 1.0 / 12.0) <= 4.0 * math.sqrt(1.0 / 180.0 / spec.n)
 
     def test_null_poisson_aux_moments(self):
         spec = DgpSpec("signal", n=1_000_000, pi=0.0)
         signal = gen_signal(spec, rep=0, seed=6)
-        draw = make_statistics(spec, signal, rep=0, seed=6)
+        e_aux, _ = make_statistics(spec, signal, 0, 6, True)
         n = spec.n
-        mean = draw.e_aux.mean()
+        mean = e_aux.mean()
         assert abs(mean - 1.0) <= 4.0 / math.sqrt(n)
-        var = draw.e_aux.var(ddof=1)
+        var = e_aux.var(ddof=1)
         # Var(s^2) ~ (mu4 - sigma^4)/n with Poisson(1): mu4 = lam + 3 lam^2 = 4
         assert abs(var - 1.0) <= 4.0 * math.sqrt(3.0 / n)
 
@@ -274,19 +280,19 @@ class TestMakeStatistics:
         spec = DgpSpec("signal", n=1_000_000, pi=0.0)
         mu = np.full(spec.n, 5.0)
         signal = SignalDraw(mu=mu, z=np.zeros(spec.n), truth=np.ones(spec.n, dtype=bool))
-        draw = make_statistics(spec, signal, rep=0, seed=7)
+        e_aux, _ = make_statistics(spec, signal, 0, 7, True)
         lam = 6.0
         n = spec.n
-        assert abs(draw.e_aux.mean() - lam) <= 4.0 * math.sqrt(lam / n)
+        assert abs(e_aux.mean() - lam) <= 4.0 * math.sqrt(lam / n)
         mu4 = lam + 3.0 * lam * lam
-        assert abs(draw.e_aux.var(ddof=1) - lam) <= 4.0 * math.sqrt((mu4 - lam * lam) / n)
+        assert abs(e_aux.var(ddof=1) - lam) <= 4.0 * math.sqrt((mu4 - lam * lam) / n)
 
     def test_noisy_proxy_recovers_declared_noise_level(self):
         sigma = 3.0
         spec = DgpSpec("noisy", n=100_000, pi=0.0, sigma=sigma)
         signal = gen_signal(spec, rep=0, seed=8)
-        draw = make_statistics(spec, signal, rep=0, seed=8)
-        y = np.log(draw.e_aux) / spec.lam + 0.5 * spec.lam
+        e_aux, _ = make_statistics(spec, signal, 0, 8, True)
+        y = np.log(e_aux) / spec.lam + 0.5 * spec.lam
         resid = y - signal.z
         n = spec.n
         assert abs(resid.mean()) <= 4.0 * sigma / math.sqrt(n)
@@ -297,8 +303,8 @@ class TestMakeStatistics:
         rho = 0.7
         spec = DgpSpec("correlated", n=100_000, pi=0.0, rho=rho)
         signal = gen_signal(spec, rep=0, seed=9)
-        draw = make_statistics(spec, signal, rep=0, seed=9)
-        y = np.log(draw.e_aux) / spec.lam + 0.5 * spec.lam
+        e_aux, _ = make_statistics(spec, signal, 0, 9, True)
+        y = np.log(e_aux) / spec.lam + 0.5 * spec.lam
         assert abs(np.corrcoef(y, signal.z)[0, 1] - rho) < 0.02
         assert abs(y.std(ddof=1) - 1.0) < 0.02
 
@@ -307,9 +313,10 @@ class TestMakeStatistics:
         rho = 0.5
         spec = DgpSpec("correlated", n=1_000, pi=0.0, rho=rho)
         signal = gen_signal(spec, rep=0, seed=10)
-        draw = make_statistics(spec, signal, rep=0, seed=10)
-        y = np.log(draw.e_aux) / spec.lam + 0.5 * spec.lam
-        np.testing.assert_allclose(draw.p_aux, ndtr(-y), atol=1e-12)
+        e_aux, _ = make_statistics(spec, signal, 0, 10, True)
+        p_aux, _ = make_statistics(spec, signal, 0, 10, False)
+        y = np.log(e_aux) / spec.lam + 0.5 * spec.lam
+        np.testing.assert_allclose(p_aux, ndtr(-y), atol=1e-12)
 
 
 class TestUtilityDefaults:
@@ -353,8 +360,7 @@ class TestRunExperiment:
     def test_all_method_queries_everything(self):
         spec = DgpSpec("signal", n=300, pi=0.2)
         result = run_experiment(spec, ["all"], n_b=30, reps=3, seed=11)
-        for row in result.rows:
-            assert row.queries == 300
+        assert np.all(result.column("all", "queries") == 300)
 
     def test_pi_zero_rejected(self):
         spec = DgpSpec("signal", n=300, pi=0.0)
@@ -366,27 +372,32 @@ class TestRunExperiment:
         result = run_experiment(
             spec, ["active", "active-xu", "xu", "random", "all"], n_b=40, reps=5, seed=13
         )
-        n_signals = None
-        for row in result.rows:
-            denom = max(row.n_rejected, 1)
-            assert row.fdp == (row.n_rejected - row.n_true_discoveries) / denom
-            assert 0.0 <= row.fdp <= 1.0 and 0.0 <= row.tpp <= 1.0
-            if row.queries > 0:
-                assert row.efficiency == row.n_true_discoveries / row.queries
-            else:
-                assert row.efficiency == 0.0
+        for method in result.methods:
+            rejected, true, queries, fdp, tpp, efficiency = (
+                result.column(method, name).tolist()
+                for name in ("n_rejected", "n_true_discoveries", "queries", "fdp", "tpp",
+                             "efficiency"))
+            for rep in range(5):
+                assert fdp[rep] == (rejected[rep] - true[rep]) / max(rejected[rep], 1)
+                assert 0.0 <= fdp[rep] <= 1.0 and 0.0 <= tpp[rep] <= 1.0
+                if queries[rep] > 0:
+                    assert efficiency[rep] == true[rep] / queries[rep]
+                else:
+                    assert efficiency[rep] == 0.0
 
     def test_expected_queries_only_for_allocated_methods(self):
         spec = DgpSpec("signal", n=300, pi=0.2)
         result = run_experiment(
             spec, ["active", "active-xu", "xu", "random", "all"], n_b=30, reps=2, seed=17
         )
-        for row in result.rows:
-            if row.method in ("active", "active-xu"):
-                assert row.expected_queries is not None
-                assert row.expected_queries <= 30 + 1e-9
+        for method in result.methods:
+            expected = result.column(method, "expected_queries")
+            assert expected.shape == (2,)
+            if method in ("active", "active-xu"):
+                assert not np.isnan(expected).any()
+                assert np.all(expected <= 30 + 1e-9)
             else:
-                assert row.expected_queries is None
+                assert np.isnan(expected).all()
 
     def test_seed_determinism_and_thread_invariance(self, monkeypatch):
         import concurrent.futures
@@ -452,7 +463,8 @@ class TestRunExperiment:
         spec = DgpSpec("signal", n=simulate._BLOCK_ELEMENTS // 4, pi=0.2)
         result = run_experiment(spec, ["all"], n_b=10, reps=reps, seed=3, threads=threads)
         assert started == ([] if workers is None else [workers])
-        assert [r.rep for r in result.rows] == list(range(reps))
+        per_rep = [line.split(",")[:2] for line in result.per_rep_csv().splitlines()[1:]]
+        assert per_rep == [["all", str(rep)] for rep in range(reps)]
 
     def test_threads_give_the_same_outputs_on_a_partial_block(self):
         spec = DgpSpec("correlated", n=simulate._BLOCK_ELEMENTS // 4, pi=0.2, rho=0.3)
@@ -467,8 +479,8 @@ class TestRunExperiment:
         spec = DgpSpec("signal", n=300, pi=0.2)
         half = run_experiment(spec, ["xu"], n_b=30, beta=0.5, reps=3, seed=23)
         tight = run_experiment(spec, ["xu"], n_b=30, beta=0.9, reps=3, seed=23)
-        q_half = np.mean([r.queries for r in half.rows])
-        q_tight = np.mean([r.queries for r in tight.rows])
+        q_half = np.mean(half.column("xu", "queries"))
+        q_tight = np.mean(tight.column("xu", "queries"))
         # higher beta means fewer Xu queries
         assert q_tight < q_half
 
@@ -523,6 +535,9 @@ class TestRunExperiment:
             run_experiment(spec, ["all"], n_b=20, reps=0, seed=1)
         with pytest.raises(DomainError):
             run_experiment(spec, ["all"], n_b=20, reps=1, seed=1, threads=0)
+        for threads in ("2", 2.5, None):
+            with pytest.raises(DomainError, match="threads must be a whole number >= 1"):
+                run_experiment(spec, ["all"], n_b=20, reps=1, seed=1, threads=threads)
 
     @pytest.mark.parametrize("reps", [2.5, float("nan"), "3", None])
     def test_reps_must_be_a_whole_number(self, reps):
