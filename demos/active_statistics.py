@@ -56,7 +56,7 @@ def fetch(idx):
     return np.full(idx.shape, 1.0)
 
 
-values, queried, scales = active_values(h, u, fetch, E_VALUES, beta=0.5)
+values, queried = active_values(h, u, fetch, E_VALUES, beta=0.5)
 print(f"values:  {np.round(values, 3).tolist()}")
 print(f"queried: {queried.tolist()}  ({int(queried.sum())} of {len(aux)})")
 

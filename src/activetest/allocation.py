@@ -14,6 +14,7 @@ log_inverse) exist.
 
 from __future__ import annotations
 
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -73,8 +74,8 @@ class AllocationResult:
 
 
 def check_budget(n_b: float) -> None:
-    """Refuse a budget that is not a finite number above 0."""
-    if not np.isfinite(n_b) or n_b <= 0.0:
+    """Refuse a budget that is not a finite real number above 0."""
+    if not (isinstance(n_b, numbers.Real) and 0.0 < n_b < np.inf):
         raise DomainError(f"budget must be positive, got {n_b!r}")
 
 

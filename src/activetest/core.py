@@ -19,6 +19,7 @@ exact statistic is itself valid.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -57,23 +58,17 @@ def check_draws(u) -> np.ndarray:
 
 
 def check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 < beta < 1.0 or not np.isfinite(beta):
+    if not (isinstance(beta, numbers.Real) and 0.0 < beta < 1.0):
         raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
-    return beta
+    return float(beta)
 
 
 @dataclass(frozen=True)
 class ActiveOutcome:
-    """Result of one active construction.
-
-    ``scale`` is the multiplier applied to the exact statistic when queried
-    and 0.0 otherwise (the no-query branch never touches the exact value).
-    """
+    """Result of one active construction: its value, and whether it queried."""
 
     value: float
     queried: bool
-    scale: float
 
 
 @dataclass(frozen=True)
@@ -105,9 +100,8 @@ Lazy = Union[float, Callable[[], float]]
 def _active_one(exact: Lazy, h: float, beta: float, mode: StatMode, u: float) -> ActiveOutcome:
     """``active_values`` on one hypothesis; ``exact`` is evaluated only on query."""
     fetch = lambda idx: [float(exact() if callable(exact) else exact) for _ in idx]
-    values, queried, scales = active_values(np.array([float(h)]), np.array([float(u)]), fetch,
-                                            mode, beta)
-    return ActiveOutcome(value=float(values[0]), queried=bool(queried[0]), scale=float(scales[0]))
+    values, queried = active_values(np.array([float(h)]), np.array([float(u)]), fetch, mode, beta)
+    return ActiveOutcome(value=float(values[0]), queried=bool(queried[0]))
 
 
 def active_e(e_exact: Lazy, h: float, beta: float, u: float) -> ActiveOutcome:
@@ -140,13 +134,13 @@ def active_values(
     beta: float,
     *,
     plan: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized active construction.
 
     ``fetch_exact`` receives the integer indices of the query branch only
     and returns the exact statistics for those positions.  Returns
-    (values, queried, scales) aligned with ``h``; ``scales`` is 0.0 on the
-    no-query branch.  ``active_e`` / ``active_p`` are its one-element form.
+    (values, queried) aligned with ``h``.  ``active_e`` / ``active_p`` are
+    its one-element form.
 
     ``plan`` is the engine's: an array of the no-query values
     ``_active_plan`` made from these ``h``, ``mode`` and ``beta``, passed
@@ -165,15 +159,15 @@ def active_values(
     # every draw lies in [0, 1), so u < h is u < min(1, h)
     queried = u < h
     query_idx = np.flatnonzero(queried)
-    scales = np.zeros_like(h)
+    h_queried = h[query_idx]
     if mode.is_e:
         # a level near 0 is queried only on a replayed draw of 0: its scale may be inf
         with np.errstate(over="ignore"):
-            scales[query_idx] = (1.0 - beta) / h[query_idx]
+            scale = (1.0 - beta) / h_queried
     else:
-        scales[query_idx] = (h[query_idx] if mode.kind == "p_independent" else 1.0) / (1.0 - beta)
-    _construct(values, query_idx, fetch_exact, mode, lambda exact: scales[query_idx] * exact)
-    return values, queried, scales
+        scale = (h_queried if mode.kind == "p_independent" else 1.0) / (1.0 - beta)
+    _construct(values, query_idx, fetch_exact, mode, lambda exact: scale * exact)
+    return values, queried
 
 
 def _active_plan(h: np.ndarray, mode: StatMode, beta: float) -> np.ndarray:

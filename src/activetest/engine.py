@@ -18,6 +18,7 @@ the Random baseline draws a subset of positions by design.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -125,9 +126,6 @@ class HypothesisSet:
     def __len__(self) -> int:
         return self.aux.size
 
-    def id_of(self, i: int) -> str:
-        return self.ids[i] if self.ids is not None else str(i)
-
     def exact_at(self, idx: np.ndarray) -> np.ndarray:
         """float64 exact statistics at the ascending positions ``idx``.
 
@@ -200,9 +198,7 @@ class RunOutput:
     queried: np.ndarray
     h: np.ndarray
     n_queries: int
-    seed: int
     source_ids: Optional[UniqueIds] = field(default=None, repr=False)
-    mode: Optional[StatMode] = None
     allocation: Optional[AllocationResult] = field(default=None, repr=False)
 
     @cached_property
@@ -308,7 +304,7 @@ def check_method_budget(variant: str, n_b: float, n: float = float("inf")) -> No
     takes a whole number in [0, n], the others a finite number above 0."""
     if variant != "random":
         check_budget(n_b)
-    elif not float(n_b).is_integer():
+    elif not (isinstance(n_b, numbers.Real) and float(n_b).is_integer()):
         raise DomainError(f"random baseline needs an integer budget, got {n_b!r}")
     elif not 0 <= n_b <= n:
         raise DomainError(f"budget must lie in [0, {n}], got {int(n_b)}")
@@ -430,22 +426,15 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
             _construct(values, np.flatnonzero(queried), hs.exact_at, mode, rule)
         else:
             h = alloc.h
-            values, queried, _ = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
-                                               mode, beta, plan=plan)
+            values, queried = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
+                                            mode, beta, plan=plan)
     except DomainError as exc:
         if exc.index is None:
             raise
         # a value out of its domain is named by its id, not its index
         i = exc.index
-        raise DomainError(str(exc).replace(f"index {i} ", f"id {hs.id_of(i)!r} ", 1)) from None
-    return RunOutput(
-        method=variant,
-        values=values,
-        queried=queried,
-        h=h,
-        n_queries=int(np.count_nonzero(queried)),
-        seed=seed,
-        source_ids=hs.ids,
-        mode=mode,
-        allocation=alloc,
-    )
+        hid = hs.ids[i] if hs.ids is not None else str(i)
+        raise DomainError(str(exc).replace(f"index {i} ", f"id {hid!r} ", 1)) from None
+    return RunOutput(method=variant, values=values, queried=queried, h=h,
+                     n_queries=int(np.count_nonzero(queried)), source_ids=hs.ids,
+                     allocation=alloc)

@@ -23,8 +23,6 @@ class RejectionSet:
 
     rejected: np.ndarray
     k_hat: int
-    alpha: float
-    procedure: str
     threshold: float
 
 
@@ -46,22 +44,28 @@ def _check_pvalues(p) -> np.ndarray:
     return arr
 
 
-def _step_up(arr: np.ndarray, level: float, alpha: float, procedure: str) -> RejectionSet:
-    """Reject the k-hat smallest of the checked p-values ``arr``, k-hat the
-    largest k with p_(k) <= k * level / n (0 if none)."""
-    n = arr.size
-    # no threshold exceeds the last, level * n / n, so only p-values at or
-    # below it can pass: sorting them alone gives the same k-hat, and they
-    # hold every rejection
-    candidates = np.flatnonzero(arr <= level * n / n)
-    values = arr[candidates]
-    ordered = np.sort(values)
-    passing = np.nonzero(ordered <= level * np.arange(1, ordered.size + 1) / n)[0]
-    if passing.size == 0:
-        return RejectionSet(np.empty(0, dtype=np.intp), 0, alpha, procedure, 0.0)
+def _step_up(x: np.ndarray, cutoff) -> tuple[np.ndarray, int]:
+    """The step-up on checked values ``x`` where smaller rejects: k-hat is
+    the largest k with x_(k) <= cutoff(k) (0 if none), ``cutoff`` taking a
+    k or an array of them and never decreasing in k.  Returns the rejected
+    indices, ascending, and k-hat."""
+    # no cutoff exceeds the last, cutoff(n), so only values at or below it
+    # can pass: sorting them alone gives the same k-hat, and they hold
+    # every rejection
+    candidates = np.flatnonzero(x <= cutoff(x.size))
+    values = x[candidates]
+    passing = np.flatnonzero(np.sort(values) <= cutoff(np.arange(1, values.size + 1)))
+    if not passing.size:
+        return np.empty(0, dtype=np.intp), 0
     k_hat = int(passing[-1]) + 1
-    threshold = k_hat * level / n
-    return RejectionSet(candidates[values <= threshold], k_hat, alpha, procedure, threshold)
+    return candidates[values <= cutoff(k_hat)], k_hat
+
+
+def _p_step_up(arr: np.ndarray, level: float) -> RejectionSet:
+    """The step-up on the checked p-values ``arr`` with cutoffs k * level / n."""
+    n = arr.size
+    rejected, k_hat = _step_up(arr, lambda k: level * k / n)
+    return RejectionSet(rejected, k_hat, k_hat * level / n)
 
 
 def bh(p, alpha: float) -> RejectionSet:
@@ -71,7 +75,7 @@ def bh(p, alpha: float) -> RejectionSet:
     p_(k) <= k * alpha / n (0 if none).
     """
     alpha = check_alpha(alpha)
-    return _step_up(_check_pvalues(p), alpha, alpha, "bh")
+    return _p_step_up(_check_pvalues(p), alpha)
 
 
 @lru_cache
@@ -86,7 +90,7 @@ def by(p, alpha: float) -> RejectionSet:
     """BH run at level alpha / H_n; valid under arbitrary dependence."""
     alpha = check_alpha(alpha)
     arr = _check_pvalues(p)
-    return _step_up(arr, alpha / harmonic_number(arr.size), alpha, "by")
+    return _p_step_up(arr, alpha / harmonic_number(arr.size))
 
 
 def ebh(e, alpha: float) -> RejectionSet:
@@ -99,15 +103,7 @@ def ebh(e, alpha: float) -> RejectionSet:
     if not arr.min() >= 0.0:
         raise DomainError("e-values must be >= 0", index=int((~(arr >= 0.0)).argmax()))
     n = arr.size
-    # no threshold falls below the last, n / (alpha * n), so only e-values at
-    # or above it can pass: sorting them alone gives the same k-hat, and they
-    # hold every rejection
-    candidates = np.flatnonzero(arr >= n / (alpha * n))
-    values = arr[candidates]
-    ordered = np.sort(values)[::-1]
-    passing = np.nonzero(ordered >= n / (alpha * np.arange(1, ordered.size + 1)))[0]
-    if passing.size == 0:
-        return RejectionSet(np.empty(0, dtype=np.intp), 0, alpha, "ebh", np.inf)
-    k_hat = int(passing[-1]) + 1
-    threshold = n / (alpha * k_hat)
-    return RejectionSet(candidates[values >= threshold], k_hat, alpha, "ebh", threshold)
+    # negation is exact, so each comparison of -e with -(n / (alpha * k))
+    # is that of e with n / (alpha * k)
+    rejected, k_hat = _step_up(-arr, lambda k: -(n / (alpha * k)))
+    return RejectionSet(rejected, k_hat, n / (alpha * k_hat) if k_hat else np.inf)

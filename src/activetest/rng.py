@@ -1,7 +1,7 @@
 """Counter-based uniform random numbers.
 
-Every draw is a pure function of the tuple (seed, rep, index, purpose, draw),
-so results never depend on evaluation order, vectorization chunking, or thread
+Every draw is a pure function of the tuple (seed, rep, index, purpose), so
+results never depend on evaluation order, vectorization chunking, or thread
 scheduling.  The generator hashes the tuple words through a chain of
 splitmix64 finalizers (full 64-bit avalanche per absorbed word) and maps the
 top 53 bits k to the float (k + 1/2) / 2^53.  Below 0.5 the draws are those
@@ -75,7 +75,7 @@ def _word(v) -> int:
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
-        raise DomainError(f"seed, rep, index, purpose and draw must be whole numbers, got {v!r}")
+        raise DomainError(f"seed, rep, index and purpose must be whole numbers, got {v!r}")
     return int(v) & _MASK
 
 
@@ -99,9 +99,9 @@ def _words(x):
                       dtype=np.uint64).reshape(arr.shape)
 
 
-def _state(seed, rep, index, purpose, draw):
-    """The hashed state of each draw: from s = 0, each word in turn is
-    absorbed as s = mix(s ^ (word + gamma)), mod 2^64.
+def _state(seed, rep, index, purpose):
+    """The hashed state of each draw: from s = 0, each word in turn, then
+    the word 0, is absorbed as s = mix(s ^ (word + gamma)), mod 2^64.
 
     Leading 0-d words fold in Python ints.  From the first array word on, s
     is a uint64 array mixed in place, with a scratch array of its shape;
@@ -110,7 +110,7 @@ def _state(seed, rep, index, purpose, draw):
     """
     s, z = 0, None
     # every word is checked before any is absorbed
-    for w in [_words(x) for x in (seed, rep, index, purpose, draw)]:
+    for w in [_words(x) for x in (seed, rep, index, purpose)] + [0]:
         if type(w) is int:
             if z is None:
                 s = _mix_int(s ^ ((w + _GAMMA) & _MASK))
@@ -129,14 +129,14 @@ def _state(seed, rep, index, purpose, draw):
     return np.uint64(s) if z is None else z
 
 
-def uniforms(seed, rep, index, purpose, draw=0) -> np.ndarray:
+def uniforms(seed, rep, index, purpose) -> np.ndarray:
     """Uniform draws in (0, 1), vectorized over broadcastable arguments.
 
     Any word may be an integer array; the result has the broadcast shape of
     all of them.  A column of reps (or purposes) against an index row gives
     each rep its own draws, bit for bit.
     """
-    s = _state(seed, rep, index, purpose, draw)
+    s = _state(seed, rep, index, purpose)
     u = (s >> _SHIFT11).astype(np.float64)
     u += 0.5
     u *= 2.0**-53

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks over the whole package.
+"""Acceptance gate: eleven end-to-end checks over the whole package.
 
 Each test prints exactly one [PASS]/[FAIL] line with the measured margins
 (run pytest with -s to see the lines for passing tests).  Statistical checks
@@ -23,7 +23,7 @@ from activetest.core import (
     mc_evalue_validity,
     mc_pvalue_superuniformity,
 )
-from activetest.engine import xu_query_prob
+from activetest.engine import HypothesisSet, MethodSpec, run_method, xu_query_prob
 from activetest.pipeline import align, conformal_p, oracle_recovery, read_summary_table
 from activetest.procedures import bh, by, ebh
 from activetest.rng import DEFAULT_SEED
@@ -40,6 +40,7 @@ from conftest import (
     E_SAMPLERS,
     P_H_FNS,
     P_SAMPLERS,
+    S_GRID,
     oracle_bh,
     oracle_by,
     oracle_ebh,
@@ -76,6 +77,18 @@ REPRESENTATIVE_CELLS = (
     ("correlated", "p", 0.2, 0.5),
 )
 
+# sparse cells for the FDR gate, every DGP x mode at pi = 0.02: where nulls
+# dominate, a rule that picks rows by aux and then tests its pick as if the
+# pick were fixed shows its selection bias.  sigma 1 and rho 0.8 keep aux
+# close enough to exact for that bias to leave the 3-se band.
+SPARSE_REPS = 200
+SPARSE_CELLS = {
+    (kind, mode, 0.02, param): (DgpSpec(kind, DESK_N, 0.02, **kwargs), mode)
+    for kind, param, kwargs in (("signal", None, {}), ("noisy", 1.0, {"sigma": 1.0}),
+                                ("correlated", 0.8, {"rho": 0.8}))
+    for mode in ("e", "p")
+}
+
 
 def _report(tag, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] acceptance {tag}: {detail}"
@@ -93,6 +106,15 @@ def desk():
         key: run_experiment(spec, METHODS, n_b=DESK_BUDGET, reps=DESK_REPS,
                             seed=DEFAULT_SEED, mode=mode)
         for key, (spec, mode) in CELLS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def sparse():
+    return {
+        key: run_experiment(spec, METHODS, n_b=DESK_BUDGET, reps=SPARSE_REPS,
+                            seed=DEFAULT_SEED, mode=mode)
+        for key, (spec, mode) in SPARSE_CELLS.items()
     }
 
 
@@ -161,16 +183,18 @@ def test_03_unbudgeted_baseline_overshoot(desk):
             f"(budgeted methods hold {DESK_BUDGET}; directional bound 200)")
 
 
-def test_04_fdr_control(desk):
+def test_04_fdr_control(desk, sparse):
     worst = -np.inf
     worst_at = None
-    for key in REPRESENTATIVE_CELLS:
-        for agg in desk[key].aggregate():
+    cells = {**{key: desk[key] for key in REPRESENTATIVE_CELLS}, **sparse}
+    for key, result in cells.items():
+        for agg in result.aggregate():
             slack = agg.fdr - (0.1 + 3.0 * agg.fdr_se)
             if slack > worst:
                 worst, worst_at = slack, (key, agg.method)
     _report("04 fdr control", worst <= 0.0,
-            f"{len(REPRESENTATIVE_CELLS)} cells x {len(METHODS)} methods at "
+            f"{len(REPRESENTATIVE_CELLS)} cells at pi 0.2 ({DESK_REPS} reps) and "
+            f"{len(sparse)} at pi 0.02 ({SPARSE_REPS} reps) x {len(METHODS)} methods at "
             f"level 0.1; worst slack {worst:+.4f} at {worst_at}")
 
 
@@ -378,3 +402,43 @@ def test_10_thread_determinism(desk):
     _report("10 thread determinism", not mismatched,
             f"{len(CELLS)} cells byte-compared across 1 vs 8 threads"
             + ("" if not mismatched else f"; mismatched: {mismatched}"))
+
+
+NULL_N = 2000
+NULL_REPS = 50
+
+
+def test_11_engine_null_battery():
+    # all-null rows through run_method, so the allocation's normalization
+    # across rows is inside the check; the adversarial sampler's aux equals
+    # its exact statistic.  identity at n/2 clamps the levels of large aux.
+    cells = [(name, E_SAMPLERS[name], E_VALUES, utility, n_b) for name in E_SAMPLERS
+             for utility, n_b in (("log1p", 100.0), ("identity", NULL_N / 2))]
+    cells += [(name, P_SAMPLERS[name], P_GENERAL, "log_inverse", 100.0) for name in P_SAMPLERS]
+    cells.append(("independent", P_SAMPLERS["independent"], P_INDEPENDENT, "log_inverse",
+                  100.0))
+    s_grid = np.array(S_GRID)
+    t0 = time.perf_counter()
+    worst = {"e": (-np.inf, None), "p": (-np.inf, None)}
+    for name, sampler, mode, utility, n_b in cells:
+        # per rep: the mean e-value, or the ecdf of the p-values on the grid
+        stats = np.empty((len(METHODS), NULL_REPS, s_grid.size if mode.is_p else 1))
+        for rep in range(NULL_REPS):
+            hs = HypothesisSet(*sampler(NULL_N, DEFAULT_SEED + rep))
+            for m, method in enumerate(METHODS):
+                values = run_method(hs, MethodSpec(method), mode=mode, n_b=n_b,
+                                    seed=DEFAULT_SEED, rep=rep, utility=utility).values
+                stats[m, rep] = ((values[:, None] <= s_grid).mean(axis=0) if mode.is_p
+                                 else values.mean())
+        se = stats.std(axis=1, ddof=1) / np.sqrt(NULL_REPS)
+        slack = stats.mean(axis=1) - ((s_grid if mode.is_p else 1.0) + 3.0 * se)
+        m = int(np.argmax(slack.max(axis=1)))
+        kind = "p" if mode.is_p else "e"
+        if slack[m].max() > worst[kind][0]:
+            worst[kind] = (float(slack[m].max()), (name, mode.kind, utility, METHODS[m]))
+    elapsed = time.perf_counter() - t0
+    runs = len(cells) * len(METHODS) * NULL_REPS
+    _report("11 engine null battery", worst["e"][0] <= 0.0 and worst["p"][0] <= 0.0,
+            f"{runs} all-null runs of n={NULL_N}: worst e-mean slack {worst['e'][0]:+.4f} "
+            f"at {worst['e'][1]}, worst p-ecdf slack {worst['p'][0]:+.4f} at "
+            f"{worst['p'][1]}, {elapsed:.1f}s")

@@ -142,12 +142,14 @@ class TestAllocate:
 class TestBudget:
     def test_rejects_nonpositive_budget(self):
         # all-zero utilities: the budget is checked first
-        for n_b in (0.0, -5.0, float("nan"), float("inf")):
+        for n_b in (0.0, -5.0, float("nan"), float("inf"), "10", None):
             with pytest.raises(DomainError, match=f"^budget must be positive, got {n_b!r}$"):
                 allocate_utilities([0.0, 0.0], n_b)
 
     def test_fractional_budget_allowed(self):
         assert np.sum(allocate_utilities(np.ones(10), 2.5).h) == pytest.approx(2.5)
+        # a numpy scalar is a real number
+        assert np.sum(allocate_utilities(np.ones(10), np.float32(2.5)).h) == pytest.approx(2.5)
 
     def test_overlarge_budget_clamped_with_warning(self):
         with pytest.warns(UserWarning, match="budget 20.0 exceeds the 10 hypotheses; clamping"):

@@ -39,7 +39,8 @@ class TestActiveE:
         out = active_e(2.0, 0.5, beta=0.5, u=0.3)
         assert out.value == 2.0
         assert out.queried
-        assert out.scale == 1.0
+        # at exact 1.0 the value is the query scale
+        assert active_e(1.0, 0.5, beta=0.5, u=0.3).value == 1.0
 
     def test_no_query_branch_example(self):
         exact = CountingStat(123.0)
@@ -57,9 +58,11 @@ class TestActiveE:
     def test_near_zero_level_overflows_to_inf_not_nan(self):
         # only a replayed draw of 0 queries a subnormal level
         out = active_e(0.0, 5e-324, beta=0.5, u=0.0)
-        assert out.queried and out.scale == np.inf and out.value == 0.0
+        assert out.queried and out.value == 0.0
+        assert active_e(1.0, 5e-324, beta=0.5, u=0.0).value == np.inf
         out = active_e(2.0, 2.225073858507203e-309, beta=0.75, u=0.0)
-        assert np.isfinite(out.scale) and out.value == np.inf
+        assert out.value == np.inf
+        assert np.isfinite(active_e(1.0, 2.225073858507203e-309, beta=0.75, u=0.0).value)
 
     def test_h_zero_never_queries(self):
         exact = CountingStat(50.0)
@@ -72,7 +75,7 @@ class TestActiveE:
     def test_h_above_one_always_queries_with_shrunk_scale(self):
         out = active_e(2.0, 2.5, beta=0.5, u=0.99)
         assert out.queried
-        assert out.scale == 0.5 / 2.5
+        assert active_e(1.0, 2.5, beta=0.5, u=0.99).value == 0.5 / 2.5
         assert out.value == (0.5 / 2.5) * 2.0
 
     def test_no_query_value_full_precision(self):
@@ -85,8 +88,10 @@ class TestActiveE:
     def test_scale_times_query_prob_bounded(self):
         for beta in (0.1, 0.5, 0.9):
             for h in (0.05, 0.3, 0.61, 0.99, 1.0, 1.7, 4.0):
+                # at exact 1.0 the value is the query scale
                 out = active_e(1.0, h, beta=beta, u=0.0)
-                assert out.scale * min(1.0, h) <= (1.0 - beta) * (1.0 + 1e-12)
+                assert out.queried
+                assert out.value * min(1.0, h) <= (1.0 - beta) * (1.0 + 1e-12)
 
     def test_lazy_called_exactly_once_on_query(self):
         exact = CountingStat(2.0)
@@ -107,7 +112,7 @@ class TestActiveE:
         with pytest.raises(DomainError):
             active_e(1.0, 0.5, beta=0.5, u=u)
 
-    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.2, 1.3])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.2, 1.3, float("nan"), "0.5", None])
     def test_beta_domain(self, beta):
         with pytest.raises(DomainError):
             active_e(1.0, 0.5, beta=beta, u=0.1)
@@ -118,13 +123,14 @@ class TestActiveP:
         out = active_p(0.01, 0.5, beta=0.5, mode=P_INDEPENDENT, u=0.2)
         assert out.queried
         assert out.value == 0.01
-        assert out.scale == 1.0
+        # below the cap at 1, the value is the query scale times the exact p
+        assert active_p(0.25, 0.5, beta=0.5, mode=P_INDEPENDENT, u=0.2).value == 0.25
 
     def test_general_query_example(self):
         out = active_p(0.01, 0.5, beta=0.5, mode=P_GENERAL, u=0.2)
         assert out.queried
         assert out.value == 0.02
-        assert out.scale == 2.0
+        assert active_p(0.25, 0.5, beta=0.5, mode=P_GENERAL, u=0.2).value == 2.0 * 0.25
 
     def test_no_query_example(self):
         out = active_p(CountingStat(0.5), 0.8, beta=0.5, mode=P_INDEPENDENT, u=0.9)
@@ -174,7 +180,7 @@ class TestVectorizedAgreement:
         exact = rng.uniform(size=n) if mode.is_p else rng.exponential(size=n)
         beta = 0.35
 
-        values, queried, scales = active_values(h, u, lambda idx: exact[idx], mode, beta)
+        values, queried = active_values(h, u, lambda idx: exact[idx], mode, beta)
         for i in range(n):
             if mode.is_e:
                 out = active_e(exact[i], h[i], beta=beta, u=u[i])
@@ -182,7 +188,6 @@ class TestVectorizedAgreement:
                 out = active_p(exact[i], h[i], beta=beta, mode=mode, u=u[i])
             assert values[i] == out.value
             assert queried[i] == out.queried
-            assert scales[i] == out.scale
 
     @pytest.mark.parametrize("mode", [E_VALUES, P_INDEPENDENT, P_GENERAL])
     def test_matches_masked_no_query_fill_at_edge_levels(self, mode):
@@ -194,7 +199,7 @@ class TestVectorizedAgreement:
         beta = 0.3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, queried, scales = active_values(h, u, lambda idx: exact[idx], mode, beta)
+            values, queried = active_values(h, u, lambda idx: exact[idx], mode, beta)
         want_queried = u < np.minimum(1.0, h)
         no_query = ~want_queried
         want = np.empty_like(h)
@@ -213,7 +218,6 @@ class TestVectorizedAgreement:
                               else np.where(np.isnan(out), 0.0, out))
         np.testing.assert_array_equal(queried, want_queried)
         assert queried[h >= 1.0].all()
-        assert scales.tobytes() == want_scales.tobytes()
         assert values.tobytes() == want.tobytes()
 
     def test_fetch_receives_query_indices_only(self):
@@ -225,7 +229,7 @@ class TestVectorizedAgreement:
             seen.append(np.array(idx))
             return np.ones(len(idx))
 
-        _, queried, _ = active_values(h, u, fetch, E_VALUES, 0.5)
+        _, queried = active_values(h, u, fetch, E_VALUES, 0.5)
         np.testing.assert_array_equal(queried, [False, True, False, True, True])
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], [1, 3, 4])
@@ -414,7 +418,8 @@ class TestTypes:
     def test_check_beta_passthrough(self):
         assert check_beta(0.5) == 0.5
         assert check_beta(0.25) == 0.25
+        assert type(check_beta(np.float32(0.25))) is float
 
     def test_outcome_branch_labels(self):
-        assert ActiveOutcome(1.0, True, 2.0).queried is True
-        assert ActiveOutcome(1.0, False, 0.0).queried is False
+        assert ActiveOutcome(1.0, True).queried is True
+        assert ActiveOutcome(1.0, False).queried is False

@@ -153,9 +153,11 @@ class TestRunAll:
                            ids=["c", "a", "b"])
         out = run_method(hs, MethodSpec("all"), mode=P_INDEPENDENT, n_b=3.0, seed=9)
         assert out.ids == ["c", "a", "b"]
-        assert out.mode == P_INDEPENDENT
-        assert out.seed == 9
         assert out.to_csv().splitlines()[1].startswith("c,")
+        # all reports the exact p-values, whatever the seed
+        np.testing.assert_array_equal(out.values, [0.1, 0.2, 0.3])
+        other = run_method(hs, MethodSpec("all"), mode=P_INDEPENDENT, n_b=3.0, seed=10)
+        assert other.to_csv() == out.to_csv()
 
     @pytest.mark.parametrize("method", ["random", "all"])
     def test_exact_domain_checked(self, method):
@@ -177,7 +179,7 @@ class TestRunAll:
 
 
 @pytest.mark.parametrize("method", ["active", "active-xu", "xu", "all"])
-@pytest.mark.parametrize("n_b", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("n_b", [float("nan"), float("inf"), 0.0, -1.0, "10"])
 def test_budget_checked_for_every_method(method, n_b):
     records, calls = counted_records([1.0] * 4, [1.0] * 4)
     with pytest.raises(DomainError, match=f"^budget must be positive, got {n_b!r}$"):
@@ -204,7 +206,8 @@ class TestRunRandom:
         hs = HypothesisSet(aux=[0.5, 0.5], exact=np.array([0.1, 0.2]), ids=["x", "y"])
         out = run_method(hs, MethodSpec("random"), mode=P_GENERAL, n_b=1.0, seed=3)
         assert out.ids == ["x", "y"]
-        assert out.mode == P_GENERAL
+        # the queried row reports its exact p-value, the other 1
+        np.testing.assert_array_equal(out.values, np.where(out.queried, [0.1, 0.2], 1.0))
 
     def test_partial_subset_reproducible(self):
         records, calls = counted_records([1.0] * 4, [2.0, 3.0, 4.0, 5.0])
@@ -547,6 +550,10 @@ class TestRecordsAndOutput:
     def test_method_spec_validation(self):
         with pytest.raises(DomainError):
             MethodSpec("bogus")
+        for variant in ("active", "xu"):
+            with pytest.raises(DomainError, match="^beta must lie strictly inside"):
+                MethodSpec(variant, beta="0.5")
+        assert MethodSpec("xu", beta=np.float64(0.25)).beta == 0.25
 
     def test_run_method_requires_utility_for_active(self):
         records, _ = counted_records([1.0], [1.0])
@@ -600,7 +607,7 @@ class TestSetMemo:
         reused = self.make_set()
         for args in self.RUNS:
             got, want = self.run(reused, *args), self.run(self.make_set(), *args)
-            for name in ("method", "n_queries", "seed", "source_ids", "mode"):
+            for name in ("method", "n_queries", "source_ids"):
                 assert getattr(got, name) == getattr(want, name), (args, name)
             for name in ("values", "queried", "h"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

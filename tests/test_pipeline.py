@@ -318,7 +318,11 @@ class TestOracleRecovery:
         ({"n_b": 1e9, "method": "random"}, "budget must lie in"),
         ({"beta": 1.5}, "beta must lie"),
         ({"method": "bogus"}, "unknown method"),
-    ], ids=["nan-budget", "random-fraction", "random-above-n", "beta", "method"])
+        ({"n_b": "20"}, "budget must be positive"),
+        ({"n_b": "20", "method": "random"}, "integer budget"),
+        ({"beta": "0.5"}, "beta must lie"),
+    ], ids=["nan-budget", "random-fraction", "random-above-n", "beta", "method", "text-budget",
+            "random-text-budget", "text-beta"])
     def test_settings_refused_before_oracle(self, monkeypatch, kwargs, message):
         # a refused setting costs no BY pass over the target p-values
         calls = []

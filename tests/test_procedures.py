@@ -20,8 +20,7 @@ class TestBh:
         res = bh([0.01, 0.02, 0.5], alpha=0.1)
         assert res.k_hat == 2
         assert rset(res) == {0, 1}
-        assert res.procedure == "bh"
-        assert res.alpha == 0.1
+        assert res.threshold == 2 * 0.1 / 3
 
     def test_all_ones_rejects_nothing(self):
         res = bh([1.0, 1.0, 1.0], alpha=0.1)
@@ -62,8 +61,7 @@ class TestBy:
         res = by([0.01, 0.02, 0.5], alpha=0.1)
         assert res.k_hat == 2
         assert rset(res) == {0, 1}
-        assert res.procedure == "by"
-        assert res.alpha == 0.1
+        assert res.threshold == 2 * (0.1 / harmonic_number(3)) / 3
 
     def test_single_hypothesis_equals_bh(self):
         for p in (0.01, 0.09, 0.11, 0.5):
@@ -102,7 +100,7 @@ class TestEbh:
         res = ebh([40.0, 30.0, 1.0], alpha=0.1)
         assert res.k_hat == 2
         assert rset(res) == {0, 1}
-        assert res.procedure == "ebh"
+        assert res.threshold == 3 / (0.1 * 2)
 
     def test_all_zero(self):
         assert rset(ebh([0.0, 0.0, 0.0], alpha=0.1)) == set()

@@ -30,14 +30,12 @@ class TestDeterminism:
         for i in range(16):
             assert uniforms(7, 0, i, QUERY_DRAW) == vec[i]
 
-    @pytest.mark.parametrize("field", ["seed", "rep", "index", "purpose", "draw"])
+    @pytest.mark.parametrize("field", ["seed", "rep", "index", "purpose"])
     def test_any_field_change_changes_output(self, field):
-        base = dict(seed=11, rep=2, index=5, purpose=QUERY_DRAW, draw=0)
+        base = dict(seed=11, rep=2, index=5, purpose=QUERY_DRAW)
         bumped = dict(base)
         bumped[field] += 1
-        u0 = uniforms(base["seed"], base["rep"], base["index"], base["purpose"], base["draw"])
-        u1 = uniforms(bumped["seed"], bumped["rep"], bumped["index"], bumped["purpose"], bumped["draw"])
-        assert u0 != u1
+        assert uniforms(**base) != uniforms(**bumped)
 
     @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
     def test_purpose_column_matches_per_purpose_draws(self, dtype):
@@ -49,12 +47,12 @@ class TestDeterminism:
         for j, purpose in enumerate(purposes):
             assert table[j].tobytes() == uniforms(9, 4, idx, purpose).tobytes()
 
-    @pytest.mark.parametrize("field", ["seed", "rep", "index", "purpose", "draw"])
+    @pytest.mark.parametrize("field", ["seed", "rep", "index", "purpose"])
     @pytest.mark.parametrize("bad", [1.7, 0.2, np.array([0.2, 0.9, 1.0]), float("nan"),
                                      float("inf"), "3"],
                              ids=["1.7", "0.2", "array", "nan", "inf", "text"])
     def test_words_that_are_not_whole_numbers_refused(self, field, bad):
-        words = {**dict(seed=1, rep=0, index=3, purpose=QUERY_DRAW, draw=0), field: bad}
+        words = {**dict(seed=1, rep=0, index=3, purpose=QUERY_DRAW), field: bad}
         with pytest.raises(DomainError, match="must be whole numbers"):
             uniforms(**words)
 
@@ -192,7 +190,7 @@ def _ref_state(seed, rep, index, purpose, draw):
 
 
 def _ref_uniforms(*words):
-    s = _ref_state(*words)
+    s = _ref_state(*words, 0)
     u = ((s >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     if u.ndim:
         return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
@@ -224,11 +222,11 @@ _ARRAY_KINDS = {
 
 @st.composite
 def _word_tuples(draw):
-    """Five words, each a scalar of some kind or an array whose shape
+    """Four words, each a scalar of some kind or an array whose shape
     broadcasts against the others, such as (B, 1, 1) x (n,) x (3, 1)."""
     full = draw(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, 6)))
     words = []
-    for _ in range(5):
+    for _ in range(4):
         if draw(st.booleans()):
             words.append(draw(_SCALAR_WORDS))
             continue
@@ -248,7 +246,8 @@ def _word_tuples(draw):
 @given(_word_tuples())
 def test_kernel_equals_the_frozen_per_operation_version(words):
     before = [w.copy() for w in words if isinstance(w, np.ndarray) and w.ndim]
-    got_state, want_state = rng._state(*words), _ref_state(*words)
+    # the kernel absorbs the constant word 0 last, where a draw word once was
+    got_state, want_state = rng._state(*words), _ref_state(*words, 0)
     assert type(got_state) is type(want_state)
     assert np.shape(got_state) == np.shape(want_state)
     assert np.asarray(got_state).tobytes() == np.asarray(want_state).tobytes()

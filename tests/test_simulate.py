@@ -539,6 +539,14 @@ class TestRunExperiment:
             with pytest.raises(DomainError, match="threads must be a whole number >= 1"):
                 run_experiment(spec, ["all"], n_b=20, reps=1, seed=1, threads=threads)
 
+    @pytest.mark.parametrize("method", ["active", "random"])
+    def test_budget_and_beta_must_be_real_numbers(self, method):
+        spec = DgpSpec("signal", n=200, pi=0.2)
+        with pytest.raises(DomainError, match="budget"):
+            run_experiment(spec, [method], n_b="10", reps=1)
+        with pytest.raises(DomainError, match="^beta must lie strictly inside"):
+            run_experiment(spec, [method], n_b=10, beta="0.5", reps=1)
+
     @pytest.mark.parametrize("reps", [2.5, float("nan"), "3", None])
     def test_reps_must_be_a_whole_number(self, reps):
         spec = DgpSpec("signal", n=200, pi=0.2)
