@@ -14,7 +14,6 @@ import tempfile
 import numpy as np
 
 from activetest.pipeline import (
-    SummaryTable,
     align,
     oracle_recovery,
     read_summary_table,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_vector
 from .errors import DegenerateUtilitiesError, DomainError
 
 __all__ = [
@@ -85,9 +86,7 @@ def allocate_utilities(utilities, n_b: float) -> AllocationResult:
     A budget above the number of utilities is clamped to it, with a warning.
     """
     check_budget(n_b)
-    u = np.asarray(utilities, dtype=np.float64)
-    if u.ndim != 1 or u.size == 0:
-        raise DomainError("utilities must be a nonempty vector")
+    u = check_vector(utilities, "utilities")
     if n_b > u.size:
         # name the nearest caller outside the package
         level, frame = 1, sys._getframe()

@@ -115,7 +115,8 @@ def build_parser() -> _Parser:
                      help="aggregate metrics CSV (default: <out stem>_agg.csv)")
 
     run = sub.add_parser("run", help="run one method on a CSV of hypotheses")
-    run.add_argument("--input", required=True, help="CSV with columns id,aux,exact")
+    run.add_argument("--input", required=True,
+                     help="table with columns id,aux,exact (comma or tab)")
     run.add_argument("--mode", choices=["e", "p-independent", "p-general"], required=True)
     run.add_argument("--method", choices=METHOD_NAMES, default="active")
     run.add_argument("--budget", type=float, default=None)
@@ -196,7 +197,7 @@ def _cmd_run(args) -> int:
 
 
 def _read_run_input(path: str) -> HypothesisSet:
-    ids, (aux, exact) = read_columns(path, "id", ("aux", "exact"), delimiter=",")
+    ids, (aux, exact) = read_columns(path, "id", ("aux", "exact"))
     return HypothesisSet(aux=aux, exact=exact, ids=ids)
 
 

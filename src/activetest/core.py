@@ -63,6 +63,21 @@ def check_beta(beta: float) -> float:
     return float(beta)
 
 
+def check_whole(name: str, value, low: int) -> int:
+    """``value`` as an int, refused unless it is a whole real number >= ``low``."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= low):
+        raise DomainError(f"{name} must be a whole number >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_vector(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array, refused unless it has one axis and a value."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError(f"{name} must form a nonempty vector")
+    return arr
+
+
 @dataclass(frozen=True)
 class ActiveOutcome:
     """Result of one active construction: its value, and whether it queried."""
@@ -250,8 +265,7 @@ def mc_evalue_validity(
     A valid construction keeps mean <= 1 up to Monte Carlo noise.
     """
     beta = check_beta(beta)
-    if n_samples < _MIN_MC_SAMPLES:
-        raise DomainError(f"n_samples must be >= {_MIN_MC_SAMPLES}")
+    n_samples = check_whole("n_samples", n_samples, _MIN_MC_SAMPLES)
     values = _mc_active_values(sampler, h_fn, beta, E_VALUES, n_samples, seed)
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / np.sqrt(n_samples))
@@ -275,10 +289,10 @@ def mc_pvalue_superuniformity(
     beta = check_beta(beta)
     if not mode.is_p:
         raise DomainError("mc_pvalue_superuniformity requires a p-type mode")
-    if n_samples < _MIN_MC_SAMPLES:
-        raise DomainError(f"n_samples must be >= {_MIN_MC_SAMPLES}")
-    s_grid = np.asarray(s_grid, dtype=np.float64)
-    if np.any(s_grid <= 0.0) or np.any(s_grid > 1.0):
+    n_samples = check_whole("n_samples", n_samples, _MIN_MC_SAMPLES)
+    s_grid = check_vector(s_grid, "levels")
+    # min and max are nan when any level is
+    if not (s_grid.min() > 0.0 and s_grid.max() <= 1.0):
         raise DomainError("levels must lie in (0, 1]")
     values = _mc_active_values(sampler, h_fn, beta, mode, n_samples, seed)
     ecdf = np.array([np.mean(values <= s) for s in s_grid])

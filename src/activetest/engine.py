@@ -28,7 +28,7 @@ import numpy as np
 from .allocation import (AllocationResult, allocate_utilities, check_budget, check_family,
                          eval_utility)
 from .core import (StatMode, _active_plan, _construct, active_values, check_beta, check_domain,
-                   check_draws)
+                   check_draws, check_vector)
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
 
@@ -79,13 +79,12 @@ class UniqueIds(tuple):
 class HypothesisSet:
     """Column-oriented collection of hypotheses.
 
-    ``aux`` is held as a read-only float64 vector, copied only when the
-    given array is writable.  ``exact`` is either an array-like of n
-    numbers, stored once as a float64 array, or one callable mapping an
-    ascending index array to the values at those rows.  It is checked once,
-    here, and read through ``exact_at``, once per run.  ``ids``, when given,
-    is a sequence of n ids held as ``UniqueIds``, so no run can rewrite the
-    ids its stream keys were hashed from.
+    ``aux`` is held as a value column (``_column``).  ``exact`` is either
+    an iterable of n numbers, held as a value column too, or one callable
+    mapping an ascending index array to the values at those rows.  It is
+    checked once, here, and read through ``exact_at``, once per run.
+    ``ids``, when given, is an iterable of n ids held as ``UniqueIds``, so
+    no run can rewrite the ids its stream keys were hashed from.
 
     A set memoizes what its runs compute from ``aux`` and ``ids`` alone, in
     one ``_memo`` read through ``_cached``, one value per slot: the stream
@@ -100,20 +99,17 @@ class HypothesisSet:
     """
 
     def __init__(self, aux, exact, ids=None):
-        aux = np.asarray(aux, dtype=np.float64)
-        self.aux = aux = _read_only(aux.copy()) if aux.flags.writeable else aux
-        if aux.ndim != 1 or aux.size == 0:
-            raise DomainError("aux must be a nonempty vector")
+        self.aux = aux = check_vector(_column(aux), "aux")
         n = aux.size
         if ids is not None:
+            ids = ids if isinstance(ids, UniqueIds) else tuple(ids)
             if len(ids) != n:
                 raise DomainError("ids must align with aux")
             ids = UniqueIds(ids)
         self.ids = ids
         if not callable(exact):
             try:
-                exact = np.asarray(exact if isinstance(exact, np.ndarray) else list(exact),
-                                   dtype=np.float64)
+                exact = _column(exact if isinstance(exact, np.ndarray) else list(exact))
             except (TypeError, ValueError) as exc:
                 raise DomainError(
                     f"exact must be numbers or one callable on index arrays: {exc}"
@@ -164,6 +160,14 @@ def _cached(memo: dict, slot, key, make: Callable[[], object]):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _column(x) -> np.ndarray:
+    """``x`` as a value column: a read-only float64 array, taken as is when
+    it already is one, and otherwise copied once."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64 and not x.flags.writeable:
+        return x
+    return _read_only(np.array(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)

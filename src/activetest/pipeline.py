@@ -13,16 +13,16 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .allocation import DEFAULT_FAMILY
-from .core import P_INDEPENDENT
-from .engine import (HypothesisSet, MethodSpec, RunOutput, UniqueIds, _cached, _read_only,
-                     check_method_budget, run_method)
+from .core import P_INDEPENDENT, check_vector
+from .engine import (HypothesisSet, MethodSpec, RunOutput, UniqueIds, _cached, _column,
+                     _read_only, check_method_budget, run_method)
 from .errors import DataError, DomainError
-from .procedures import by
+from .procedures import by, check_alpha
 from .rng import DEFAULT_SEED
 
 __all__ = [
@@ -43,7 +43,8 @@ class SummaryTable:
 
     ``keys`` is held as ``UniqueIds``: keys given as one (as
     ``read_summary_table`` gives them) are kept as they are, and a repeat
-    in any other sequence raises DataError naming ``source``.
+    in any other sequence raises DataError naming ``source``.  ``stats``
+    is held as a value column (``engine._column``).
     """
 
     keys: UniqueIds
@@ -51,8 +52,8 @@ class SummaryTable:
     source: str = ""
 
     def __post_init__(self) -> None:
-        stats = np.asarray(self.stats, dtype=np.float64)
-        if len(self.keys) != stats.size:
+        stats = _column(self.stats)
+        if stats.shape != (len(self.keys),):
             raise DataError("keys and stats must align")
         if stats.size == 0:
             raise DataError("summary table is empty")
@@ -69,16 +70,15 @@ class SummaryTable:
 
 
 def read_columns(path: str, key_col: str, value_cols: Sequence[str],
-                 delimiter: Optional[str] = None,
                  unit_interval: bool = False) -> tuple[UniqueIds, list]:
     """Read a key column and numeric value columns from a delimited UTF-8
     file, skipping a leading byte-order mark.
 
     Returns ``(keys, values)``: the key strings in file order as
     ``UniqueIds``, certified by the reader's own duplicate check, and one
-    float64 array per name in ``value_cols``.  The delimiter is sniffed from
-    the header (tab wins over comma) unless given.  Blank lines are skipped,
-    extra columns ignored and quoted fields accepted.  With
+    read-only float64 array per name in ``value_cols``.  The delimiter is
+    sniffed from the header: tab when it holds one, else comma.  Blank lines
+    are skipped, extra columns ignored and quoted fields accepted.  With
     ``unit_interval`` every value must lie in [0, 1].  Keys must be unique.
     Bad input raises DataError naming the file and the line.
 
@@ -91,28 +91,25 @@ def read_columns(path: str, key_col: str, value_cols: Sequence[str],
         # universal newlines: the bulk path sees every line end as "\n", and
         # the lines are the ones csv.reader gets from a newline="" file
         with open(path, "r", encoding="utf-8-sig") as fh:
-            delim, header, key_idx, value_idxs = _read_header(fh, path, key_col, value_cols,
-                                                              delimiter)
+            delim, header, key_idx, value_idxs = _read_header(fh, path, key_col, value_cols)
             table = _parse_blocks(fh, delim, len(header), key_idx, value_idxs, unit_interval)
         if table is None:
             with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-                delim, header, key_idx, value_idxs = _read_header(fh, path, key_col,
-                                                                  value_cols, delimiter)
+                delim, header, key_idx, value_idxs = _read_header(fh, path, key_col, value_cols)
                 table = _parse_rows(fh, path, delim, header, key_col, key_idx, value_idxs,
                                     unit_interval)
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from exc
     if not table[0]:
         raise DataError(f"{path}: no data rows after the header on line 1")
-    return table
+    return table[0], list(map(_read_only, table[1]))
 
 
-def _read_header(fh, path: str, key_col: str, value_cols: Sequence[str],
-                 delimiter: Optional[str]):
+def _read_header(fh, path: str, key_col: str, value_cols: Sequence[str]):
     first = fh.readline()
     if not first:
         raise DataError(f"{path}: line 1: empty file")
-    delim = delimiter or ("\t" if "\t" in first else ",")
+    delim = "\t" if "\t" in first else ","
     try:
         header = next(csv.reader([first], delimiter=delim))
     except csv.Error as exc:
@@ -251,8 +248,7 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> DataError:
 
 
 def read_summary_table(path: str, key_col: str, stat_col: str) -> SummaryTable:
-    """Parse a delimited text file, its delimiter sniffed from the header,
-    into a SummaryTable (see ``read_columns``)."""
+    """Parse a delimited text file into a SummaryTable (see ``read_columns``)."""
     keys, (stats,) = read_columns(path, key_col, (stat_col,), unit_interval=True)
     return SummaryTable(keys=keys, stats=stats, source=path)
 
@@ -267,9 +263,10 @@ class AlignedPair:
     ``keys`` is held as ``UniqueIds``, like ``SummaryTable.keys``.  Per-id
     work is done once per pair, in one ``_memo`` read through
     ``engine._cached``: ``to_hypotheses`` returns one HypothesisSet that
-    shares ``keys`` (and memoizes its id-hashed stream keys), and the oracle
-    rejection set is kept per ``alpha``.  Both statistic columns are
-    read-only copies, so no write through the pair can desync those caches.
+    shares ``keys`` and both columns (and memoizes its id-hashed stream
+    keys), and the oracle rejection set is kept per ``alpha``.  Both
+    statistic columns are value columns (``engine._column``), so no write
+    through the pair can desync those caches.
     """
 
     keys: UniqueIds
@@ -280,8 +277,7 @@ class AlignedPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "keys", UniqueIds(self.keys))
         for name in ("aux_stats", "target_stats"):
-            stats = _read_only(np.array(getattr(self, name), dtype=np.float64))
-            object.__setattr__(self, name, stats)
+            object.__setattr__(self, name, _column(getattr(self, name)))
         n = len(self.keys)
         if not self.aux_stats.shape == self.target_stats.shape == (n,):
             raise DataError(f"aligned pair columns must have one length: keys {n}, aux_stats "
@@ -311,10 +307,10 @@ def align(target: SummaryTable, aux: SummaryTable) -> AlignedPair:
     keys, tgt_vals = target.keys, target.stats
     if not hit.all():
         keys = UniqueIds._unchecked(compress(keys, hit.tolist()))
-        tgt_vals, pos = tgt_vals[hit], pos[hit]
+        tgt_vals, pos = _read_only(tgt_vals[hit]), pos[hit]
     if not keys:
         raise DataError("no keys in common between target and auxiliary tables")
-    return AlignedPair(keys=keys, aux_stats=aux.stats[pos], target_stats=tgt_vals)
+    return AlignedPair(keys=keys, aux_stats=_read_only(aux.stats[pos]), target_stats=tgt_vals)
 
 
 def conformal_p(calibration_scores, test_scores) -> np.ndarray:
@@ -323,10 +319,8 @@ def conformal_p(calibration_scores, test_scores) -> np.ndarray:
     Low scores are evidence against the null, so a test score below every
     calibration score gets the smallest attainable value 1 / (n + 1).
     """
-    cal = np.asarray(calibration_scores, dtype=np.float64)
+    cal = check_vector(calibration_scores, "calibration scores")
     test = np.asarray(test_scores, dtype=np.float64)
-    if cal.ndim != 1 or cal.size == 0:
-        raise DomainError("calibration scores must form a nonempty vector")
     nan = np.isnan(np.concatenate((cal, test.ravel())))
     if nan.any():
         raise DomainError("scores must not contain NaN", index=int(nan.argmax()))
@@ -367,6 +361,7 @@ def oracle_recovery(
     """
     spec = MethodSpec(str(method), beta=beta)
     check_method_budget(spec.variant, n_b, len(aligned))
+    alpha = check_alpha(alpha)
     oracle = aligned._oracle(alpha)
     out = run_method(aligned.to_hypotheses(), spec, mode=P_INDEPENDENT, n_b=n_b, seed=seed,
                      utility=DEFAULT_FAMILY["inverse"])

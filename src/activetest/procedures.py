@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .core import check_vector, check_whole
 from .errors import DomainError
 
 __all__ = ["RejectionSet", "bh", "by", "ebh", "harmonic_number"]
@@ -27,16 +29,13 @@ class RejectionSet:
 
 
 def check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return alpha
+    return float(alpha)
 
 
 def _check_pvalues(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("p-values must form a nonempty vector")
+    arr = check_vector(p, "p-values")
     # min and max are nan when any p-value is; the mask is built only to name it
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         bad = ~((arr >= 0.0) & (arr <= 1.0))
@@ -81,8 +80,7 @@ def bh(p, alpha: float) -> RejectionSet:
 @lru_cache
 def harmonic_number(n: int) -> float:
     """Sum of 1/i for i = 1..n, accumulated from the smallest terms."""
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_whole("n", n, 1)
     return float(np.sum(1.0 / np.arange(n, 0, -1, dtype=np.float64)))
 
 
@@ -97,9 +95,7 @@ def ebh(e, alpha: float) -> RejectionSet:
     """e-value step-up: reject the k-hat largest e-values where k-hat is the
     largest k whose k-th largest e-value is >= n / (alpha * k)."""
     alpha = check_alpha(alpha)
-    arr = np.asarray(e, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("e-values must form a nonempty vector")
+    arr = check_vector(e, "e-values")
     if not arr.min() >= 0.0:
         raise DomainError("e-values must be >= 0", index=int((~(arr >= 0.0)).argmax()))
     n = arr.size

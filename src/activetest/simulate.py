@@ -33,10 +33,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocation import DEFAULT_FAMILY
-from .core import E_VALUES, P_GENERAL, P_INDEPENDENT, StatMode
-from .engine import HypothesisSet, MethodSpec, check_method_budget, csv_text, run_method
+from .core import E_VALUES, P_GENERAL, P_INDEPENDENT, StatMode, check_whole
+from .engine import (HypothesisSet, MethodSpec, _read_only, check_method_budget, csv_text,
+                     run_method)
 from .errors import DomainError
-from .procedures import by, ebh
+from .procedures import by, check_alpha, ebh
 from .rng import (
     BETA_DRAW,
     DEFAULT_SEED,
@@ -91,14 +92,11 @@ class DgpSpec:
     def __post_init__(self) -> None:
         if self.kind not in DGP_KINDS:
             raise DomainError(f"unknown DGP kind {self.kind!r}; expected one of {DGP_KINDS}")
-        if not (isinstance(self.n, numbers.Real) and float(self.n).is_integer() and self.n >= 2):
-            raise DomainError(f"n must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_whole("n", self.n, 2))
         # each check refuses a value that is not a real number, None included
         if not (isinstance(self.pi, numbers.Real) and 0.0 <= self.pi <= 1.0):
             raise DomainError(f"pi must lie in [0, 1], got {self.pi!r}")
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        check_alpha(self.alpha)
         if self.kind == "noisy":
             if not (isinstance(self.sigma, numbers.Real) and 0.0 < self.sigma < math.inf):
                 raise DomainError(f"the noisy DGP requires a finite sigma > 0, got {self.sigma!r}")
@@ -331,9 +329,8 @@ def _run_block(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: StatM
     ``_COUNTS`` of each (method, rep) as a (counts, methods, reps) array."""
     block = np.arange(reps.start, reps.stop)
     signal = gen_signal(spec, block, seed)
-    aux, exact = make_statistics(spec, signal, block, seed, mode.is_e)
-    # read-only, so each rep's set holds its row without a copy
-    aux.flags.writeable = False
+    # read-only, so each rep's set holds its rows without a copy
+    aux, exact = map(_read_only, make_statistics(spec, signal, block, seed, mode.is_e))
     counts = np.full((len(_COUNTS), len(methods), len(reps)), np.nan)
     counts[3] = np.count_nonzero(signal.truth, axis=-1)
     procedure = ebh if mode.is_e else by
@@ -350,12 +347,6 @@ def _run_block(spec: DgpSpec, methods: list[MethodSpec], n_b: float, mode: StatM
             if out.allocation is not None:
                 counts[4, m, b] = out.allocation.expected_queries
     return counts
-
-
-def _whole_number(name: str, value) -> int:
-    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= 1):
-        raise DomainError(f"{name} must be a whole number >= 1, got {value!r}")
-    return int(value)
 
 
 def run_experiment(
@@ -380,10 +371,8 @@ def run_experiment(
     ``threads`` maps the blocks over at most that many workers, and no more
     than there are blocks or CPUs, without changing any output bit.
     """
-    if spec.pi == 0.0:
-        raise DomainError("run_experiment requires pi > 0 (no signals to recover)")
     utility, stat_mode = _cell_defaults(spec.kind, mode)
-    reps, threads = _whole_number("reps", reps), _whole_number("threads", threads)
+    reps, threads = check_whole("reps", reps, 1), check_whole("threads", threads, 1)
     methods_resolved = [MethodSpec(str(m), beta=beta) for m in methods]
     if not methods_resolved:
         raise DomainError("at least one method is required")

@@ -77,13 +77,16 @@ REPRESENTATIVE_CELLS = (
     ("correlated", "p", 0.2, 0.5),
 )
 
-# sparse cells for the FDR gate, every DGP x mode at pi = 0.02: where nulls
+# sparse cells for the FDR gate, every DGP x mode at pi = 0.02 and at the
+# global null pi = 0, where FDR is the chance of any rejection: where nulls
 # dominate, a rule that picks rows by aux and then tests its pick as if the
 # pick were fixed shows its selection bias.  sigma 1 and rho 0.8 keep aux
 # close enough to exact for that bias to leave the 3-se band.
 SPARSE_REPS = 200
+SPARSE_PIS = (0.02, 0.0)
 SPARSE_CELLS = {
-    (kind, mode, 0.02, param): (DgpSpec(kind, DESK_N, 0.02, **kwargs), mode)
+    (kind, mode, pi, param): (DgpSpec(kind, DESK_N, pi, **kwargs), mode)
+    for pi in SPARSE_PIS
     for kind, param, kwargs in (("signal", None, {}), ("noisy", 1.0, {"sigma": 1.0}),
                                 ("correlated", 0.8, {"rho": 0.8}))
     for mode in ("e", "p")
@@ -194,8 +197,8 @@ def test_04_fdr_control(desk, sparse):
                 worst, worst_at = slack, (key, agg.method)
     _report("04 fdr control", worst <= 0.0,
             f"{len(REPRESENTATIVE_CELLS)} cells at pi 0.2 ({DESK_REPS} reps) and "
-            f"{len(sparse)} at pi 0.02 ({SPARSE_REPS} reps) x {len(METHODS)} methods at "
-            f"level 0.1; worst slack {worst:+.4f} at {worst_at}")
+            f"{len(sparse)} at pi {' and '.join(map(str, SPARSE_PIS))} ({SPARSE_REPS} reps) x "
+            f"{len(METHODS)} methods at level 0.1; worst slack {worst:+.4f} at {worst_at}")
 
 
 def test_05_efficiency_ordering(desk):

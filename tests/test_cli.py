@@ -474,6 +474,18 @@ class TestRun:
         assert main(args) == 2
         assert "id,aux,exact" in capsys.readouterr().err
 
+    def test_tab_separated_input_writes_the_csv_body(self, tmp_path):
+        rows = [("id", "aux", "exact")] + [(f"h{i}", f"{(i + 1) / 50}", f"{(i + 1) / 45}")
+                                           for i in range(40)]
+        bodies = []
+        for name, sep in (("hyps.csv", ","), ("hyps.tsv", "\t")):
+            inp = write(tmp_path / name, "".join(sep.join(row) + "\n" for row in rows))
+            out = tmp_path / f"{name}.out"
+            assert main(["run", "--input", inp, "--mode", "p-general", "--method", "active",
+                         "--budget", "8", "--out", str(out)]) == 0
+            bodies.append(TestByteOrderMark.body(out))
+        assert bodies[0] == bodies[1] and len(bodies[0]) == 41
+
     def test_deterministic(self, tmp_path):
         inp = self.make_input(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

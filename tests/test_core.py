@@ -276,8 +276,9 @@ class TestMcEvalueValidity:
 
     def test_small_sample_count_rejected(self):
         sampler = lambda n, seed: (np.ones(n), np.ones(n))
-        with pytest.raises(DomainError):
-            mc_evalue_validity(sampler, lambda a: a, 0.5, 9_999, seed=0)
+        for n_samples in (9_999, None, 20_000.5):
+            with pytest.raises(DomainError, match="n_samples must be a whole number >= 10000"):
+                mc_evalue_validity(sampler, lambda a: a, 0.5, n_samples, seed=0)
 
     def test_negative_sampler_output_rejected(self):
         sampler = lambda n, seed: (np.ones(n), -np.ones(n))
@@ -334,6 +335,15 @@ class TestMcPvalueSuperuniformity:
             mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, (0.0, 0.5), 10_000, 0)
         with pytest.raises(DomainError):
             mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, (0.5, 1.2), 10_000, 0)
+        # a nan level would read as an ecdf of 0, which looks super-uniform
+        with pytest.raises(DomainError, match=r"levels must lie in \(0, 1\]"):
+            mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, (0.1, np.nan),
+                                      10_000, 0)
+        for grid in ((), ((0.5,),)):
+            with pytest.raises(DomainError, match="levels must form a nonempty vector"):
+                mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, grid, 10_000, 0)
+        with pytest.raises(DomainError, match="n_samples must be a whole number"):
+            mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, (0.5,), 1e4 + 0.5, 0)
 
     def test_e_mode_rejected(self):
         sampler = lambda n, seed: (np.full(n, 0.5), np.full(n, 0.5))

@@ -383,7 +383,9 @@ class TestQueryAccounting:
         assert max(calls["per"]) <= 1
 
     def test_generator_exact_read_alike_by_every_run(self):
-        hs = HypothesisSet([1.0, 2.0, 3.0], (v for v in [4.0, 5.0, 6.0]))
+        hs = HypothesisSet([1.0, 2.0, 3.0], (v for v in [4.0, 5.0, 6.0]),
+                           ids=(f"h{i}" for i in range(3)))
+        assert hs.ids == ("h0", "h1", "h2")
         first, second = run_all(hs), run_all(hs)
         np.testing.assert_array_equal(first.values, [4.0, 5.0, 6.0])
         np.testing.assert_array_equal(second.values, first.values)
@@ -500,7 +502,8 @@ class TestRecordsAndOutput:
         plain = HypothesisSet([1.0, 1.0], [1.0, 1.0], ids=["a", "b"]).ids
         assert type(plain) is UniqueIds and plain == ("a", "b")
 
-    @pytest.mark.parametrize("ids", [["a", "a"], UniqueIds(["a", "b"])], ids=["list", "unique"])
+    @pytest.mark.parametrize("ids", [["a", "a"], UniqueIds(["a", "b"]), iter(["a", "a"])],
+                             ids=["list", "unique", "generator"])
     def test_id_count_checked_before_repeats(self, ids):
         with pytest.raises(DomainError, match="ids must align with aux"):
             HypothesisSet([1.0] * 3, [1.0] * 3, ids=ids)
@@ -640,6 +643,14 @@ class TestSetMemo:
             hs.aux[0] = 0.9
         given_aux[0] = 0.9
         assert hs.aux[0] == 0.1
+
+    def test_set_copies_caller_exact(self):
+        given_exact = np.array([0.3, 0.4])
+        hs = HypothesisSet([0.1, 0.2], given_exact)
+        given_exact[0] = 0.9
+        np.testing.assert_array_equal(hs.exact_at(np.arange(2)), [0.3, 0.4])
+        # a read-only column is held as it is
+        assert HypothesisSet(hs.aux, hs._exact)._exact is hs._exact
 
     @pytest.mark.parametrize("method", ["active", "active-xu"])
     def test_memoized_levels_are_read_only(self, method):

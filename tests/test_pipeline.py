@@ -42,6 +42,9 @@ class TestSummaryTable:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             table([], [])
+        # one value per key, not a column of rows
+        with pytest.raises(DataError, match="keys and stats must align"):
+            table(["a", "b"], [[0.1], [0.2]])
 
 
 class TestReadSummaryTable:
@@ -145,7 +148,7 @@ class TestAlign:
         np.testing.assert_array_equal(twice.target_stats, once.target_stats)
         np.testing.assert_array_equal(twice.aux_stats, once.aux_stats)
 
-    def test_read_keys_flow_through_unchecked_and_uncopied(self, tmp_path):
+    def test_read_keys_flow_through_unchecked_and_uncopied(self, tmp_path, monkeypatch):
         t = tmp_path / "t.csv"
         a = tmp_path / "a.csv"
         t.write_text("rsid,pval\nrs3,0.1\nrs1,0.2\nrs9,0.3\nrs2,0.4\n")
@@ -158,6 +161,17 @@ class TestAlign:
         partial = align(target, aux)
         assert type(partial.keys) is UniqueIds and partial.keys == ("rs3", "rs1", "rs2")
         assert partial.to_hypotheses().ids is partial.keys
+        # the value columns too: read-only from the reader on, and held, not copied
+        assert not (target.stats.flags.writeable or aux.stats.flags.writeable)
+        built = []
+        monkeypatch.setattr(pipeline, "AlignedPair",
+                            lambda **columns: built.append(columns) or AlignedPair(**columns))
+        for pair, columns in zip((align(target, target), align(target, aux)), built):
+            assert np.shares_memory(pair.aux_stats, columns["aux_stats"])
+            assert np.shares_memory(pair.target_stats, columns["target_stats"])
+            hs = pair.to_hypotheses()
+            assert hs.aux is pair.aux_stats and hs._exact is pair.target_stats
+        assert built[0]["target_stats"] is target.stats
 
     def test_plain_keys_still_checked_as_ids(self):
         # str() makes 1 and "1" one id, so the table refuses them
@@ -321,8 +335,10 @@ class TestOracleRecovery:
         ({"n_b": "20"}, "budget must be positive"),
         ({"n_b": "20", "method": "random"}, "integer budget"),
         ({"beta": "0.5"}, "beta must lie"),
+        ({"alpha": None}, "alpha must lie"),
+        ({"alpha": "0.1"}, "alpha must lie"),
     ], ids=["nan-budget", "random-fraction", "random-above-n", "beta", "method", "text-budget",
-            "random-text-budget", "text-beta"])
+            "random-text-budget", "text-beta", "no-alpha", "text-alpha"])
     def test_settings_refused_before_oracle(self, monkeypatch, kwargs, message):
         # a refused setting costs no BY pass over the target p-values
         calls = []

@@ -54,6 +54,10 @@ class TestBh:
             bh([0.5], alpha=0.0)
         with pytest.raises(DomainError):
             bh([0.5], alpha=1.0)
+        # one rule for every procedure: a level that is not a real number is refused
+        for procedure, alpha in ((bh, None), (bh, "0.1"), (ebh, None), (by, [0.1])):
+            with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
+                procedure([0.5], alpha=alpha)
 
 
 class TestBy:
@@ -91,8 +95,9 @@ class TestBy:
         assert harmonic_number(100_000) == fresh
         assert harmonic_number(100_000) == fresh
         assert harmonic_number.cache_info()[:2] == (1, 1)  # hits, misses
-        with pytest.raises(DomainError):
-            harmonic_number(0)
+        for n in (0, 2.5, "3"):
+            with pytest.raises(DomainError, match="n must be a whole number >= 1"):
+                harmonic_number(n)
 
 
 class TestEbh:

@@ -36,7 +36,7 @@ class TestDgpSpec:
 
     @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), "200", 1])
     def test_n_must_be_a_whole_number(self, n):
-        with pytest.raises(DomainError, match="n must be an integer >= 2"):
+        with pytest.raises(DomainError, match="n must be a whole number >= 2"):
             DgpSpec("signal", n=n, pi=0.1)
 
     def test_kind_validation(self):
@@ -362,10 +362,14 @@ class TestRunExperiment:
         result = run_experiment(spec, ["all"], n_b=30, reps=3, seed=11)
         assert np.all(result.column("all", "queries") == 300)
 
-    def test_pi_zero_rejected(self):
+    def test_pi_zero_runs_the_global_null(self):
+        # no signal to recover: TPR reads 0 under the zero-denominator rule
         spec = DgpSpec("signal", n=300, pi=0.0)
-        with pytest.raises(DomainError, match="pi"):
-            run_experiment(spec, ["all"], n_b=30, reps=1, seed=11)
+        result = run_experiment(spec, ["all", "active"], n_b=30, reps=2, seed=11)
+        for method in result.methods:
+            assert np.all(result.column(method, "n_signals") == 0)
+            assert np.all(result.column(method, "tpp") == 0.0)
+        assert [agg.tpr for agg in result.aggregate()] == [0.0, 0.0]
 
     def test_metric_identities(self):
         spec = DgpSpec("signal", n=400, pi=0.2)
