@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_vector
+from .core import check_domain, check_vector
 from .errors import DegenerateUtilitiesError, DomainError
 
 __all__ = [
@@ -51,9 +51,7 @@ def eval_utility(family: str, x) -> np.ndarray:
     """Evaluate the utility family ``family`` on a scalar or array of auxiliary values."""
     check_family(family)
     arr = np.asarray(x, dtype=np.float64)
-    # min and max are nan when any value is
-    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
-        raise DomainError("auxiliary values must be finite and >= 0")
+    check_domain(arr, "auxiliary values", False)
     if family == "identity":
         out = arr.copy()
     elif family == "log1p":
@@ -95,8 +93,7 @@ def allocate_utilities(utilities, n_b: float) -> AllocationResult:
             level, frame = level + 1, frame.f_back
         warnings.warn(f"budget {n_b} exceeds the {u.size} hypotheses; clamping", stacklevel=level)
         n_b = float(u.size)
-    if not (u.min() >= 0.0 and u.max() < np.inf):
-        raise DomainError("utilities must be finite and >= 0")
+    check_domain(u, "utilities", False)
     # sorted pairwise sum: permutation-invariant total, so allocations are
     # reproducible regardless of input order or reduction scheduling
     with np.errstate(over="ignore"):

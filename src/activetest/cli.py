@@ -231,7 +231,7 @@ def _located(*files):
         if exc.index is None:
             raise
         path, line = [(path, line) for path, lines in files for line in lines][exc.index]
-        raise DataError(f"{path}: line {line}: {exc}") from exc
+        raise DataError(f"{path}: line {line}: {exc.rule}") from exc
 
 
 def _cmd_conformal(args) -> int:

@@ -192,9 +192,7 @@ def _active_plan(h: np.ndarray, mode: StatMode, beta: float) -> np.ndarray:
     A draw is below 1, so each row with h >= 1 (whose value here is inf or
     out of domain) is queried, and the construction overwrites it.
     """
-    # min and max are nan when any level is
-    if h.size and not (h.min() >= 0.0 and h.max() < np.inf):
-        raise DomainError("allocation levels must be finite and >= 0")
+    check_domain(h, "allocation levels", False)
     if mode.is_e:
         with np.errstate(divide="ignore"):
             return beta / (1.0 - h)
@@ -208,30 +206,31 @@ def _construct(values: np.ndarray, query_idx: np.ndarray, fetch_exact: Callable,
     ``rule(exact)`` over the no-query ``values`` there.  A p-type output is
     capped at 1; an exact e-value 0 at an infinite scale stays 0."""
     exact = np.asarray(fetch_exact(query_idx), dtype=np.float64)
-    check_domain(exact, mode, "exact", query_idx)
+    check_domain(exact, f"exact {mode.kind[0]}-values", mode.is_p, query_idx)
     with np.errstate(over="ignore", invalid="ignore"):
         out = rule(exact)
     values[query_idx] = np.minimum(1.0, out) if mode.is_p else np.where(np.isnan(out), 0.0, out)
 
 
-def check_domain(x: np.ndarray, mode: StatMode, column: str, rows=None) -> None:
-    """Refuse a value of ``x`` outside ``mode``'s domain ([0, 1] for p, finite
-    and >= 0 for e), naming the first offender's index (``rows[i]``, or its
-    position i) and value; the error carries that index."""
+def check_domain(x: np.ndarray, name: str, unit: bool, rows=None) -> None:
+    """The one domain rule for a statistic, a utility or a level: refuse a
+    value of the float64 array ``x`` outside [0, 1] when ``unit`` (a
+    p-value), else one that is not finite and >= 0 (an e-value, a utility,
+    a level).  The error names the first offender's value and index
+    (``rows[i]``, or its flat position i), and carries that index."""
     if not x.size:
         return
     # min and max are nan when any value is; the mask is built only to name it
     top = x.max()
-    if x.min() >= 0.0 and (top <= 1.0 if mode.is_p else top < np.inf):
+    if x.min() >= 0.0 and (top <= 1.0 if unit else top < np.inf):
         return
     bad = ~np.isfinite(x) | (x < 0.0)
-    if mode.is_p:
+    if unit:
         bad |= x > 1.0
     i = int(np.flatnonzero(bad)[0])
-    row = i if rows is None else int(rows[i])
-    rule = "lie in [0, 1]" if mode.is_p else "be finite and >= 0"
-    raise DomainError(f"{column} {mode.kind[0]}-values must {rule}: offending index {row} "
-                      f"has {column} {float(x[i])!r}", index=row)
+    rule = "lie in [0, 1]" if unit else "be finite and >= 0"
+    raise DomainError(f"{name} must {rule}, got {float(x.flat[i])!r}",
+                      index=i if rows is None else int(rows[i]))
 
 
 _MIN_MC_SAMPLES = 10_000
@@ -240,13 +239,11 @@ _MIN_MC_SAMPLES = 10_000
 def _mc_active_values(sampler, h_fn, beta, mode, n_samples, seed):
     """Active values of ``mode`` on ``n_samples`` (auxiliary, exact) pairs from ``sampler``."""
     aux, exact = sampler(n_samples, seed)
-    aux = np.asarray(aux, dtype=np.float64)
     exact = np.asarray(exact, dtype=np.float64)
-    if mode.is_e and (np.any(aux < 0.0) or np.any(exact < 0.0)):
-        raise DomainError("sampler produced a negative e-type statistic")
-    if mode.is_p and (np.any(exact < 0.0) or np.any(exact > 1.0)):
-        raise DomainError("sampler produced a p-value outside [0, 1]")
-    h = np.asarray(h_fn(aux), dtype=np.float64)
+    # aux reaches the construction only through h_fn, whose levels
+    # active_values checks
+    check_domain(exact, f"sampled exact {mode.kind[0]}-values", mode.is_p)
+    h = np.asarray(h_fn(np.asarray(aux, dtype=np.float64)), dtype=np.float64)
     u = uniforms(seed, 0, np.arange(n_samples, dtype=np.uint64), MC_BRANCH)
     return active_values(h, u, lambda idx: exact[idx], mode, beta)[0]
 
@@ -322,8 +319,7 @@ def dominance_check(candidate_a, candidate_b, h_fn, beta: float) -> bool:
     if np.any(a_vals < 0.0) or np.any(b_vals < 0.0):
         raise DomainError("candidate functions must be nonnegative")
     h = np.asarray(h_fn(xs_a), dtype=np.float64)
-    if np.any(h < 0.0):
-        raise DomainError("allocation levels must be >= 0")
+    check_domain(h, "allocation levels", False)
 
     slack_a = beta * (1.0 + _DOMINANCE_RTOL)
     slack_b = (1.0 - beta) * (1.0 + _DOMINANCE_RTOL)

@@ -99,7 +99,7 @@ class HypothesisSet:
     """
 
     def __init__(self, aux, exact, ids=None):
-        self.aux = aux = check_vector(_column(aux), "aux")
+        self.aux = aux = check_vector(_column(aux, "aux"), "aux")
         n = aux.size
         if ids is not None:
             ids = ids if isinstance(ids, UniqueIds) else tuple(ids)
@@ -108,12 +108,7 @@ class HypothesisSet:
             ids = UniqueIds(ids)
         self.ids = ids
         if not callable(exact):
-            try:
-                exact = _column(exact if isinstance(exact, np.ndarray) else list(exact))
-            except (TypeError, ValueError) as exc:
-                raise DomainError(
-                    f"exact must be numbers or one callable on index arrays: {exc}"
-                ) from exc
+            exact = _column(exact, "exact")
             if exact.shape != (n,):
                 raise DomainError("exact values must align with aux")
         self._exact = exact
@@ -162,12 +157,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _column(x) -> np.ndarray:
+def _column(x, name: str) -> np.ndarray:
     """``x`` as a value column: a read-only float64 array, taken as is when
-    it already is one, and otherwise copied once."""
+    it already is one, and otherwise copied once from an array or any
+    iterable.  This is the one rule that refuses a column that is not
+    numbers, with a DomainError naming ``name``."""
     if isinstance(x, np.ndarray) and x.dtype == np.float64 and not x.flags.writeable:
         return x
-    return _read_only(np.array(x, dtype=np.float64))
+    try:
+        return _read_only(np.array(x if isinstance(x, np.ndarray) else list(x), dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,8 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     """
     variant, beta = method.variant, method.beta
     try:
-        _cached(hs._memo, ("aux", mode.is_p), None, lambda: check_domain(hs.aux, mode, "aux"))
+        _cached(hs._memo, ("aux", mode.is_p), None,
+                lambda: check_domain(hs.aux, f"aux {mode.kind[0]}-values", mode.is_p))
         if u is not None and variant not in BRANCH_METHODS:
             raise DomainError(f"method {variant!r} draws no branch coins to replay")
         n = len(hs)
@@ -436,9 +437,8 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
         if exc.index is None:
             raise
         # a value out of its domain is named by its id, not its index
-        i = exc.index
-        hid = hs.ids[i] if hs.ids is not None else str(i)
-        raise DomainError(str(exc).replace(f"index {i} ", f"id {hid!r} ", 1)) from None
+        hid = hs.ids[exc.index] if hs.ids is not None else str(exc.index)
+        raise DomainError(f"{exc.rule} at id {hid!r}") from None
     return RunOutput(method=variant, values=values, queried=queried, h=h,
                      n_queries=int(np.count_nonzero(queried)), source_ids=hs.ids,
                      allocation=alloc)

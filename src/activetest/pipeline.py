@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import DEFAULT_FAMILY
-from .core import P_INDEPENDENT, check_vector
+from .core import P_INDEPENDENT, check_domain, check_vector
 from .engine import (HypothesisSet, MethodSpec, RunOutput, UniqueIds, _cached, _column,
                      _read_only, check_method_budget, run_method)
 from .errors import DataError, DomainError
@@ -43,8 +43,9 @@ class SummaryTable:
 
     ``keys`` is held as ``UniqueIds``: keys given as one (as
     ``read_summary_table`` gives them) are kept as they are, and a repeat
-    in any other sequence raises DataError naming ``source``.  ``stats``
-    is held as a value column (``engine._column``).
+    in any other iterable raises DataError naming ``source``, as does a
+    statistic outside [0, 1].  ``stats`` is held as a value column
+    (``engine._column``).
     """
 
     keys: UniqueIds
@@ -52,15 +53,15 @@ class SummaryTable:
     source: str = ""
 
     def __post_init__(self) -> None:
-        stats = _column(self.stats)
-        if stats.shape != (len(self.keys),):
+        keys = self.keys if isinstance(self.keys, UniqueIds) else tuple(self.keys)
+        stats = _column(self.stats, "summary statistics")
+        if stats.shape != (len(keys),):
             raise DataError("keys and stats must align")
         if stats.size == 0:
             raise DataError("summary table is empty")
-        if np.any(~np.isfinite(stats)) or np.any(stats < 0.0) or np.any(stats > 1.0):
-            raise DataError("summary statistics must lie in [0, 1]")
         try:
-            object.__setattr__(self, "keys", UniqueIds(self.keys))
+            check_domain(stats, "summary statistics", True)
+            object.__setattr__(self, "keys", UniqueIds(keys))
         except DomainError as exc:
             raise DataError(f"{self.source or 'table'}: {exc}") from exc
         object.__setattr__(self, "stats", stats)
@@ -277,7 +278,7 @@ class AlignedPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "keys", UniqueIds(self.keys))
         for name in ("aux_stats", "target_stats"):
-            object.__setattr__(self, name, _column(getattr(self, name)))
+            object.__setattr__(self, name, _column(getattr(self, name), name))
         n = len(self.keys)
         if not self.aux_stats.shape == self.target_stats.shape == (n,):
             raise DataError(f"aligned pair columns must have one length: keys {n}, aux_stats "
@@ -323,7 +324,7 @@ def conformal_p(calibration_scores, test_scores) -> np.ndarray:
     test = np.asarray(test_scores, dtype=np.float64)
     nan = np.isnan(np.concatenate((cal, test.ravel())))
     if nan.any():
-        raise DomainError("scores must not contain NaN", index=int(nan.argmax()))
+        raise DomainError("scores must not be NaN", index=int(nan.argmax()))
     counts = np.searchsorted(np.sort(cal), test, side="right")
     return (1.0 + counts) / (cal.size + 1.0)
 

@@ -382,9 +382,9 @@ class TestRun:
                 "--out", str(out)]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert f"exact {mode[0]}-values must" in err
-        assert f"offending id 'b' has exact {bad}" in err
-        assert "line" not in err and not out.exists()
+        rule = "be finite and >= 0" if mode == "e" else "lie in [0, 1]"
+        assert f"error: exact {mode[0]}-values must {rule}, got {bad} at id 'b'\n" in err
+        assert "index" not in err and "line" not in err and not out.exists()
 
     @pytest.mark.parametrize("method", ["active", "xu", "all"])
     @pytest.mark.parametrize("mode,bad", [("e", "-1.0"), ("p-general", "1.2")])
@@ -393,7 +393,10 @@ class TestRun:
         args = ["run", "--input", inp, "--mode", mode, "--method", method, "--budget", "2",
                 "--out", str(tmp_path / "o.csv")]
         assert main(args) == 2
-        assert f"offending id 'b' has aux {bad}" in capsys.readouterr().err
+        rule = "be finite and >= 0" if mode == "e" else "lie in [0, 1]"
+        err = capsys.readouterr().err
+        assert f"error: aux {mode[0]}-values must {rule}, got {bad} at id 'b'\n" in err
+        assert "index" not in err
 
     @pytest.mark.parametrize("mode,family", [
         ("e", "log1p"), ("p-independent", "log_inverse"), ("p-general", "log_inverse"),
@@ -886,10 +889,10 @@ class TestMalformedInput:
     # (command, data of the scored file, message): each value is out of the
     # domain of the procedure that reads it
     OUT_OF_DOMAIN = [
-        ("bh", "0.5\n1.5\n", "p-values must lie in [0, 1]"),
-        ("by", "0.5\nnan\n", "p-values must lie in [0, 1]"),
-        ("ebh", "2.0\n-1\n", "e-values must be >= 0"),
-        ("conformal", "0.5\nnan\n", "scores must not contain NaN"),
+        ("bh", "0.5\n1.5\n", "p-values must lie in [0, 1], got 1.5"),
+        ("by", "0.5\nnan\n", "p-values must lie in [0, 1], got nan"),
+        ("ebh", "2.0\n-1\n", "e-values must be >= 0, got -1.0"),
+        ("conformal", "0.5\nnan\n", "scores must not be NaN"),
     ]
 
     @pytest.mark.parametrize("command,data,message", OUT_OF_DOMAIN,

@@ -281,9 +281,12 @@ class TestMcEvalueValidity:
                 mc_evalue_validity(sampler, lambda a: a, 0.5, n_samples, seed=0)
 
     def test_negative_sampler_output_rejected(self):
-        sampler = lambda n, seed: (np.ones(n), -np.ones(n))
-        with pytest.raises(DomainError):
-            mc_evalue_validity(sampler, lambda a: a, 0.5, 10_000, seed=0)
+        # refused though level 0 queries no sample
+        for bad in (-1.0, np.nan):
+            sampler = lambda n, seed: (np.ones(n), np.full(n, bad))
+            with pytest.raises(DomainError, match=f"^sampled exact e-values must be finite and "
+                                                  f">= 0, got {bad!r} at index 0$"):
+                mc_evalue_validity(sampler, np.zeros_like, 0.5, 10_000, seed=0)
 
 
 class TestMcPvalueSuperuniformity:
@@ -351,9 +354,12 @@ class TestMcPvalueSuperuniformity:
             mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, E_VALUES, (0.5,), 10_000, 0)
 
     def test_out_of_range_p_rejected(self):
-        sampler = lambda n, seed: (np.full(n, 0.5), np.full(n, 1.5))
-        with pytest.raises(DomainError):
-            mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, (0.5,), 10_000, 0)
+        # refused though level 0 queries no sample
+        for bad in (1.5, np.nan):
+            sampler = lambda n, seed: (np.full(n, 0.5), np.full(n, bad))
+            with pytest.raises(DomainError, match="^sampled exact p-values must lie in"):
+                mc_pvalue_superuniformity(sampler, np.zeros_like, 0.5, P_GENERAL, (0.5,), 10_000,
+                                          0)
 
 
 class TestDominance:
@@ -382,6 +388,11 @@ class TestDominance:
         cand_b = (xs, (1.0 - beta) / np.maximum(h, 1e-9))
         with pytest.raises(DomainError, match="envelope"):
             dominance_check(cand_a, cand_b, h_fn, beta)
+        # NaN levels hide no violation: they are refused before the envelope
+        far = (xs, np.full_like(xs, 99.0))
+        with pytest.raises(DomainError, match="^allocation levels must be finite and >= 0, "
+                                              "got nan at index 0$"):
+            dominance_check(far, far, lambda x: np.full_like(x, np.nan), beta)
 
     def test_hundred_random_valid_candidates(self):
         rng = np.random.default_rng(23)

@@ -396,11 +396,15 @@ class TestQueryAccounting:
         with pytest.raises(DomainError, match="exact values must align with aux"):
             HypothesisSet([1.0, 2.0, 3.0], exact)
 
-    @pytest.mark.parametrize("exact", [[2.0, lambda: 2.0], [2.0, "n/a"], 2.0],
-                             ids=["per-record callable", "text", "scalar"])
-    def test_non_number_exact_refused_at_construction(self, exact):
-        with pytest.raises(DomainError, match="exact must be numbers or one callable"):
-            HypothesisSet([4.0, 4.0], exact, ids=["fine", "broken"])
+    @pytest.mark.parametrize("aux, exact, column", [
+        ([4.0, 4.0], [2.0, lambda: 2.0], "exact"),
+        ([4.0, 4.0], [2.0, "n/a"], "exact"),
+        ([4.0, 4.0], 2.0, "exact"),
+        (["x", "y"], [1.0, 2.0], "aux"),
+    ], ids=["per-record callable", "text", "scalar", "text aux"])
+    def test_non_number_exact_refused_at_construction(self, aux, exact, column):
+        with pytest.raises(DomainError, match=f"^{column} must be numbers: "):
+            HypothesisSet(aux, exact, ids=["fine", "broken"])
 
     @pytest.mark.parametrize("method", ["active", "active-xu", "xu", "random", "all"])
     def test_index_callable_read_once_ascending(self, method):
@@ -510,7 +514,8 @@ class TestRecordsAndOutput:
 
     def test_bad_aux_printed_as_plain_float(self):
         hs = HypothesisSet([0.5, np.nan], [0.5, 0.5], ids=["a", "b"])
-        with pytest.raises(DomainError, match=r"offending id 'b' has aux nan$"):
+        want = r"^aux p-values must lie in \[0, 1\], got nan at id 'b'$"
+        with pytest.raises(DomainError, match=want):
             run_method(hs, MethodSpec("all"), mode=P_INDEPENDENT, n_b=2.0)
 
     def test_replayed_draws_must_align(self):

@@ -26,6 +26,7 @@ class TestSummaryTable:
         t = table(["a", "b"], [0.1, 0.9])
         assert len(t) == 2
         assert t.keys == ("a", "b")
+        assert SummaryTable(keys=(k for k in "ab"), stats=[0.1, 0.9]).keys == ("a", "b")
 
     def test_duplicate_keys_listed(self):
         with pytest.raises(DataError, match="rs77"):
@@ -36,8 +37,11 @@ class TestSummaryTable:
             table(["a"], [1.5])
         with pytest.raises(DataError):
             table(["a"], [-0.1])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^test: summary statistics must lie in \[0, 1\], "
+                                            r"got nan at index 0$"):
             table(["a"], [np.nan])
+        with pytest.raises(DomainError, match="^summary statistics must be numbers: "):
+            SummaryTable(keys=["a"], stats=["x"])
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -45,6 +49,9 @@ class TestSummaryTable:
         # one value per key, not a column of rows
         with pytest.raises(DataError, match="keys and stats must align"):
             table(["a", "b"], [[0.1], [0.2]])
+        # keys from a generator: the count is checked before repeats
+        with pytest.raises(DataError, match="keys and stats must align"):
+            SummaryTable(keys=iter(["a", "a", "b"]), stats=[0.1, 0.2])
 
 
 class TestReadSummaryTable:
@@ -184,6 +191,10 @@ class TestAlign:
         assert pair.to_hypotheses().ids is pair.keys
         with pytest.raises(DomainError, match="ids must be unique: 'a' at indices 0 and 1"):
             AlignedPair(keys=["a", "a"], aux_stats=[0.1, 0.2], target_stats=[0.3, 0.4])
+        for column in ("aux_stats", "target_stats"):
+            columns = {"aux_stats": [0.1, 0.2], "target_stats": [0.3, 0.4], column: [0.5, "x"]}
+            with pytest.raises(DomainError, match=f"^{column} must be numbers: "):
+                AlignedPair(keys=["a", "b"], **columns)
 
     @pytest.mark.parametrize("keys, aux, target, lengths", [
         (["a", "b", "c"], [0.1, 0.2], [0.3, 0.4, 0.5], "keys 3, aux_stats 2, target_stats 3"),

@@ -337,8 +337,9 @@ def test_bad_alpha_message(procedure, alpha):
 @pytest.mark.parametrize("p, index", [([0.5, 1.5, -1.0], 1), ([0.2, 0.3, np.nan], 2),
                                       ([-0.0, -1e-300], 1)])
 def test_bad_p_value_message(procedure, p, index):
-    with pytest.raises(DomainError, match=r"^p-values must lie in \[0, 1\]$") as info:
+    with pytest.raises(DomainError) as info:
         procedure(p, 0.1)
+    assert str(info.value) == f"p-values must lie in [0, 1], got {p[index]!r} at index {index}"
     assert info.value.index == index
 
 
@@ -351,6 +352,7 @@ def test_bad_shape_message(procedure, kind, bad):
 
 @pytest.mark.parametrize("e, index", [([1.0, -2.0], 1), ([np.nan, 1.0], 0)])
 def test_bad_e_value_message(e, index):
-    with pytest.raises(DomainError, match=r"^e-values must be >= 0$") as info:
+    with pytest.raises(DomainError) as info:
         ebh(e, 0.1)
+    assert str(info.value) == f"e-values must be >= 0, got {e[index]!r} at index {index}"
     assert info.value.index == index

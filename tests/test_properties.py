@@ -437,29 +437,33 @@ def test_check_domain_refuses_as_the_element_mask(x, mode, with_rows):
     if i is not None:
         row = i if rows is None else int(rows[i])
         rule = "lie in [0, 1]" if mode.is_p else "be finite and >= 0"
-        want = (f"exact {mode.kind[0]}-values must {rule}: offending index {row} "
-                f"has exact {float(x[i])!r}", row)
-    assert refusal(lambda: check_domain(x, mode, "exact", rows)) == want
+        want = (f"exact must {rule}, got {float(x[i])!r} at index {row}", row)
+    assert refusal(lambda: check_domain(x, "exact", mode.is_p, rows)) == want
 
 
 @EDGE_CHECKS
 @given(x=edge_vectors())
 def test_procedure_and_utility_checks_refuse_as_the_element_mask(x):
     empty = x.size == 0
+
+    def named(rule, i):
+        return None if i is None else (f"{rule}, got {float(x[i])!r} at index {i}", i)
+
     i = first(~((x >= 0.0) & (x <= 1.0)))
     want = (("p-values must form a nonempty vector", None) if empty
-            else None if i is None else ("p-values must lie in [0, 1]", i))
+            else named("p-values must lie in [0, 1]", i))
     assert refusal(lambda: bh(x, 0.1)) == want
     assert refusal(lambda: by(x, 0.1)) == want
     i = first(~(x >= 0.0))
     want = (("e-values must form a nonempty vector", None) if empty
-            else None if i is None else ("e-values must be >= 0", i))
+            else named("e-values must be >= 0", i))
     assert refusal(lambda: ebh(x, 0.1)) == want
-    offending = bool((~np.isfinite(x) | (x < 0.0)).any())
-    want = ("auxiliary values must be finite and >= 0", None) if offending else None
-    assert refusal(lambda: eval_utility("identity", x)) == want
+    i = first(~np.isfinite(x) | (x < 0.0))
+    offending = i is not None
+    assert refusal(lambda: eval_utility("identity", x)) == named(
+        "auxiliary values must be finite and >= 0", i)
     want = (("utilities must form a nonempty vector", None) if empty
-            else ("utilities must be finite and >= 0", None) if offending else None)
+            else named("utilities must be finite and >= 0", i))
     got = refusal(lambda: allocate_utilities(x, 0.5))
     with np.errstate(over="ignore"):
         overflows = not offending and not np.isfinite(np.sum(np.sort(x)))
