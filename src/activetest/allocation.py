@@ -50,8 +50,7 @@ def check_family(family: str) -> None:
 def eval_utility(family: str, x) -> np.ndarray:
     """Evaluate the utility family ``family`` on a scalar or array of auxiliary values."""
     check_family(family)
-    arr = np.asarray(x, dtype=np.float64)
-    check_domain(arr, "auxiliary values", False)
+    arr = check_domain(x, "auxiliary values", False)
     if family == "identity":
         out = arr.copy()
     elif family == "log1p":

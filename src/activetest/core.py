@@ -46,9 +46,34 @@ __all__ = [
 ]
 
 
+def as_floats(x, name: str) -> np.ndarray:
+    """``x`` (numbers, an array or an iterator) as a float64 array, itself
+    when it is one: the one rule that refuses values that are not numbers."""
+    try:
+        return np.asarray(list(x) if hasattr(x, "__next__") else x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be numbers: {exc}") from exc
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _column(x, name: str) -> np.ndarray:
+    """``as_floats(x, name)`` as a value column: a read-only float64 array,
+    taken as is when it already is one, and otherwise copied once."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        return x if not x.flags.writeable else _read_only(np.array(x))
+    column = as_floats(x, name)
+    if not column.ndim:
+        raise DomainError(f"{name} must be numbers: got {x!r}, not a column")
+    return _read_only(column)
+
+
 def check_draws(u) -> np.ndarray:
     """Branch draws ``u`` as float64, each refused unless it lies in [0, 1)."""
-    u = np.asarray(u, dtype=np.float64)
+    u = as_floats(u, "u")
     # min and max are nan when any draw is
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         i = int(np.flatnonzero(~((u >= 0.0) & (u < 1.0)))[0])
@@ -72,7 +97,7 @@ def check_whole(name: str, value, low: int) -> int:
 
 def check_vector(x, name: str) -> np.ndarray:
     """``x`` as a float64 array, refused unless it has one axis and a value."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = as_floats(x, name)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must form a nonempty vector")
     return arr
@@ -114,8 +139,8 @@ Lazy = Union[float, Callable[[], float]]
 
 def _active_one(exact: Lazy, h: float, beta: float, mode: StatMode, u: float) -> ActiveOutcome:
     """``active_values`` on one hypothesis; ``exact`` is evaluated only on query."""
-    fetch = lambda idx: [float(exact() if callable(exact) else exact) for _ in idx]
-    values, queried = active_values(np.array([float(h)]), np.array([float(u)]), fetch, mode, beta)
+    fetch = lambda idx: [exact() if callable(exact) else exact for _ in idx]
+    values, queried = active_values(as_floats([h], "h"), as_floats([u], "u"), fetch, mode, beta)
     return ActiveOutcome(value=float(values[0]), queried=bool(queried[0]))
 
 
@@ -163,7 +188,7 @@ def active_values(
     the values are written into ``plan`` and returned as it.
     """
     beta = check_beta(beta)
-    h = np.asarray(h, dtype=np.float64)
+    h = as_floats(h, "h")
     if plan is None:
         u = check_draws(u)
         if h.shape != u.shape:
@@ -205,25 +230,26 @@ def _construct(values: np.ndarray, query_idx: np.ndarray, fetch_exact: Callable,
     ``query_idx``, through ``fetch_exact``, check their domain, and write
     ``rule(exact)`` over the no-query ``values`` there.  A p-type output is
     capped at 1; an exact e-value 0 at an infinite scale stays 0."""
-    exact = np.asarray(fetch_exact(query_idx), dtype=np.float64)
-    check_domain(exact, f"exact {mode.kind[0]}-values", mode.is_p, query_idx)
+    exact = check_domain(fetch_exact(query_idx), f"exact {mode.kind[0]}-values", mode.is_p,
+                         query_idx)
     with np.errstate(over="ignore", invalid="ignore"):
         out = rule(exact)
     values[query_idx] = np.minimum(1.0, out) if mode.is_p else np.where(np.isnan(out), 0.0, out)
 
 
-def check_domain(x: np.ndarray, name: str, unit: bool, rows=None) -> None:
-    """The one domain rule for a statistic, a utility or a level: refuse a
-    value of the float64 array ``x`` outside [0, 1] when ``unit`` (a
-    p-value), else one that is not finite and >= 0 (an e-value, a utility,
-    a level).  The error names the first offender's value and index
+def check_domain(x, name: str, unit: bool, rows=None) -> np.ndarray:
+    """The one domain rule for a statistic, a utility or a level: ``x`` as a
+    float64 array (``as_floats``), refused if a value lies outside [0, 1] when
+    ``unit`` (a p-value), else if one is not finite and >= 0 (an e-value, a
+    utility, a level).  The error names the first offender's value and index
     (``rows[i]``, or its flat position i), and carries that index."""
+    x = as_floats(x, name)
     if not x.size:
-        return
+        return x
     # min and max are nan when any value is; the mask is built only to name it
     top = x.max()
     if x.min() >= 0.0 and (top <= 1.0 if unit else top < np.inf):
-        return
+        return x
     bad = ~np.isfinite(x) | (x < 0.0)
     if unit:
         bad |= x > 1.0
@@ -233,17 +259,23 @@ def check_domain(x: np.ndarray, name: str, unit: bool, rows=None) -> None:
                       index=i if rows is None else int(rows[i]))
 
 
+def check_evalues(x: np.ndarray, name: str) -> None:
+    """The e-value rule of e-BH and of a dominance candidate: refuse a value of
+    ``x`` that is not >= 0, NaN included, but take +inf, unlike ``check_domain``."""
+    if x.size and not x.min() >= 0.0:
+        i = int((~(x >= 0.0)).argmax())
+        raise DomainError(f"{name} must be >= 0, got {float(x.flat[i])!r}", index=i)
+
+
 _MIN_MC_SAMPLES = 10_000
 
 
 def _mc_active_values(sampler, h_fn, beta, mode, n_samples, seed):
     """Active values of ``mode`` on ``n_samples`` (auxiliary, exact) pairs from ``sampler``."""
     aux, exact = sampler(n_samples, seed)
-    exact = np.asarray(exact, dtype=np.float64)
-    # aux reaches the construction only through h_fn, whose levels
-    # active_values checks
-    check_domain(exact, f"sampled exact {mode.kind[0]}-values", mode.is_p)
-    h = np.asarray(h_fn(np.asarray(aux, dtype=np.float64)), dtype=np.float64)
+    exact = check_domain(exact, f"sampled exact {mode.kind[0]}-values", mode.is_p)
+    # aux reaches the construction only through h_fn's levels, which are checked
+    h = h_fn(as_floats(aux, "sampled auxiliary values"))
     u = uniforms(seed, 0, np.arange(n_samples, dtype=np.uint64), MC_BRANCH)
     return active_values(h, u, lambda idx: exact[idx], mode, beta)[0]
 
@@ -312,19 +344,18 @@ def dominance_check(candidate_a, candidate_b, h_fn, beta: float) -> bool:
     candidate pointwise wherever 0 < h(x) < 1.
     """
     beta = check_beta(beta)
-    xs_a, a_vals = (np.asarray(t, dtype=np.float64) for t in candidate_a)
-    xs_b, b_vals = (np.asarray(t, dtype=np.float64) for t in candidate_b)
+    xs_a, a_vals = (as_floats(t, "candidate_a") for t in candidate_a)
+    xs_b, b_vals = (as_floats(t, "candidate_b") for t in candidate_b)
     if xs_a.shape != xs_b.shape or np.any(xs_a != xs_b):
         raise DomainError("candidates must be tabulated on a common grid")
-    if np.any(a_vals < 0.0) or np.any(b_vals < 0.0):
-        raise DomainError("candidate functions must be nonnegative")
-    h = np.asarray(h_fn(xs_a), dtype=np.float64)
-    check_domain(h, "allocation levels", False)
+    check_evalues(np.append(a_vals, b_vals), "candidate values")
+    h = check_domain(h_fn(xs_a), "allocation levels", False)
 
     slack_a = beta * (1.0 + _DOMINANCE_RTOL)
     slack_b = (1.0 - beta) * (1.0 + _DOMINANCE_RTOL)
-    if np.any(a_vals * np.maximum(0.0, 1.0 - h) > slack_a) or np.any(b_vals * h > slack_b):
-        raise DomainError("candidate violates the validity envelope")
+    with np.errstate(invalid="ignore"):  # an infinite a or b meets the envelope at h 1 or 0
+        if np.any(a_vals * np.maximum(0.0, 1.0 - h) > slack_a) or np.any(b_vals * h > slack_b):
+            raise DomainError("candidate violates the validity envelope")
 
     interior = (h > 0.0) & (h < 1.0)
     a_star = beta / (1.0 - h[interior])

@@ -27,8 +27,8 @@ import numpy as np
 
 from .allocation import (AllocationResult, allocate_utilities, check_budget, check_family,
                          eval_utility)
-from .core import (StatMode, _active_plan, _construct, active_values, check_beta, check_domain,
-                   check_draws, check_vector)
+from .core import (StatMode, _active_plan, _column, _construct, _read_only, active_values,
+                   as_floats, check_beta, check_domain, check_draws, check_vector)
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
 
@@ -127,7 +127,7 @@ class HypothesisSet:
             return exact[idx]
         if not idx.size:
             return np.empty(0)
-        values = np.asarray(exact(idx), dtype=np.float64)
+        values = as_floats(exact(idx), "exact")
         if values.shape != idx.shape:
             raise DomainError("an exact callable must return one value per index")
         return values
@@ -150,24 +150,6 @@ def _cached(memo: dict, slot, key, make: Callable[[], object]):
     value = make()
     memo[slot] = (key, value)
     return value
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _column(x, name: str) -> np.ndarray:
-    """``x`` as a value column: a read-only float64 array, taken as is when
-    it already is one, and otherwise copied once from an array or any
-    iterable.  This is the one rule that refuses a column that is not
-    numbers, with a DomainError naming ``name``."""
-    if isinstance(x, np.ndarray) and x.dtype == np.float64 and not x.flags.writeable:
-        return x
-    try:
-        return _read_only(np.array(x if isinstance(x, np.ndarray) else list(x), dtype=np.float64))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -264,11 +246,11 @@ def _branch_draws(hs: HypothesisSet, seed: int, rep: int, u) -> np.ndarray:
     if u is None:
         return _cached(hs._memo, "draws", (seed, rep), lambda: _read_only(
             uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)))
-    u = np.asarray(u, dtype=np.float64)
+    # the set's own draws lie in (0, 1); a replayed one is checked on every run
+    u = check_draws(u)
     if u.shape != (len(hs),):
         raise DomainError("u must hold one branch draw per hypothesis")
-    # the set's own draws lie in (0, 1); a replayed one is checked on every run
-    return check_draws(u)
+    return u
 
 
 def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
@@ -364,10 +346,10 @@ def xu_query_prob(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
 
     e-mode: max(0, 1 - beta / aux), with aux = 0 resolved to probability 0
     (the literal limit: a zero auxiliary e-value is never queried).
-    p-mode: max(0, 1 - beta * aux).
+    p-mode: max(0, 1 - beta * aux).  An aux outside its mode's domain is refused.
     """
     beta = check_beta(beta)
-    aux = np.asarray(aux, dtype=np.float64)
+    aux = check_domain(aux, f"aux {mode.kind[0]}-values", mode.is_p)
     if mode.is_e:
         # a subnormal aux overflows to -inf, probability 0
         with np.errstate(divide="ignore", over="ignore"):

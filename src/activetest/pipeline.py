@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import DEFAULT_FAMILY
-from .core import P_INDEPENDENT, check_domain, check_vector
-from .engine import (HypothesisSet, MethodSpec, RunOutput, UniqueIds, _cached, _column,
-                     _read_only, check_method_budget, run_method)
+from .core import P_INDEPENDENT, _column, _read_only, as_floats, check_domain, check_vector
+from .engine import (HypothesisSet, MethodSpec, RunOutput, UniqueIds, _cached,
+                     check_method_budget, run_method)
 from .errors import DataError, DomainError
 from .procedures import by, check_alpha
 from .rng import DEFAULT_SEED
@@ -45,7 +45,7 @@ class SummaryTable:
     ``read_summary_table`` gives them) are kept as they are, and a repeat
     in any other iterable raises DataError naming ``source``, as does a
     statistic outside [0, 1].  ``stats`` is held as a value column
-    (``engine._column``).
+    (``core._column``).
     """
 
     keys: UniqueIds
@@ -266,7 +266,7 @@ class AlignedPair:
     ``engine._cached``: ``to_hypotheses`` returns one HypothesisSet that
     shares ``keys`` and both columns (and memoizes its id-hashed stream
     keys), and the oracle rejection set is kept per ``alpha``.  Both
-    statistic columns are value columns (``engine._column``), so no write
+    statistic columns are value columns (``core._column``), so no write
     through the pair can desync those caches.
     """
 
@@ -321,7 +321,7 @@ def conformal_p(calibration_scores, test_scores) -> np.ndarray:
     calibration score gets the smallest attainable value 1 / (n + 1).
     """
     cal = check_vector(calibration_scores, "calibration scores")
-    test = np.asarray(test_scores, dtype=np.float64)
+    test = as_floats(test_scores, "test scores")
     nan = np.isnan(np.concatenate((cal, test.ravel())))
     if nan.any():
         raise DomainError("scores must not be NaN", index=int(nan.argmax()))

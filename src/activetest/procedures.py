@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import check_domain, check_vector, check_whole
+from .core import check_domain, check_evalues, check_vector, check_whole
 from .errors import DomainError
 
 __all__ = ["RejectionSet", "bh", "by", "ebh", "harmonic_number"]
@@ -35,9 +35,7 @@ def check_alpha(alpha: float) -> float:
 
 
 def _check_pvalues(p) -> np.ndarray:
-    arr = check_vector(p, "p-values")
-    check_domain(arr, "p-values", True)
-    return arr
+    return check_domain(check_vector(p, "p-values"), "p-values", True)
 
 
 def _step_up(x: np.ndarray, cutoff) -> tuple[np.ndarray, int]:
@@ -93,11 +91,7 @@ def ebh(e, alpha: float) -> RejectionSet:
     largest k whose k-th largest e-value is >= n / (alpha * k)."""
     alpha = check_alpha(alpha)
     arr = check_vector(e, "e-values")
-    # not check_domain: an e-value may be +inf (a likelihood ratio off the
-    # null's support), and e-BH rejects it at every level
-    if not arr.min() >= 0.0:
-        i = int((~(arr >= 0.0)).argmax())
-        raise DomainError(f"e-values must be >= 0, got {float(arr[i])!r}", index=i)
+    check_evalues(arr, "e-values")
     n = arr.size
     # negation is exact, so each comparison of -e with -(n / (alpha * k))
     # is that of e with n / (alpha * k)

@@ -33,9 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocation import DEFAULT_FAMILY
-from .core import E_VALUES, P_GENERAL, P_INDEPENDENT, StatMode, check_whole
-from .engine import (HypothesisSet, MethodSpec, _read_only, check_method_budget, csv_text,
-                     run_method)
+from .core import E_VALUES, P_GENERAL, P_INDEPENDENT, StatMode, _read_only, check_whole
+from .engine import HypothesisSet, MethodSpec, check_method_budget, csv_text, run_method
 from .errors import DomainError
 from .procedures import by, check_alpha, ebh
 from .rng import (

@@ -378,6 +378,11 @@ class TestDominance:
         cand_a = (xs, beta / (1.0 - h))
         cand_b = (xs, (1.0 - beta) / h)
         assert dominance_check(cand_a, cand_b, h_fn, beta)
+        # at a level of 1 a* is +inf, an e-value as in e-BH
+        at_one = lambda x: np.where(x == x[-1], 1.0, 0.5)
+        cand_a = (xs, np.where(xs == xs[-1], np.inf, beta / 0.5))
+        cand_b = (xs, np.where(xs == xs[-1], 1.0 - beta, (1.0 - beta) / 0.5))
+        assert dominance_check(cand_a, cand_b, at_one, beta)
 
     def test_inflated_candidate_rejected_as_invalid(self):
         xs = np.linspace(0.0, 5.0, 50)
@@ -393,6 +398,15 @@ class TestDominance:
         with pytest.raises(DomainError, match="^allocation levels must be finite and >= 0, "
                                               "got nan at index 0$"):
             dominance_check(far, far, lambda x: np.full_like(x, np.nan), beta)
+        # NaN candidates hide no violation either
+        nan = (xs, np.full_like(xs, np.nan))
+        with pytest.raises(DomainError, match="^candidate values must be >= 0, "
+                                              "got nan at index 0$"):
+            dominance_check(nan, nan, lambda x: np.full_like(x, 0.5), beta)
+        # counted through candidate_a's values, then candidate_b's
+        with pytest.raises(DomainError, match="^candidate values must be >= 0, "
+                                              "got nan at index 53$"):
+            dominance_check(cand_b, (xs, np.where(xs == xs[3], np.nan, 0.0)), h_fn, beta)
 
     def test_hundred_random_valid_candidates(self):
         rng = np.random.default_rng(23)

@@ -297,6 +297,15 @@ class TestRunXu:
         assert xu_query_prob(np.array([0.4]), 0.5, E_VALUES)[0] == 0.0
         assert xu_query_prob(np.array([0.0]), 0.5, E_VALUES)[0] == 0.0
         assert xu_query_prob(np.array([0.2]), 0.5, P_INDEPENDENT)[0] == 1.0 - 0.5 * 0.2
+        # an aux outside its mode's domain is no probability's input
+        for aux, mode, bad, i in [([np.nan, -1.0, 2.0], P_GENERAL, "nan", 0),
+                                  ([0.5, 2.0], P_INDEPENDENT, "2.0", 1),
+                                  ([1.0, -1.0], E_VALUES, "-1.0", 1),
+                                  ([np.inf], E_VALUES, "inf", 0)]:
+            rule = "be finite and >= 0" if mode.is_e else r"lie in \[0, 1\]"
+            with pytest.raises(DomainError, match=f"^aux {mode.kind[0]}-values must {rule}, "
+                                                  f"got {bad} at index {i}$"):
+                xu_query_prob(np.array(aux), 0.5, mode)
 
     def test_subnormal_aux_has_probability_zero_without_a_warning(self):
         # the test suite turns warnings into errors

@@ -14,7 +14,9 @@ of the unit tests and the benchmark.
 * The bulk table reader returns the same keys and bit-identical values as
   the per-row ``csv.reader`` loop it falls back to.
 * Every domain check refuses exactly when an element mask finds an
-  offender, naming the same first offender with the same message.
+  offender, naming the same first offender with the same message, and
+  every public call refuses values that are not numbers by the
+  argument's name.
 * The signal DGP's Poisson sampler equals ``scipy.stats.poisson.ppf`` bit
   for bit, at CDF steps too, and returns for every finite mean.
 """
@@ -40,6 +42,8 @@ from activetest.core import (
     active_p,
     active_values,
     check_domain,
+    dominance_check,
+    mc_evalue_validity,
 )
 from activetest import pipeline
 from activetest.engine import (
@@ -472,6 +476,51 @@ def test_procedure_and_utility_checks_refuse_as_the_element_mask(x):
         assert got[0].startswith("utilities overflow") and got[1] is None
     else:
         assert got == want
+
+
+GRID = np.linspace(0.0, 5.0, 50)
+HALF = lambda x: np.full(len(x), 0.5)
+TWO_SETS = lambda exact: HypothesisSet([1.0, 2.0], exact)
+TEXT = ["x", "y"]
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: bh(["x"], 0.1), "p-values"),
+    (lambda: by(["x"], 0.1), "p-values"),
+    (lambda: ebh(["x"], 0.1), "e-values"),
+    (lambda: allocate_utilities(TEXT, 1.0), "utilities"),
+    (lambda: eval_utility("log1p", "x"), "auxiliary values"),
+    (lambda: xu_query_prob(TEXT, 0.5, E_VALUES), "aux e-values"),
+    (lambda: pipeline.conformal_p(TEXT, [0.1]), "calibration scores"),
+    (lambda: pipeline.conformal_p([0.1], TEXT), "test scores"),
+    (lambda: active_e(1.0, "x", 0.5, 0.1), "h"),
+    (lambda: active_e("x", 0.5, 0.5, 0.1), "exact e-values"),
+    # None is read as nan, which no draw may be
+    (lambda: active_e(1.0, 0.5, 0.5, None), "branch draw u"),
+    (lambda: active_values(TEXT, [0.1, 0.2], lambda i: [1.0] * i.size, E_VALUES, 0.5), "h"),
+    (lambda: active_values([0.5], TEXT[:1], lambda i: [1.0] * i.size, E_VALUES, 0.5), "u"),
+    (lambda: active_values([0.5], [0.1], lambda i: ["x"] * i.size, E_VALUES, 0.5),
+     "exact e-values"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("xu"), mode=E_VALUES, n_b=1,
+                        u=TEXT), "u"),
+    (lambda: run_method(TWO_SETS(lambda i: ["x"] * i.size), MethodSpec("all"), mode=E_VALUES,
+                        n_b=1), "exact"),
+    (lambda: dominance_check((GRID, ["x"] * 50), (GRID, HALF(GRID)), HALF, 0.5), "candidate_a"),
+    (lambda: mc_evalue_validity(lambda n, s: (["x"] * n, np.ones(n)), HALF, 0.5, 10_000),
+     "sampled auxiliary values"),
+    (lambda: mc_evalue_validity(lambda n, s: (np.ones(n), ["x"] * n), HALF, 0.5, 10_000),
+     "sampled exact e-values"),
+    (lambda: mc_evalue_validity(lambda n, s: (np.ones(n), np.ones(n)),
+                                lambda x: ["x"] * len(x), 0.5, 10_000), "h"),
+], ids=["bh", "by", "ebh", "allocate_utilities", "eval_utility", "xu_query_prob",
+        "conformal_p calibration", "conformal_p test", "active_e h", "active_e exact",
+        "active_e u None", "active_values h", "active_values u", "active_values fetched",
+        "run_method u", "run_method exact callable", "dominance_check",
+        "mc_evalue_validity aux", "mc_evalue_validity exact", "mc_evalue_validity levels"])
+def test_non_numbers_refused_by_the_argument_name(call, named):
+    rule = "lie in" if named == "branch draw u" else "be numbers:"
+    with pytest.raises(DomainError, match=f"^{named} must {rule} "):
+        call()
 
 
 def assert_ppf_bits(u, mean):
