@@ -14,14 +14,13 @@ log_inverse) exist.
 
 from __future__ import annotations
 
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_domain, check_vector
+from .core import check_choice, check_domain, check_real, check_vector
 from .errors import DegenerateUtilitiesError, DomainError
 
 __all__ = [
@@ -43,8 +42,7 @@ EPS = 1e-8
 
 def check_family(family: str) -> None:
     """Refuse a name that is not a utility family."""
-    if family not in DIRECTIONS:
-        raise DomainError(f"unknown utility family {family!r}")
+    check_choice("utility family", family, tuple(DIRECTIONS))
 
 
 def eval_utility(family: str, x) -> np.ndarray:
@@ -73,8 +71,7 @@ class AllocationResult:
 
 def check_budget(n_b: float) -> None:
     """Refuse a budget that is not a finite real number above 0."""
-    if not (isinstance(n_b, numbers.Real) and 0.0 < n_b < np.inf):
-        raise DomainError(f"budget must be positive, got {n_b!r}")
+    check_real("budget", n_b, 0, np.inf)
 
 
 def allocate_utilities(utilities, n_b: float) -> AllocationResult:

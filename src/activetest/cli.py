@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__ as VERSION
-from .core import StatMode, check_beta
+from .core import MODES, StatMode, check_beta
 from .engine import (METHOD_NAMES, HypothesisSet, MethodSpec, check_method_budget, csv_text,
                      run_method)
 from .errors import ActiveTestError, DataError, DomainError
@@ -33,7 +33,8 @@ from .pipeline import (
 )
 from .procedures import bh, by, check_alpha, ebh
 from .rng import DEFAULT_SEED
-from .simulate import DESK_BUDGET, DESK_N, DESK_REPS, DGP_KINDS, DgpSpec, run_experiment
+from .simulate import (CELL_MODES, DESK_BUDGET, DESK_N, DESK_REPS, DGP_KINDS, DGP_PARAMETERS,
+                       DgpSpec, run_experiment)
 
 PROG = "activetest"
 
@@ -97,7 +98,7 @@ def build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="replicate a synthetic DGP and score methods")
     sim.add_argument("--dgp", choices=DGP_KINDS, required=True)
-    sim.add_argument("--mode", choices=["e", "p"], default="e")
+    sim.add_argument("--mode", choices=CELL_MODES, default="e")
     sim.add_argument("--n", type=int, default=DESK_N)
     sim.add_argument("--pi", type=float, default=0.1)
     sim.add_argument("--sigma", type=float, default=None)
@@ -117,7 +118,7 @@ def build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one method on a CSV of hypotheses")
     run.add_argument("--input", required=True,
                      help="table with columns id,aux,exact (comma or tab)")
-    run.add_argument("--mode", choices=["e", "p-independent", "p-general"], required=True)
+    run.add_argument("--mode", choices=[m.kind.replace("_", "-") for m in MODES], required=True)
     run.add_argument("--method", choices=METHOD_NAMES, default="active")
     run.add_argument("--budget", type=float, default=None)
     run.add_argument("--beta", type=float, default=0.5)
@@ -154,9 +155,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    flag = {"noisy": "sigma", "correlated": "rho"}.get(args.dgp)
-    if flag is not None and getattr(args, flag) is None:
-        raise _UsageError(f"--{flag} is required for --dgp {args.dgp}")
+    for kind, flag, _interval in DGP_PARAMETERS:
+        if kind == args.dgp and getattr(args, flag) is None:
+            raise _UsageError(f"--{flag} is required for --dgp {args.dgp}")
     spec = DgpSpec(kind=args.dgp, n=args.n, pi=args.pi, alpha=args.alpha,
                    sigma=args.sigma, rho=args.rho)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

@@ -82,17 +82,35 @@ def check_draws(u) -> np.ndarray:
     return u
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_real(name: str, value, low, high, closed: bool = False):
+    """``value``, refused unless it is a real number, not a bool, inside
+    (``low``, ``high``), or inside [``low``, ``high``] when ``closed``."""
+    if not (_real(value) and (low <= value <= high if closed else low < value < high)):
+        interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
+        raise DomainError(f"{name} must lie in {interval}, got {value!r}")
+    return value
+
+
 def check_beta(beta: float) -> float:
-    if not (isinstance(beta, numbers.Real) and 0.0 < beta < 1.0):
-        raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
-    return float(beta)
+    return float(check_real("beta", beta, 0, 1))
 
 
 def check_whole(name: str, value, low: int) -> int:
     """``value`` as an int, refused unless it is a whole real number >= ``low``."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= low):
+    if not (_real(value) and float(value).is_integer() and value >= low):
         raise DomainError(f"{name} must be a whole number >= {low}, got {value!r}")
     return int(value)
+
+
+def check_choice(name: str, value, choices: tuple):
+    """``value``, refused unless it is one of ``choices``; an unhashable value never is."""
+    if type(value).__hash__ is None or value not in choices:
+        raise DomainError(f"{name} must be one of {choices}, got {value!r}")
+    return value
 
 
 def check_vector(x, name: str) -> np.ndarray:
@@ -118,8 +136,7 @@ class StatMode:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in ("e", "p_independent", "p_general"):
-            raise DomainError(f"unknown statistic mode {self.kind!r}")
+        check_choice("statistic mode", self.kind, _KINDS)
 
     @property
     def is_e(self) -> bool:
@@ -130,9 +147,9 @@ class StatMode:
         return not self.is_e
 
 
-E_VALUES = StatMode("e")
-P_INDEPENDENT = StatMode("p_independent")
-P_GENERAL = StatMode("p_general")
+_KINDS = ("e", "p_independent", "p_general")
+MODES = E_VALUES, P_INDEPENDENT, P_GENERAL = tuple(map(StatMode, _KINDS))
+P_MODES = MODES[1:]
 
 Lazy = Union[float, Callable[[], float]]
 
@@ -140,7 +157,10 @@ Lazy = Union[float, Callable[[], float]]
 def _active_one(exact: Lazy, h: float, beta: float, mode: StatMode, u: float) -> ActiveOutcome:
     """``active_values`` on one hypothesis; ``exact`` is evaluated only on query."""
     fetch = lambda idx: [exact() if callable(exact) else exact for _ in idx]
-    values, queried = active_values(as_floats([h], "h"), as_floats([u], "u"), fetch, mode, beta)
+    h, u = as_floats([h], "h"), as_floats([u], "u")
+    if h.shape != (1,) or u.shape != (1,):
+        raise DomainError(f"{'h' if h.shape != (1,) else 'u'} must be one number")
+    values, queried = active_values(h, u, fetch, mode, beta)
     return ActiveOutcome(value=float(values[0]), queried=bool(queried[0]))
 
 
@@ -161,8 +181,7 @@ def active_p(p_exact: Lazy, h: float, beta: float, mode: StatMode, u: float) -> 
     auxiliary is independent of the exact p-value, 1 / (1 - beta) under
     arbitrary dependence.
     """
-    if not mode.is_p:
-        raise DomainError("active_p requires a p-type mode")
+    check_choice("mode", mode, P_MODES)
     return _active_one(p_exact, h, beta, mode, u)
 
 
@@ -188,6 +207,7 @@ def active_values(
     the values are written into ``plan`` and returned as it.
     """
     beta = check_beta(beta)
+    check_choice("mode", mode, MODES)
     h = as_floats(h, "h")
     if plan is None:
         u = check_draws(u)
@@ -316,8 +336,7 @@ def mc_pvalue_superuniformity(
     ecdf(s) <= s up to Monte Carlo noise at every level.
     """
     beta = check_beta(beta)
-    if not mode.is_p:
-        raise DomainError("mc_pvalue_superuniformity requires a p-type mode")
+    check_choice("mode", mode, P_MODES)
     n_samples = check_whole("n_samples", n_samples, _MIN_MC_SAMPLES)
     s_grid = check_vector(s_grid, "levels")
     # min and max are nan when any level is

@@ -18,7 +18,6 @@ the Random baseline draws a subset of positions by design.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -27,8 +26,9 @@ import numpy as np
 
 from .allocation import (AllocationResult, allocate_utilities, check_budget, check_family,
                          eval_utility)
-from .core import (StatMode, _active_plan, _column, _construct, _read_only, active_values,
-                   as_floats, check_beta, check_domain, check_draws, check_vector)
+from .core import (MODES, StatMode, _active_plan, _column, _construct, _read_only,
+                   active_values, as_floats, check_beta, check_choice, check_domain,
+                   check_draws, check_real, check_vector, check_whole)
 from .errors import DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
 
@@ -160,8 +160,7 @@ class MethodSpec:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.variant not in METHOD_NAMES:
-            raise DomainError(f"unknown method {self.variant!r}; expected one of {METHOD_NAMES}")
+        check_choice("method", self.variant, METHOD_NAMES)
         check_beta(self.beta)
 
 
@@ -290,10 +289,8 @@ def check_method_budget(variant: str, n_b: float, n: float = float("inf")) -> No
     takes a whole number in [0, n], the others a finite number above 0."""
     if variant != "random":
         check_budget(n_b)
-    elif not (isinstance(n_b, numbers.Real) and float(n_b).is_integer()):
-        raise DomainError(f"random baseline needs an integer budget, got {n_b!r}")
-    elif not 0 <= n_b <= n:
-        raise DomainError(f"budget must lie in [0, {n}], got {int(n_b)}")
+    else:
+        check_real("budget", check_whole("budget", n_b, 0), 0, n, closed=True)
 
 
 def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
@@ -349,6 +346,7 @@ def xu_query_prob(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
     p-mode: max(0, 1 - beta * aux).  An aux outside its mode's domain is refused.
     """
     beta = check_beta(beta)
+    check_choice("mode", mode, MODES)
     aux = check_domain(aux, f"aux {mode.kind[0]}-values", mode.is_p)
     if mode.is_e:
         # a subnormal aux overflows to -inf, probability 0
@@ -374,6 +372,9 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     counter-based stream keyed by id, and the set keeps those of the last
     (seed, rep).
     """
+    if not isinstance(method, MethodSpec):
+        raise DomainError(f"method must be a MethodSpec, got {method!r}")
+    check_choice("mode", mode, MODES)
     variant, beta = method.variant, method.beta
     try:
         _cached(hs._memo, ("aux", mode.is_p), None,
@@ -382,12 +383,10 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
             raise DomainError(f"method {variant!r} draws no branch coins to replay")
         n = len(hs)
         check_method_budget(variant, n_b, n)
-        if utility is not None:
+        if utility is not None or variant == "active":
             check_family(utility)
         alloc = None
         if variant == "active":
-            if utility is None:
-                raise DomainError("the active method requires a utility family")
             alloc, plan = _allocation(hs, variant, (utility, n_b), n_b,
                                       lambda: eval_utility(utility, hs.aux), mode, beta)
         elif variant == "active-xu":

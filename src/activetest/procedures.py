@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import check_domain, check_evalues, check_vector, check_whole
-from .errors import DomainError
+from .core import check_domain, check_evalues, check_real, check_vector, check_whole
 
 __all__ = ["RejectionSet", "bh", "by", "ebh", "harmonic_number"]
 
@@ -29,9 +27,7 @@ class RejectionSet:
 
 
 def check_alpha(alpha: float) -> float:
-    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return float(alpha)
+    return float(check_real("alpha", alpha, 0, 1))
 
 
 def _check_pvalues(p) -> np.ndarray:

@@ -25,7 +25,6 @@ imported inside the functions that call it, so only simulate runs load it.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -33,7 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .allocation import DEFAULT_FAMILY
-from .core import E_VALUES, P_GENERAL, P_INDEPENDENT, StatMode, _read_only, check_whole
+from .core import (E_VALUES, P_GENERAL, P_INDEPENDENT, StatMode, _read_only, check_choice,
+                   check_real, check_whole)
 from .engine import HypothesisSet, MethodSpec, check_method_budget, csv_text, run_method
 from .errors import DomainError
 from .procedures import by, check_alpha, ebh
@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 DGP_KINDS = ("signal", "noisy", "correlated")
+CELL_MODES = ("e", "p")  # a desk cell scores e-values or p-values
+# (kind, the parameter only that kind takes, the open interval it must lie in)
+DGP_PARAMETERS = (("noisy", "sigma", (0, math.inf)), ("correlated", "rho", (-1, 1)))
 
 DESK_N = 2000
 DESK_BUDGET = 100
@@ -76,9 +79,8 @@ _BLOCK_ELEMENTS = 8000
 class DgpSpec:
     """Parameters of one data-generating process.
 
-    Exactly the parameters of the declared kind may be set: ``sigma`` only
-    for ``noisy``, ``rho`` only for ``correlated``.  ``tau_sq`` and ``lam``
-    are derived from n and alpha.
+    Exactly the parameters of the declared kind (``DGP_PARAMETERS``) may be
+    set.  ``tau_sq`` and ``lam`` are derived from n and alpha.
     """
 
     kind: str
@@ -89,23 +91,16 @@ class DgpSpec:
     rho: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in DGP_KINDS:
-            raise DomainError(f"unknown DGP kind {self.kind!r}; expected one of {DGP_KINDS}")
+        check_choice("kind", self.kind, DGP_KINDS)
         object.__setattr__(self, "n", check_whole("n", self.n, 2))
         # each check refuses a value that is not a real number, None included
-        if not (isinstance(self.pi, numbers.Real) and 0.0 <= self.pi <= 1.0):
-            raise DomainError(f"pi must lie in [0, 1], got {self.pi!r}")
+        check_real("pi", self.pi, 0, 1, closed=True)
         check_alpha(self.alpha)
-        if self.kind == "noisy":
-            if not (isinstance(self.sigma, numbers.Real) and 0.0 < self.sigma < math.inf):
-                raise DomainError(f"the noisy DGP requires a finite sigma > 0, got {self.sigma!r}")
-        elif self.sigma is not None:
-            raise DomainError(f"sigma does not apply to the {self.kind!r} DGP")
-        if self.kind == "correlated":
-            if not (isinstance(self.rho, numbers.Real) and -1.0 < self.rho < 1.0):
-                raise DomainError(f"the correlated DGP requires rho in (-1, 1), got {self.rho!r}")
-        elif self.rho is not None:
-            raise DomainError(f"rho does not apply to the {self.kind!r} DGP")
+        for kind, name, (low, high) in DGP_PARAMETERS:
+            if kind == self.kind:
+                check_real(name, getattr(self, name), low, high)
+            elif getattr(self, name) is not None:
+                raise DomainError(f"{name} does not apply to the {self.kind!r} DGP")
 
     @property
     def tau_sq(self) -> float:
@@ -244,10 +239,8 @@ def _cell_defaults(kind: str, mode: str) -> tuple[str, StatMode]:
     noisy and correlated auxiliaries.  p-type: the inverse default, with the
     independent construction for signal (auxiliaries independent of Z given
     mu) and the general one otherwise."""
-    if mode == "e":
+    if check_choice("mode", mode, CELL_MODES) == "e":
         return ("identity" if kind == "signal" else DEFAULT_FAMILY["direct"]), E_VALUES
-    if mode != "p":
-        raise DomainError(f"mode must be 'e' or 'p', got {mode!r}")
     return DEFAULT_FAMILY["inverse"], P_INDEPENDENT if kind == "signal" else P_GENERAL
 
 

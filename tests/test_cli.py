@@ -97,6 +97,11 @@ class TestUsage:
         assert main(["--version"]) == 0
         assert "activetest" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["simulate", "run", "gwas", "conformal", "mt"])
+    def test_subcommand_help_exits_0(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: activetest {command} ")
+
     def test_console_script_installed(self):
         proc = run_python(["-m", "activetest", "--version"])
         assert proc.returncode == 0
@@ -236,7 +241,7 @@ class TestSimulate:
         args = ["simulate", "--dgp", "correlated", "--rho", "1.5", "--mode", "e", "--n", "100",
                 "--pi", "0.1", "--budget", "10", "--reps", "1", "--out", str(tmp_path / "x.csv")]
         assert main(args) == 2
-        assert "requires rho in (-1, 1), got 1.5" in capsys.readouterr().err
+        assert "rho must lie in (-1, 1), got 1.5" in capsys.readouterr().err
 
     def test_repeated_method_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -314,13 +319,17 @@ class TestRun:
                 "--method", method, "--budget", budget, "--out", str(tmp_path / "o.csv")]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert f"budget must be positive, got {float(budget)!r}" in err
+        assert f"budget must lie in (0, inf), got {float(budget)!r}" in err
         assert "No such file" not in err
 
     @pytest.mark.parametrize("budget,message", [
-        ("2.5", "random baseline needs an integer budget, got 2.5"),
-        ("nan", "random baseline needs an integer budget, got nan"),
-        ("-1", "budget must lie in [0, inf], got -1"),
+        ("2.5", "budget must be a whole number >= 0, got 2.5"),
+        ("nan", "budget must be a whole number >= 0, got nan"),
+        ("-1", "budget must be a whole number >= 0, got -1.0"),
+    ], ids=[  # stable case names: a reworded message keeps its case's name
+        "2.5-random baseline needs an integer budget, got 2.5",
+        "nan-random baseline needs an integer budget, got nan",
+        "-1-budget must lie in [0, inf], got -1",
     ])
     def test_random_budget_refused_before_input_is_read(self, tmp_path, capsys, budget,
                                                          message):
@@ -546,12 +555,18 @@ class TestGwas:
         assert int(config["n_queries"]) <= 10 + 4 * math.sqrt(10)
 
     @pytest.mark.parametrize("settings,message", [
-        (["--budget", "nan"], "budget must be positive, got nan"),
-        (["--budget", "-3", "--method", "xu"], "budget must be positive, got -3.0"),
+        (["--budget", "nan"], "budget must lie in (0, inf), got nan"),
+        (["--budget", "-3", "--method", "xu"], "budget must lie in (0, inf), got -3.0"),
         (["--budget", "2.5", "--method", "random"],
-         "random baseline needs an integer budget, got 2.5"),
-        (["--budget", "5", "--beta", "1.5"], "beta must lie strictly inside (0, 1), got 1.5"),
+         "budget must be a whole number >= 0, got 2.5"),
+        (["--budget", "5", "--beta", "1.5"], "beta must lie in (0, 1), got 1.5"),
         (["--budget", "5", "--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
+    ], ids=[  # stable case names: a reworded message keeps its case's name
+        "settings0-budget must be positive, got nan",
+        "settings1-budget must be positive, got -3.0",
+        "settings2-random baseline needs an integer budget, got 2.5",
+        "settings3-beta must lie strictly inside (0, 1), got 1.5",
+        "settings4-alpha must lie in (0, 1), got 0.0",
     ])
     def test_settings_checked_before_tables_are_read(self, tmp_path, capsys, settings,
                                                      message):
@@ -753,7 +768,8 @@ class TestNonFiniteArguments:
         out = tmp_path / "o.csv"
         assert main(["run", "--input", inp, "--mode", "p-independent", "--method", "random",
                      "--budget", budget, "--out", str(out)]) == 2
-        assert "random baseline needs an integer budget" in capsys.readouterr().err
+        assert (f"budget must be a whole number >= 0, got {float(budget)!r}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_gwas_random_budget(self, tmp_path, capsys):
@@ -761,18 +777,18 @@ class TestNonFiniteArguments:
         a = write(tmp_path / "a.csv", "rsid,pval\nrs1,0.4\nrs2,0.02\n")
         assert main(["gwas", "--target", t, "--aux", a, "--budget", "nan", "--method", "random",
                      "--out", str(tmp_path / "o.csv")]) == 2
-        assert "random baseline needs an integer budget" in capsys.readouterr().err
+        assert "budget must be a whole number >= 0, got nan" in capsys.readouterr().err
 
     def test_simulate_random_budget(self, tmp_path, capsys):
         assert main(["simulate", "--dgp", "signal", "--n", "50", "--reps", "1", "--budget", "nan",
                      "--methods", "random", "--out", str(tmp_path / "s.csv")]) == 2
-        assert "random baseline needs an integer budget" in capsys.readouterr().err
+        assert "budget must be a whole number >= 0, got nan" in capsys.readouterr().err
 
     def test_simulate_noisy_sigma(self, tmp_path, capsys):
         assert main(["simulate", "--dgp", "noisy", "--sigma", "nan", "--n", "50", "--reps", "1",
                      "--out", str(tmp_path / "s.csv")]) == 2
         err = capsys.readouterr().err
-        assert "finite sigma > 0, got nan" in err and "aux" not in err
+        assert "sigma must lie in (0, inf), got nan" in err and "aux" not in err
 
     @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("method", ["xu", "all"])
@@ -787,7 +803,8 @@ class TestNonFiniteArguments:
                     "--aux", write(tmp_path / "a.csv", "rsid,pval\nrs1,0.4\n")]
         out = tmp_path / "o.csv"
         assert main(argv + ["--method", method, "--budget", budget, "--out", str(out)]) == 2
-        assert "budget must be positive, got" in capsys.readouterr().err
+        assert (f"budget must lie in (0, inf), got {float(budget)!r}"
+                in capsys.readouterr().err)
         assert not out.exists()
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
 

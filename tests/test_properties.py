@@ -15,14 +15,15 @@ of the unit tests and the benchmark.
   the per-row ``csv.reader`` loop it falls back to.
 * Every domain check refuses exactly when an element mask finds an
   offender, naming the same first offender with the same message, and
-  every public call refuses values that are not numbers by the
-  argument's name.
+  every public call refuses values that are not numbers, and settings
+  outside their interval or choices, by the argument's name.
 * The signal DGP's Poisson sampler equals ``scipy.stats.poisson.ppf`` bit
   for bit, at CDF steps too, and returns for every finite mean.
 """
 
 import math
 import os
+import re
 import tempfile
 import warnings
 from unittest import mock
@@ -44,6 +45,7 @@ from activetest.core import (
     check_domain,
     dominance_check,
     mc_evalue_validity,
+    mc_pvalue_superuniformity,
 )
 from activetest import pipeline
 from activetest.engine import (
@@ -51,7 +53,7 @@ from activetest.engine import (
 )
 from activetest.errors import DegenerateUtilitiesError, DomainError
 from activetest.procedures import bh, by, ebh
-from activetest.simulate import _poisson_inverse
+from activetest.simulate import DgpSpec, _poisson_inverse, run_experiment
 
 MODES = [E_VALUES, P_INDEPENDENT, P_GENERAL]
 
@@ -520,6 +522,49 @@ TEXT = ["x", "y"]
 def test_non_numbers_refused_by_the_argument_name(call, named):
     rule = "lie in" if named == "branch draw u" else "be numbers:"
     with pytest.raises(DomainError, match=f"^{named} must {rule} "):
+        call()
+
+
+MODE_CHOICES = ("(StatMode(kind='e'), StatMode(kind='p_independent'), "
+                "StatMode(kind='p_general'))")
+P_MODE_CHOICES = "(StatMode(kind='p_independent'), StatMode(kind='p_general'))"
+FAMILIES = "('identity', 'log1p', 'inverse', 'log_inverse')"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("all"), mode=E_VALUES, n_b=True),
+     "budget must lie in (0, inf), got True"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("all"), mode=E_VALUES,
+                        n_b=float("inf")), "budget must lie in (0, inf), got inf"),
+    (lambda: run_experiment(DgpSpec("signal", n=50, pi=0.1), ["all"], n_b=5, reps=True),
+     "reps must be a whole number >= 1, got True"),
+    (lambda: DgpSpec("signal", n=50, pi=True), "pi must lie in [0, 1], got True"),
+    (lambda: DgpSpec("noisy", n=50, pi=0.1, sigma=True), "sigma must lie in (0, inf), got True"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("all"), mode=E_VALUES, n_b=1,
+                        utility=["x"]), f"utility family must be one of {FAMILIES}, got ['x']"),
+    (lambda: eval_utility(["log1p"], [1.0]),
+     f"utility family must be one of {FAMILIES}, got ['log1p']"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("all"), mode="e", n_b=1),
+     f"mode must be one of {MODE_CHOICES}, got 'e'"),
+    (lambda: active_values([0.5], [0.1], lambda i: [1.0] * i.size, "p_general", 0.5),
+     f"mode must be one of {MODE_CHOICES}, got 'p_general'"),
+    (lambda: active_p(0.5, 0.5, 0.5, "p_general", 0.1),
+     f"mode must be one of {P_MODE_CHOICES}, got 'p_general'"),
+    (lambda: xu_query_prob([0.5], 0.5, "e"), f"mode must be one of {MODE_CHOICES}, got 'e'"),
+    (lambda: mc_pvalue_superuniformity(lambda n, s: (np.ones(n), np.ones(n)), HALF, 0.5,
+                                       mode="p_general", s_grid=[0.1]),
+     f"mode must be one of {P_MODE_CHOICES}, got 'p_general'"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), "all", mode=E_VALUES, n_b=1),
+     "method must be a MethodSpec, got 'all'"),
+    (lambda: active_e(1.0, [0.1, 0.2], 0.5, 0.3), "h must be one number"),
+    (lambda: active_e(1.0, 0.1, 0.5, [0.3, 0.4]), "u must be one number"),
+], ids=["run_method bool budget", "run_method inf budget", "run_experiment bool reps",
+        "DgpSpec bool pi", "DgpSpec bool sigma", "run_method list utility",
+        "eval_utility list family", "run_method text mode", "active_values text mode",
+        "active_p text mode", "xu_query_prob text mode", "mc_pvalue_superuniformity text mode",
+        "run_method text method", "active_e list h", "active_e list u"])
+def test_bad_settings_refused_by_the_argument_name(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
 
 
