@@ -26,7 +26,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .rng import MC_BRANCH, uniforms
 
 __all__ = [
     "ActiveOutcome",
@@ -99,11 +98,22 @@ def check_beta(beta: float) -> float:
     return float(check_real("beta", beta, 0, 1))
 
 
+def _whole(value) -> Optional[int]:
+    """The int a real whole number, not a bool, equals, else None: exact for
+    any real, an int of any size included, as no value goes through float."""
+    try:
+        return int(value) if _real(value) and int(value) == value else None
+    except (ValueError, OverflowError):  # nan and the infinities
+        return None
+
+
 def check_whole(name: str, value, low: int) -> int:
-    """``value`` as an int, refused unless it is a whole real number >= ``low``."""
-    if not (_real(value) and float(value).is_integer() and value >= low):
-        raise DomainError(f"{name} must be a whole number >= {low}, got {value!r}")
-    return int(value)
+    """``value`` as an int: a whole real number from ``low`` up to the largest array size."""
+    whole, top = _whole(value), int(np.iinfo(np.intp).max)
+    if whole is None or not low <= whole <= top:
+        bound = f"<= {top}" if whole is not None and whole > top else f">= {low}"
+        raise DomainError(f"{name} must be a whole number {bound}, got {value!r}")
+    return whole
 
 
 def check_choice(name: str, value, choices: tuple):
@@ -296,6 +306,7 @@ def _mc_active_values(sampler, h_fn, beta, mode, n_samples, seed):
     exact = check_domain(exact, f"sampled exact {mode.kind[0]}-values", mode.is_p)
     # aux reaches the construction only through h_fn's levels, which are checked
     h = h_fn(as_floats(aux, "sampled auxiliary values"))
+    from .rng import MC_BRANCH, uniforms  # here, as rng imports this module
     u = uniforms(seed, 0, np.arange(n_samples, dtype=np.uint64), MC_BRANCH)
     return active_values(h, u, lambda idx: exact[idx], mode, beta)[0]
 

@@ -30,7 +30,7 @@ from .core import (MODES, StatMode, _active_plan, _column, _construct, _read_onl
                    active_values, as_floats, check_beta, check_choice, check_domain,
                    check_draws, check_real, check_vector, check_whole)
 from .errors import DomainError
-from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, keys_for_ids, uniforms
+from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, _word, keys_for_ids, uniforms
 
 __all__ = [
     "HypothesisSet",
@@ -364,8 +364,8 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     Each method picks a query mask, the no-query values and the rule for a
     queried row; the exact statistics are then read once, at the queried
     rows.  A value of ``aux`` or ``exact`` out of its mode's domain is
-    refused with its id.  The budget ``n_b`` is checked for every method,
-    whether or not it spends one.  ``utility`` names the utility family
+    refused with its id.  The budget ``n_b``, ``seed`` and ``rep`` are checked
+    for every method, whether or not it uses them.  ``utility`` names the utility family
     that drives the active method's allocation; every method refuses a
     name that is not a family.  ``u`` replays the per-hypothesis branch
     draws of active, active-xu and xu; by default they come from the
@@ -375,7 +375,7 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     if not isinstance(method, MethodSpec):
         raise DomainError(f"method must be a MethodSpec, got {method!r}")
     check_choice("mode", mode, MODES)
-    variant, beta = method.variant, method.beta
+    variant, beta, seed, rep = method.variant, method.beta, _word(seed), _word(rep)
     try:
         _cached(hs._memo, ("aux", mode.is_p), None,
                 lambda: check_domain(hs.aux, f"aux {mode.kind[0]}-values", mode.is_p))

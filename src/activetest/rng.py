@@ -24,6 +24,7 @@ from hashlib import blake2b
 
 import numpy as np
 
+from .core import _whole
 from .errors import DomainError
 
 # Purpose tags.  Distinct tags yield independent streams for the same
@@ -70,13 +71,10 @@ def _mix_into(z: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _word(v) -> int:
-    try:
-        whole = int(v) == v
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
+    whole = _whole(v)
+    if whole is None:
         raise DomainError(f"seed, rep, index and purpose must be whole numbers, got {v!r}")
-    return int(v) & _MASK
+    return whole & _MASK
 
 
 def _words(x):

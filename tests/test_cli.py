@@ -237,6 +237,16 @@ class TestSimulate:
         assert f"{flag} is required for --dgp {dgp}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_n_above_the_largest_array_size_exits_2(self, tmp_path, capsys):
+        n = 10**20
+        args = ["simulate", "--dgp", "signal", "--n", str(n), "--reps", "1",
+                "--out", str(tmp_path / "x.csv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"n must be a whole number <= {np.iinfo(np.intp).max}, got {n}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rho_out_of_domain_is_echoed(self, tmp_path, capsys):
         args = ["simulate", "--dgp", "correlated", "--rho", "1.5", "--mode", "e", "--n", "100",
                 "--pi", "0.1", "--budget", "10", "--reps", "1", "--out", str(tmp_path / "x.csv")]
@@ -757,6 +767,21 @@ class TestAtomicity:
         assert out.read_text() == "precious\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("command", ["simulate", "mt"])
+    def test_write_failure_names_the_out_path(self, tmp_path, capsys, command):
+        # simulate writes into a missing directory, mt onto an existing directory
+        if command == "simulate":
+            out, error = tmp_path / "missing" / "s.csv", "No such file or directory"
+            argv = ["simulate", "--dgp", "signal", "--n", "200", "--reps", "1"]
+        else:
+            out, error = tmp_path / "taken", "Is a directory"
+            out.mkdir()
+            argv = ["mt", "--procedure", "bh", "--input", write(tmp_path / "p.csv", "0.5\n")]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"{error}: {str(out)!r}\n") and ".tmp" not in err
+        assert not [p for p in tmp_path.rglob(".tmp*")]
 
 
 class TestNonFiniteArguments:

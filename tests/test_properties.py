@@ -52,7 +52,7 @@ from activetest.engine import (
     METHOD_NAMES, HypothesisSet, MethodSpec, UniqueIds, run_method, xu_query_prob,
 )
 from activetest.errors import DegenerateUtilitiesError, DomainError
-from activetest.procedures import bh, by, ebh
+from activetest.procedures import bh, by, ebh, harmonic_number
 from activetest.simulate import DgpSpec, _poisson_inverse, run_experiment
 
 MODES = [E_VALUES, P_INDEPENDENT, P_GENERAL]
@@ -529,6 +529,11 @@ MODE_CHOICES = ("(StatMode(kind='e'), StatMode(kind='p_independent'), "
                 "StatMode(kind='p_general'))")
 P_MODE_CHOICES = "(StatMode(kind='p_independent'), StatMode(kind='p_general'))"
 FAMILIES = "('identity', 'log1p', 'inverse', 'log_inverse')"
+WORDS = "seed, rep, index and purpose must be whole numbers, got"
+TOP = np.iinfo(np.intp).max  # the largest array size
+ALIGNED = lambda: pipeline.align(
+    pipeline.SummaryTable(keys=("a", "b"), stats=np.array([0.1, 0.5])),
+    pipeline.SummaryTable(keys=("a", "b"), stats=np.array([0.2, 0.4])))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -558,11 +563,29 @@ FAMILIES = "('identity', 'log1p', 'inverse', 'log_inverse')"
      "method must be a MethodSpec, got 'all'"),
     (lambda: active_e(1.0, [0.1, 0.2], 0.5, 0.3), "h must be one number"),
     (lambda: active_e(1.0, 0.1, 0.5, [0.3, 0.4]), "u must be one number"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("all"), mode=E_VALUES, n_b=1,
+                        seed=True), f"{WORDS} True"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("xu"), mode=E_VALUES, n_b=1,
+                        rep=True), f"{WORDS} True"),
+    (lambda: run_experiment(DgpSpec("signal", n=50, pi=0.1), ["all"], n_b=5, reps=1, seed=True),
+     f"{WORDS} True"),
+    (lambda: pipeline.oracle_recovery(ALIGNED(), n_b=1, beta=0.5, method="active", alpha=0.1,
+                                      seed=True), f"{WORDS} True"),
+    # each is refused before any array is made
+    (lambda: DgpSpec("signal", n=10**400, pi=0.1),
+     f"n must be a whole number <= {TOP}, got {10**400}"),
+    (lambda: DgpSpec("signal", n=2**63, pi=0.1), f"n must be a whole number <= {TOP}, got {2**63}"),
+    (lambda: harmonic_number(10**400), f"n must be a whole number <= {TOP}, got {10**400}"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("random"), mode=E_VALUES, n_b=10**400),
+     f"budget must be a whole number <= {TOP}, got {10**400}"),
 ], ids=["run_method bool budget", "run_method inf budget", "run_experiment bool reps",
         "DgpSpec bool pi", "DgpSpec bool sigma", "run_method list utility",
         "eval_utility list family", "run_method text mode", "active_values text mode",
         "active_p text mode", "xu_query_prob text mode", "mc_pvalue_superuniformity text mode",
-        "run_method text method", "active_e list h", "active_e list u"])
+        "run_method text method", "active_e list h", "active_e list u", "run_method bool seed",
+        "run_method bool rep", "run_experiment bool seed", "oracle_recovery bool seed",
+        "DgpSpec n past float range", "DgpSpec n past array size",
+        "harmonic_number n past float range", "run_method random budget past float range"])
 def test_bad_settings_refused_by_the_argument_name(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()

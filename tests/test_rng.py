@@ -1,4 +1,5 @@
 import hashlib
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -49,18 +50,21 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("field", ["seed", "rep", "index", "purpose"])
     @pytest.mark.parametrize("bad", [1.7, 0.2, np.array([0.2, 0.9, 1.0]), float("nan"),
-                                     float("inf"), "3"],
-                             ids=["1.7", "0.2", "array", "nan", "inf", "text"])
+                                     float("inf"), "3", True, np.True_, np.array([True, False]),
+                                     Decimal(3)],
+                             ids=["1.7", "0.2", "array", "nan", "inf", "text", "bool",
+                                  "numpy bool", "bool array", "Decimal"])
     def test_words_that_are_not_whole_numbers_refused(self, field, bad):
         words = {**dict(seed=1, rep=0, index=3, purpose=QUERY_DRAW), field: bad}
-        with pytest.raises(DomainError, match="must be whole numbers"):
+        with pytest.raises(DomainError, match="^seed, rep, index and purpose must be whole "
+                                              "numbers, got "):
             uniforms(**words)
 
     def test_whole_words_draw_as_their_integers(self):
         idx = np.array([0, 5, 2**40])
         want = uniforms(3, 1, idx, QUERY_DRAW)
         np.testing.assert_array_equal(uniforms(3.0, 1.0, idx.astype(float), QUERY_DRAW), want)
-        np.testing.assert_array_equal(uniforms(np.int32(3), True, idx.astype(object),
+        np.testing.assert_array_equal(uniforms(np.int32(3), np.uint8(1), idx.astype(object),
                                                QUERY_DRAW), want)
         # Python ints of any size wrap onto 64 bits, as integer arrays do
         assert uniforms(2**64 + 3, 1 - 2**64, 5, QUERY_DRAW) == want[1]
@@ -202,7 +206,7 @@ _SCALAR_WORDS = st.one_of(
     _BIG,
     st.integers(2**64, 2**80),
     st.integers(-(2**53), 2**53).map(float),
-    st.booleans(),
+    st.integers(-128, 127).map(np.int8),
     st.integers(-(2**31), 2**31 - 1).map(np.int32),
     st.integers(0, 2**64 - 1).map(np.uint64),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
@@ -216,7 +220,7 @@ _ARRAY_KINDS = {
     "object": (_BIG, object),
     "int8": (st.integers(-128, 127), np.int8),
     "float": (st.integers(-(2**53), 2**53).map(float), np.float64),
-    "bool": (st.booleans(), np.bool_),
+    "float32": (st.integers(-(2**24), 2**24).map(float), np.float32),
 }
 
 
