@@ -14,8 +14,6 @@ log_inverse) exist.
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,20 +73,11 @@ def check_budget(n_b: float) -> None:
 
 
 def allocate_utilities(utilities, n_b: float) -> AllocationResult:
-    """Allocate the budget ``n_b`` proportionally to precomputed utilities.
-
-    A budget above the number of utilities is clamped to it, with a warning.
-    """
+    """Allocate the budget ``n_b``, at most the number of utilities,
+    proportionally to precomputed utilities."""
     check_budget(n_b)
     u = check_vector(utilities, "utilities")
-    if n_b > u.size:
-        # name the nearest caller outside the package
-        level, frame = 1, sys._getframe()
-        while (frame is not None
-               and frame.f_globals.get("__name__", "").partition(".")[0] == __package__):
-            level, frame = level + 1, frame.f_back
-        warnings.warn(f"budget {n_b} exceeds the {u.size} hypotheses; clamping", stacklevel=level)
-        n_b = float(u.size)
+    check_real("budget", n_b, 0, u.size, closed=True)
     check_domain(u, "utilities", False)
     # sorted pairwise sum: permutation-invariant total, so allocations are
     # reproducible regardless of input order or reduction scheduling

@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 import tempfile
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -188,7 +187,7 @@ def _cmd_run(args) -> int:
               f"--mode {args.mode} wants a {fitting} family; the budget goes to the "
               f"least promising hypotheses", file=sys.stderr)
     method = MethodSpec(args.method, beta=args.beta)
-    # random's budget must also fit the table, which run_method checks
+    # the budget must also fit the table, which run_method checks
     if args.budget is not None:
         check_method_budget(args.method, args.budget)
     table = _read_run_input(args.input)
@@ -205,7 +204,7 @@ def _read_run_input(path: str) -> HypothesisSet:
 
 
 def _cmd_gwas(args) -> int:
-    # random's budget must also fit the joined table, which oracle_recovery checks
+    # the budget must also fit the joined table, which oracle_recovery checks
     check_beta(args.beta)
     check_method_budget(args.method, args.budget)
     check_alpha(args.alpha)
@@ -271,27 +270,19 @@ _COMMANDS = {
 }
 
 
-def _show_warning(message, *args, **kwargs) -> None:
-    print(f"{PROG}: warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    # each warning prints as one line; the caller's warning state is restored
-    with warnings.catch_warnings():
-        warnings.simplefilter("default")
-        warnings.showwarning = _show_warning
-        try:
-            args = parser.parse_args(argv)
-            return _COMMANDS[args.command](args)
-        except _UsageError as exc:
-            print(f"{PROG}: error: {exc}", file=sys.stderr)
-            return _EXIT_USAGE
-        except SystemExit as exc:  # --version / --help
-            return int(exc.code or 0)
-        except (ActiveTestError, OSError) as exc:
-            print(f"{PROG}: error: {exc}", file=sys.stderr)
-            return _EXIT_DATA
+    try:
+        args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    except SystemExit as exc:  # --version / --help
+        return int(exc.code or 0)
+    except (ActiveTestError, OSError) as exc:
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return _EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -85,12 +85,20 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or its type if it holds an int past the int-to-str digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a value too long to show ({type(value).__name__})"
+
+
 def check_real(name: str, value, low, high, closed: bool = False):
     """``value``, refused unless it is a real number, not a bool, inside
     (``low``, ``high``), or inside [``low``, ``high``] when ``closed``."""
     if not (_real(value) and (low <= value <= high if closed else low < value < high)):
         interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
-        raise DomainError(f"{name} must lie in {interval}, got {value!r}")
+        raise DomainError(f"{name} must lie in {interval}, got {_shown(value)}")
     return value
 
 
@@ -112,14 +120,14 @@ def check_whole(name: str, value, low: int) -> int:
     whole, top = _whole(value), int(np.iinfo(np.intp).max)
     if whole is None or not low <= whole <= top:
         bound = f"<= {top}" if whole is not None and whole > top else f">= {low}"
-        raise DomainError(f"{name} must be a whole number {bound}, got {value!r}")
+        raise DomainError(f"{name} must be a whole number {bound}, got {_shown(value)}")
     return whole
 
 
 def check_choice(name: str, value, choices: tuple):
     """``value``, refused unless it is one of ``choices``; an unhashable value never is."""
     if type(value).__hash__ is None or value not in choices:
-        raise DomainError(f"{name} must be one of {choices}, got {value!r}")
+        raise DomainError(f"{name} must be one of {choices}, got {_shown(value)}")
     return value
 
 

@@ -94,7 +94,6 @@ class HypothesisSet:
     the no-query values of the last beta and e-or-p domain (8 bytes per
     row), dropped when the variant's levels change.  Each is read-only, so
     no run can change another's inputs.  Draws a run replays are checked on
-    every run.  A budget above n is clamped afresh, with its warning, on
     every run.
     """
 
@@ -263,8 +262,7 @@ def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
     memoized only when the same levels run again on the set, keyed by them
     and by the (e-or-p, beta) of the run; each run then takes a copy.  A
     set that runs each allocation once, as a CLI run or a replication does,
-    keeps no plan.  A budget above n is not memoized, so it warns on every
-    run.
+    keeps no plan.
     """
     first = False
 
@@ -276,7 +274,7 @@ def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
         _read_only(alloc.h)
         return alloc
 
-    alloc = levels() if n_b > len(hs) else _cached(hs._memo, variant, key, levels)
+    alloc = _cached(hs._memo, variant, key, levels)
     if first:
         return alloc, _active_plan(alloc.h, mode, beta)
     plan = _cached(hs._memo, ("plan", variant), (key, mode.is_e, beta),
@@ -285,12 +283,14 @@ def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
 
 
 def check_method_budget(variant: str, n_b: float, n: float = float("inf")) -> None:
-    """Refuse a budget ``variant`` cannot spend on ``n`` hypotheses: random
-    takes a whole number in [0, n], the others a finite number above 0."""
-    if variant != "random":
-        check_budget(n_b)
+    """Refuse a budget ``variant`` cannot spend on ``n`` hypotheses: every
+    method takes one no larger than n, random a whole number >= 0 and the
+    others a finite number above 0."""
+    if variant == "random":
+        n_b = check_whole("budget", n_b, 0)
     else:
-        check_real("budget", check_whole("budget", n_b, 0), 0, n, closed=True)
+        check_budget(n_b)
+    check_real("budget", n_b, 0, n, closed=True)
 
 
 def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:

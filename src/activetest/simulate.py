@@ -371,7 +371,7 @@ def run_experiment(
     variants = [m.variant for m in methods_resolved]
     if len(set(variants)) < len(variants):
         raise DomainError(f"methods must be distinct, got {','.join(variants)}")
-    # before any rep runs, so no method warns or writes before another refuses
+    # every method's budget, before any rep is drawn
     for variant in variants:
         check_method_budget(variant, n_b, spec.n)
 

@@ -155,14 +155,12 @@ class TestBudget:
         # a numpy scalar is a real number
         assert np.sum(allocate_utilities(np.ones(10), np.float32(2.5)).h) == pytest.approx(2.5)
 
-    def test_overlarge_budget_clamped_with_warning(self):
-        with pytest.warns(UserWarning, match="budget 20.0 exceeds the 10 hypotheses; clamping"):
-            res = allocate_utilities(np.ones(10), 20.0)
-        np.testing.assert_array_equal(res.h, np.ones(10))
-        # an int beyond the float range is still a finite budget
-        with pytest.warns(UserWarning, match="exceeds the 10 hypotheses; clamping"):
-            res = allocate_utilities(np.ones(10), 10**400)
-        np.testing.assert_array_equal(res.h, np.ones(10))
+    # an int beyond the float range is a finite budget above n too
+    @pytest.mark.parametrize("n_b", [10.5, 20.0, 10**400], ids=["n+0.5", "2n", "10**400"])
+    def test_budget_above_n_refused(self, n_b):
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(f'budget must lie in [0, 10], got {n_b!r}')}$"):
+            allocate_utilities(np.ones(10), n_b)
 
     def test_exact_budget_no_warning(self):
         with warnings.catch_warnings():

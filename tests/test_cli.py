@@ -6,7 +6,6 @@ import os
 import shlex
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 import activetest
 from activetest import __version__
 from activetest.cli import build_parser, main, parse_config_header
+from activetest.engine import METHOD_NAMES
 from activetest.pipeline import conformal_p
 
 from conftest import oracle_bh, oracle_ebh
@@ -23,6 +23,13 @@ from conftest import oracle_bh, oracle_ebh
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def above_n(method, n):
+    """A ``--budget`` just above ``n`` for ``method``, and the error it
+    prints: n + 0.5, or n + 1 for random, whose budget is a whole number."""
+    over = n + 1 if method == "random" else n + 0.5
+    return str(over), f"activetest: error: budget must lie in [0, {n}], got {over!r}\n"
 
 
 def run_python(args):
@@ -269,6 +276,17 @@ class TestSimulate:
         assert "warning" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_budget_above_n_exits_2(self, tmp_path, capsys, method):
+        out = tmp_path / "s.csv"
+        args = ["simulate", "--dgp", "signal", "--n", "50", "--reps", "1", "--methods", method,
+                "--out", str(out)]
+        budget, error = above_n(method, 50)
+        assert main(args + ["--budget", budget]) == 2
+        assert capsys.readouterr().err == error
+        assert list(tmp_path.iterdir()) == []
+        assert main(args + ["--budget", "50"]) == 0
+
     def test_failed_run_leaves_no_output(self, tmp_path):
         out = tmp_path / "x.csv"
         args = ["simulate", "--dgp", "noisy", "--sigma", "0", "--mode", "e", "--n", "100",
@@ -479,15 +497,16 @@ class TestRun:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_budget_clamp_warning_is_one_line(self, tmp_path, capsys):
-        inp = write(tmp_path / "p.csv", "id,aux,exact\na,0.5,0.2\nb,0.3,0.1\n")
-        args = ["run", "--input", inp, "--mode", "p-independent", "--budget", "5",
-                "--out", str(tmp_path / "o.csv")]
-        filters, show = list(warnings.filters), warnings.showwarning
-        assert main(args) == 0
-        assert capsys.readouterr().err == (
-            "activetest: warning: budget 5.0 exceeds the 2 hypotheses; clamping\n")
-        assert warnings.filters == filters and warnings.showwarning is show
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_budget_above_n_exits_2(self, tmp_path, capsys, method):
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", self.make_input(tmp_path), "--mode", "e", "--method", method,
+                "--out", str(out)]
+        budget, error = above_n(method, 40)
+        assert main(args + ["--budget", budget]) == 2
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+        assert main(args + ["--budget", "40"]) == 0
 
     def test_bad_header_exits_2(self, tmp_path, capsys):
         inp = write(tmp_path / "bad.csv", "key,aux,exact\nk,1,1\n")
@@ -550,6 +569,17 @@ class TestGwas:
         body = [l for l in text.splitlines() if not l.startswith("#")]
         assert body[0] == "key,active_p,queried"
         assert len(body) == 51
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_budget_above_n_exits_2(self, tmp_path, capsys, method):
+        target, aux = self.make_tables(tmp_path)
+        out = tmp_path / "g.csv"
+        args = ["gwas", "--target", target, "--aux", aux, "--method", method, "--out", str(out)]
+        budget, error = above_n(method, 50)
+        assert main(args + ["--budget", budget]) == 2
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+        assert main(args + ["--budget", "50"]) == 0
 
     def test_active_method_respects_budget(self, tmp_path):
         target, aux = self.make_tables(tmp_path)
@@ -852,6 +882,8 @@ RUN_MALFORMED = [
     ("bad number", (RUN_HEADER + "a,0.5,0.5\nb,0.5,x\n").encode(), 3),
     ("non-UTF-8", RUN_HEADER.encode() + b"a,0.5,0.5\nb\xff,0.5,0.5\n", 3),
     ("duplicate id", (RUN_HEADER + "a,0.5,0.5\nb,0.5,0.5\na,0.5,0.5\n").encode(), 4),
+    ("header field over csv limit",
+     ("id,aux,exact," + "x" * 200_000 + "\na,0.5,0.5,1\n").encode(), 1),
     ("field over csv limit",
      (RUN_HEADER + "a,0.5,0.5\n" + "b" * 200_000 + ",0.5,0.5\n").encode(), 3),
     ("late bad number", _late_fault(RUN_HEADER, lambda i: f"h{i},0.5,0.25\n", "z,0.5,oops\n"),

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from activetest import engine
-from activetest.allocation import allocate_utilities
 from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT, active_values
 from activetest.engine import (
     HypothesisSet,
@@ -548,14 +547,19 @@ class TestRecordsAndOutput:
                 run_method(hs, MethodSpec(entry), mode=P_INDEPENDENT, n_b=1.0,
                            utility="log_inverse", u=u)
 
-    @pytest.mark.parametrize("call", [
-        lambda: allocate_utilities([1.0, 2.0], 5.0),
-        lambda: run_active_xu(HypothesisSet([1.0, 2.0], [1.0, 1.0]), 0.5, E_VALUES, 5.0),
-    ], ids=["allocate_utilities", "run_method"])
-    def test_clamp_warning_names_the_caller(self, call):
-        with pytest.warns(UserWarning, match="clamping") as record:
-            call()
-        assert [w.filename for w in record] == [__file__]
+    @pytest.mark.parametrize("method", engine.METHOD_NAMES)
+    def test_budget_above_n_refused_before_any_read(self, method):
+        records, calls = counted_records([1.0, 2.0], [1.0, 1.0])
+        refusals = [(2.5, "budget must lie in [0, 2], got 2.5")]
+        if method == "random":  # a whole number, so n + 0.5 is refused as not whole
+            refusals = [(2.5, "budget must be a whole number >= 0, got 2.5"),
+                        (3, "budget must lie in [0, 2], got 3")]
+        for n_b, message in refusals:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                run_method(records, MethodSpec(method), mode=E_VALUES, n_b=n_b, utility="log1p")
+        assert calls["n"] == 0
+        out = run_method(records, MethodSpec(method), mode=E_VALUES, n_b=2.0, utility="log1p")
+        assert out.n_queries == calls["n"]
 
     def test_to_csv_shape(self):
         records, _ = counted_records([1.0, 2.0], [3.0, 4.0])
@@ -565,6 +569,10 @@ class TestRecordsAndOutput:
         assert len(lines) == 3
         assert lines[1].startswith("h0,") and ",false,no_query," in lines[1]
         assert lines[2].startswith("h1,") and ",true,query," in lines[2]
+        # a set without ids writes the row numbers
+        plain = run_method(HypothesisSet([1.0, 2.0, 3.0], [3.0, 4.0, 5.0]), MethodSpec("all"),
+                           mode=E_VALUES, n_b=1.0)
+        assert [line.split(",")[0] for line in plain.to_csv().splitlines()[1:]] == ["0", "1", "2"]
 
     def test_method_spec_validation(self):
         with pytest.raises(DomainError):
@@ -679,11 +687,14 @@ class TestSetMemo:
                 h[0] = 1.0
 
     @pytest.mark.parametrize("method", ["active", "active-xu"])
-    def test_clamped_budget_warns_on_every_run(self, method):
+    def test_budget_above_n_refused_on_every_run(self, method):
         hs = self.make_set()
         for seed in (1, 1, 2):
-            with pytest.warns(UserWarning, match="budget 50.0 exceeds the 40 hypotheses"):
-                self.run(hs, method, 0.5, P_INDEPENDENT, 50.0, seed, 0)
+            with pytest.raises(DomainError, match=r"^budget must lie in \[0, 40\], got 40\.5$"):
+                self.run(hs, method, 0.5, P_INDEPENDENT, 40.5, seed, 0)
+        assert method not in hs._memo
+        args = (method, 0.5, P_INDEPENDENT, 40.0, 1, 0)
+        assert self.run(hs, *args).to_csv() == self.run(self.make_set(), *args).to_csv()
 
 
 class TestSetMemoBounds:

@@ -5,7 +5,7 @@ import pytest
 
 from activetest import pipeline
 from activetest.allocation import DEFAULT_FAMILY
-from activetest.engine import UniqueIds, run_method
+from activetest.engine import METHOD_NAMES, UniqueIds, run_method
 from activetest.errors import DataError, DomainError
 from activetest.pipeline import (
     AlignedPair,
@@ -343,6 +343,9 @@ class TestOracleRecovery:
         ({"n_b": float("nan")}, "budget must lie in (0, inf), got nan"),
         ({"n_b": 2.5, "method": "random"}, "budget must be a whole number >= 0, got 2.5"),
         ({"n_b": 1e9, "method": "random"}, "budget must lie in"),
+        *[({"n_b": 1000.5, "method": m}, "budget must lie in [0, 1000], got 1000.5")
+          for m in ("active", "active-xu", "xu", "all")],
+        ({"n_b": 1001, "method": "random"}, "budget must lie in [0, 1000], got 1001"),
         ({"beta": 1.5}, "beta must lie"),
         ({"method": "bogus"},
          "method must be one of ('active', 'active-xu', 'xu', 'random', 'all'), got 'bogus'"),
@@ -351,8 +354,9 @@ class TestOracleRecovery:
         ({"beta": "0.5"}, "beta must lie"),
         ({"alpha": None}, "alpha must lie"),
         ({"alpha": "0.1"}, "alpha must lie"),
-    ], ids=["nan-budget", "random-fraction", "random-above-n", "beta", "method", "text-budget",
-            "random-text-budget", "text-beta", "no-alpha", "text-alpha"])
+    ], ids=["nan-budget", "random-fraction", "random-above-n", "active-above-n",
+            "active-xu-above-n", "xu-above-n", "all-above-n", "random-n+1", "beta", "method",
+            "text-budget", "random-text-budget", "text-beta", "no-alpha", "text-alpha"])
     def test_settings_refused_before_oracle(self, monkeypatch, kwargs, message):
         # a refused setting costs no BY pass over the target p-values
         calls = []
@@ -366,6 +370,12 @@ class TestOracleRecovery:
         with pytest.raises(DomainError, match=re.escape(message)):
             oracle_recovery(synthetic_pair(), **settings)
         assert calls == []
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_budget_of_n_runs(self, method):
+        result = oracle_recovery(synthetic_pair(), n_b=1000, beta=0.5, method=method, alpha=0.1)
+        assert result.n_queries <= 1000
+
 
 class TestAlignedPairMemo:
     METHODS = ("active", "active-xu", "xu", "random", "all")

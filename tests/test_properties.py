@@ -26,6 +26,7 @@ import os
 import re
 import tempfile
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -578,6 +579,21 @@ ALIGNED = lambda: pipeline.align(
     (lambda: harmonic_number(10**400), f"n must be a whole number <= {TOP}, got {10**400}"),
     (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("random"), mode=E_VALUES, n_b=10**400),
      f"budget must be a whole number <= {TOP}, got {10**400}"),
+    # a value past the int-to-str digit limit is shown by its type
+    (lambda: DgpSpec("signal", n=10**5000, pi=0.1),
+     f"n must be a whole number <= {TOP}, got a value too long to show (int)"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("random"), mode=E_VALUES,
+                        n_b=10**5000),
+     f"budget must be a whole number <= {TOP}, got a value too long to show (int)"),
+    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("active"), mode=E_VALUES,
+                        n_b=10**5000, utility="log1p"),
+     "budget must lie in [0, 2], got a value too long to show (int)"),
+    (lambda: allocate_utilities([1.0, 1.0], -10**5000),
+     "budget must lie in (0, inf), got a value too long to show (int)"),
+    (lambda: eval_utility(10**5000, [1.0]),
+     f"utility family must be one of {FAMILIES}, got a value too long to show (int)"),
+    (lambda: allocate_utilities([1.0, 1.0], Fraction(-1, 10**5000)),
+     "budget must lie in (0, inf), got a value too long to show (Fraction)"),
 ], ids=["run_method bool budget", "run_method inf budget", "run_experiment bool reps",
         "DgpSpec bool pi", "DgpSpec bool sigma", "run_method list utility",
         "eval_utility list family", "run_method text mode", "active_values text mode",
@@ -585,7 +601,11 @@ ALIGNED = lambda: pipeline.align(
         "run_method text method", "active_e list h", "active_e list u", "run_method bool seed",
         "run_method bool rep", "run_experiment bool seed", "oracle_recovery bool seed",
         "DgpSpec n past float range", "DgpSpec n past array size",
-        "harmonic_number n past float range", "run_method random budget past float range"])
+        "harmonic_number n past float range", "run_method random budget past float range",
+        "DgpSpec n past digit limit", "run_method random budget past digit limit",
+        "run_method active budget past digit limit",
+        "allocate_utilities negative budget past digit limit",
+        "eval_utility family past digit limit", "allocate_utilities fraction past digit limit"])
 def test_bad_settings_refused_by_the_argument_name(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()

@@ -507,6 +507,8 @@ class TestRunExperiment:
         spec = DgpSpec("signal", n=200, pi=0.2)
         with pytest.raises(DomainError):
             run_experiment(spec, ["grid-search"], n_b=20, reps=1, seed=1)
+        with pytest.raises(DomainError, match="^at least one method is required$"):
+            run_experiment(spec, [], n_b=20, reps=1, seed=1)
 
     # sha256 of (per_rep_csv, aggregate_csv): n=300, n_b=30, 6 reps, seed 7, all five methods
     GOLDEN = {
@@ -554,6 +556,18 @@ class TestRunExperiment:
             run_experiment(spec, [method], n_b="10", reps=1)
         with pytest.raises(DomainError, match=r"^beta must lie in \(0, 1\), got '0\.5'"):
             run_experiment(spec, [method], n_b=10, beta="0.5", reps=1)
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_budget_above_n_refused_before_any_rep_is_drawn(self, monkeypatch, method):
+        spec = DgpSpec("signal", n=50, pi=0.1)
+        run_experiment(spec, [method], n_b=50, reps=1)
+        drawn = []
+        monkeypatch.setattr(simulate, "gen_signal", lambda *args: drawn.append(args))
+        n_b = 51 if method == "random" else 50.5  # random's budget is a whole number
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(f'budget must lie in [0, 50], got {n_b!r}')}$"):
+            run_experiment(spec, [method], n_b=n_b, reps=1)
+        assert drawn == []
 
     @pytest.mark.parametrize("reps", [2.5, float("nan"), "3", None])
     def test_reps_must_be_a_whole_number(self, reps):
