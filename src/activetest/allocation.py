@@ -23,7 +23,6 @@ from .errors import DegenerateUtilitiesError, DomainError
 
 __all__ = [
     "AllocationResult",
-    "check_budget",
     "eval_utility",
     "allocate_utilities",
 ]
@@ -89,9 +88,8 @@ def allocate_utilities(utilities, n_b: float) -> AllocationResult:
                           "as log1p")
     if total <= 0.0:
         raise DegenerateUtilitiesError(
-            "all utilities are zero; use a strictly positive family such as "
-            "log1p or log_inverse"
-        )
+            "all utilities are zero, so no budget can be allocated in proportion to them; "
+            "give at least one hypothesis a positive utility")
     h = (u / total) * n_b
     return AllocationResult(
         h=h,

@@ -33,9 +33,6 @@ __all__ = [
     "E_VALUES",
     "P_INDEPENDENT",
     "P_GENERAL",
-    "check_beta",
-    "check_draws",
-    "check_domain",
     "active_e",
     "active_p",
     "active_values",

@@ -29,15 +29,13 @@ from .allocation import (AllocationResult, allocate_utilities, check_budget, che
 from .core import (MODES, StatMode, _active_plan, _column, _construct, _read_only,
                    active_values, as_floats, check_beta, check_choice, check_domain,
                    check_draws, check_real, check_vector, check_whole)
-from .errors import DomainError
+from .errors import DegenerateUtilitiesError, DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, _word, keys_for_ids, uniforms
 
 __all__ = [
     "HypothesisSet",
     "MethodSpec",
     "RunOutput",
-    "UniqueIds",
-    "csv_text",
     "run_method",
     "xu_query_prob",
 ]
@@ -414,6 +412,13 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
             h = alloc.h
             values, queried = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
                                             mode, beta, plan=plan)
+    except DegenerateUtilitiesError:
+        # allocate_utilities cannot name the rule that gave every row a zero utility
+        raise DegenerateUtilitiesError("all utilities are zero: " + (
+            f"the {utility} family is 0 at every aux value; use method 'random'"
+            if variant == "active" else
+            f"the Xu rule is 0 at every aux e-value at or below beta = {beta!r}; use a "
+            "beta below the largest aux e-value, or method 'random'")) from None
     except DomainError as exc:
         if exc.index is None:
             raise

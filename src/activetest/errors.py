@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+__all__ = ["ActiveTestError", "DataError", "DegenerateUtilitiesError", "DomainError"]
+
 
 class ActiveTestError(Exception):
     """Base class for all errors raised by this package."""

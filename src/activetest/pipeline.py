@@ -29,12 +29,10 @@ __all__ = [
     "SummaryTable",
     "AlignedPair",
     "RecoveryResult",
-    "read_columns",
     "read_summary_table",
     "align",
     "conformal_p",
     "oracle_recovery",
-    "read_score_rows",
 ]
 
 @dataclass(frozen=True)

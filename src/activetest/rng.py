@@ -27,6 +27,8 @@ import numpy as np
 from .core import _whole
 from .errors import DomainError
 
+__all__ = ["DEFAULT_SEED", "uniforms"]
+
 # Purpose tags.  Distinct tags yield independent streams for the same
 # (seed, rep, index).
 QUERY_DRAW = 0     # per-hypothesis query/no-query Bernoulli draw

@@ -56,9 +56,6 @@ __all__ = [
     "gen_signal",
     "make_statistics",
     "run_experiment",
-    "DESK_N",
-    "DESK_BUDGET",
-    "DESK_REPS",
 ]
 
 DGP_KINDS = ("signal", "noisy", "correlated")

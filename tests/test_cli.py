@@ -478,6 +478,25 @@ class TestRun:
         assert "error: utilities overflow" in err and "warning" not in err
         assert not out.exists()
 
+    # each refusal names the rule that is 0 on every row, and no remedy that
+    # is 0 there too: log1p is 0 at an aux of 0, and the Xu rule at an aux
+    # e-value at or below beta
+    @pytest.mark.parametrize("method,rows,cause", [
+        ("active", "a,0,2\nb,0,3\n",
+         "the log1p family is 0 at every aux value; use method 'random'"),
+        ("active-xu", "a,0.1,2\nb,0.2,3\n",
+         "the Xu rule is 0 at every aux e-value at or below beta = 0.5; use a beta below "
+         "the largest aux e-value, or method 'random'"),
+    ], ids=["active", "active-xu"])
+    def test_degenerate_utilities_exit_2(self, tmp_path, capsys, method, rows, cause):
+        inp = write(tmp_path / "in.csv", "id,aux,exact\n" + rows)
+        out = tmp_path / "o.csv"
+        args = ["run", "--input", inp, "--mode", "e", "--method", method, "--budget", "1",
+                "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"activetest: error: all utilities are zero: {cause}\n"
+        assert not out.exists()
+
     def test_unknown_utility_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         args = ["run", "--input", self.make_input(tmp_path), "--mode", "e", "--budget", "5",
