@@ -159,6 +159,13 @@ def _cmd_simulate(args) -> int:
     for kind, flag, _interval in DGP_PARAMETERS:
         if kind == args.dgp and getattr(args, flag) is None:
             raise _UsageError(f"--{flag} is required for --dgp {args.dgp}")
+    agg_out = args.agg_out
+    if agg_out is None:
+        stem, ext = os.path.splitext(args.out)
+        agg_out = f"{stem}_agg{ext or '.csv'}"
+    # the aggregate rows would replace the per-replication rows
+    if os.path.realpath(agg_out) == os.path.realpath(args.out):
+        raise _UsageError(f"--agg-out and --out name the same file: {agg_out}")
     spec = DgpSpec(kind=args.dgp, n=args.n, pi=args.pi, alpha=args.alpha,
                    sigma=args.sigma, rho=args.rho)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -166,10 +173,6 @@ def _cmd_simulate(args) -> int:
                             seed=args.seed, mode=args.mode, threads=args.threads)
     header = config_header(args, methods=",".join(methods), tau_sq=spec.tau_sq,
                            **{"lambda": spec.lam})
-    agg_out = args.agg_out
-    if agg_out is None:
-        stem, ext = os.path.splitext(args.out)
-        agg_out = f"{stem}_agg{ext or '.csv'}"
     atomic_write_text(args.out, header + result.per_rep_csv())
     atomic_write_text(agg_out, header + result.aggregate_csv())
     return _EXIT_OK
@@ -184,8 +187,8 @@ def _cmd_run(args) -> int:
     utility = args.utility or DEFAULT_FAMILY[fitting]
     if args.method == "active" and DIRECTIONS[utility] != fitting:
         print(f"{PROG}: warning: utility {utility!r} is {DIRECTIONS[utility]}, but "
-              f"--mode {args.mode} wants a {fitting} family; the budget goes to the "
-              f"least promising hypotheses", file=sys.stderr)
+              f"--mode {args.mode} wants {'an' if fitting == 'inverse' else 'a'} {fitting} "
+              "family; the budget goes to the least promising hypotheses", file=sys.stderr)
     method = MethodSpec(args.method, beta=args.beta)
     # the budget must also fit the table, which run_method checks
     if args.budget is not None:

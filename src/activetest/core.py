@@ -218,8 +218,9 @@ def active_values(
 
     ``plan`` is the engine's: an array of the no-query values
     ``_active_plan`` made from these ``h``, ``mode`` and ``beta``, passed
-    with draws ``u`` it has already checked.  Neither is checked again, and
-    the values are written into ``plan`` and returned as it.
+    with its hypothesis set's own draws ``u``, which lie in (0, 1).  Neither
+    is checked again, and the values are written into ``plan`` and returned
+    as it.
     """
     beta = check_beta(beta)
     check_choice("mode", mode, MODES)
@@ -236,7 +237,7 @@ def active_values(
     query_idx = np.flatnonzero(queried)
     h_queried = h[query_idx]
     if mode.is_e:
-        # a level near 0 is queried only on a replayed draw of 0: its scale may be inf
+        # a level near 0 is queried only on a caller's draw of 0: its scale may be inf
         with np.errstate(over="ignore"):
             scale = (1.0 - beta) / h_queried
     else:

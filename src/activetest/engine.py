@@ -28,7 +28,7 @@ from .allocation import (AllocationResult, allocate_utilities, check_budget, che
                          eval_utility)
 from .core import (MODES, StatMode, _active_plan, _column, _construct, _read_only,
                    active_values, as_floats, check_beta, check_choice, check_domain,
-                   check_draws, check_real, check_vector, check_whole)
+                   check_real, check_vector, check_whole)
 from .errors import DegenerateUtilitiesError, DomainError
 from .rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, _word, keys_for_ids, uniforms
 
@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 METHOD_NAMES = ("active", "active-xu", "xu", "random", "all")
-# the methods that draw per-hypothesis branch coins
-BRANCH_METHODS = ("active", "active-xu", "xu")
 
 
 class UniqueIds(tuple):
@@ -91,8 +89,7 @@ class HypothesisSet:
     utility family (or beta and mode); and, once that allocation runs again,
     the no-query values of the last beta and e-or-p domain (8 bytes per
     row), dropped when the variant's levels change.  Each is read-only, so
-    no run can change another's inputs.  Draws a run replays are checked on
-    every run.
+    no run can change another's inputs.
     """
 
     def __init__(self, aux, exact, ids=None):
@@ -238,15 +235,9 @@ def csv_text(header: str, columns: Sequence) -> str:
     return "".join(parts)
 
 
-def _branch_draws(hs: HypothesisSet, seed: int, rep: int, u) -> np.ndarray:
-    if u is None:
-        return _cached(hs._memo, "draws", (seed, rep), lambda: _read_only(
-            uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)))
-    # the set's own draws lie in (0, 1); a replayed one is checked on every run
-    u = check_draws(u)
-    if u.shape != (len(hs),):
-        raise DomainError("u must hold one branch draw per hypothesis")
-    return u
+def _branch_draws(hs: HypothesisSet, seed: int, rep: int) -> np.ndarray:
+    return _cached(hs._memo, "draws", (seed, rep), lambda: _read_only(
+        uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)))
 
 
 def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
@@ -356,7 +347,7 @@ def xu_query_prob(aux: np.ndarray, beta: float, mode: StatMode) -> np.ndarray:
 
 def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: float,
                seed: int = DEFAULT_SEED, rep: int = 0,
-               utility: Optional[str] = None, u=None) -> RunOutput:
+               utility: Optional[str] = None) -> RunOutput:
     """Run one named method on the hypotheses.
 
     Each method picks a query mask, the no-query values and the rule for a
@@ -365,10 +356,9 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     refused with its id.  The budget ``n_b``, ``seed`` and ``rep`` are checked
     for every method, whether or not it uses them.  ``utility`` names the utility family
     that drives the active method's allocation; every method refuses a
-    name that is not a family.  ``u`` replays the per-hypothesis branch
-    draws of active, active-xu and xu; by default they come from the
-    counter-based stream keyed by id, and the set keeps those of the last
-    (seed, rep).
+    name that is not a family.  The per-hypothesis branch draws of active,
+    active-xu and xu come from the counter-based stream keyed by id, and
+    the set keeps those of the last (seed, rep).
     """
     if not isinstance(method, MethodSpec):
         raise DomainError(f"method must be a MethodSpec, got {method!r}")
@@ -377,8 +367,6 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     try:
         _cached(hs._memo, ("aux", mode.is_p), None,
                 lambda: check_domain(hs.aux, f"aux {mode.kind[0]}-values", mode.is_p))
-        if u is not None and variant not in BRANCH_METHODS:
-            raise DomainError(f"method {variant!r} draws no branch coins to replay")
         n = len(hs)
         check_method_budget(variant, n_b, n)
         if utility is not None or variant == "active":
@@ -393,7 +381,7 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
         elif variant == "xu":
             # no global budget: on no-query the auxiliary itself is reported
             h = xu_query_prob(hs.aux, beta, mode)
-            queried = _branch_draws(hs, seed, rep, u) < h
+            queried = _branch_draws(hs, seed, rep) < h
             values = hs.aux.copy()
             rule = ((lambda exact: (1.0 - beta) * exact) if mode.is_e
                     else (lambda exact: exact / (1.0 - beta)))
@@ -410,7 +398,7 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
             _construct(values, np.flatnonzero(queried), hs.exact_at, mode, rule)
         else:
             h = alloc.h
-            values, queried = active_values(h, _branch_draws(hs, seed, rep, u), hs.exact_at,
+            values, queried = active_values(h, _branch_draws(hs, seed, rep), hs.exact_at,
                                             mode, beta, plan=plan)
     except DegenerateUtilitiesError:
         # allocate_utilities cannot name the rule that gave every row a zero utility

@@ -14,8 +14,8 @@ inverse-CDF samplers and query coins away from both corners.
 The kernel makes that same stream with few temporaries: leading scalar
 words (seed, and rep when it is one number) fold in Python ints, and the
 array words are absorbed in place, into a state array and a scratch array
-made when the first array word arrives and again only when a word widens
-the state, so a large draw allocates no array per operation.
+made when the first array word arrives and again at each later array word,
+so a large draw allocates no array per operation.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _state(seed, rep, index, purpose):
 
     Leading 0-d words fold in Python ints.  From the first array word on, s
     is a uint64 array mixed in place, with a scratch array of its shape;
-    both are made afresh only when a word widens s.  Returns a uint64
+    both are made afresh at each later array word.  Returns a uint64
     array, or a numpy uint64 when every word is 0-d.
     """
     s, z = 0, None
@@ -120,8 +120,6 @@ def _state(seed, rep, index, purpose):
             z = w + _GAMMA_U64
             z ^= np.uint64(s)
             scratch = np.empty_like(z)
-        elif np.broadcast(z, w).shape == z.shape:
-            np.bitwise_xor(z, w + _GAMMA_U64, z)
         else:
             z = z ^ (w + _GAMMA_U64)
             scratch = np.empty_like(z)

@@ -229,6 +229,17 @@ class TestSimulate:
         assert main(self.ARGS + ["--out", str(out), "--agg-out", str(agg)]) == 0
         assert agg.exists()
 
+    def test_agg_out_naming_the_out_file_refused(self, tmp_path, capsys, monkeypatch):
+        # the aggregate rows would overwrite the per-replication rows
+        monkeypatch.chdir(tmp_path)
+        args = self.ARGS + ["--reps", "2", "--out", "s.csv"]
+        assert main(args + ["--agg-out", "./s.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "activetest: error: --agg-out and --out name the same file: ./s.csv\n")
+        assert list(tmp_path.iterdir()) == []
+        assert main(args) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s_agg.csv"]
+
     def test_domain_error_exits_2(self, tmp_path, capsys):
         args = ["simulate", "--dgp", "noisy", "--sigma", "0", "--mode", "e", "--n", "100",
                 "--pi", "0.1", "--budget", "10", "--reps", "1", "--out", str(tmp_path / "x.csv")]
@@ -456,16 +467,21 @@ class TestRun:
         assert main(args + ["--utility", "log1p", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("mode,family", [("e", "log_inverse"), ("p-independent", "identity")])
-    def test_utility_against_mode_warns(self, tmp_path, capsys, mode, family):
+    @pytest.mark.parametrize("mode,family,line", [
+        ("e", "log_inverse", "activetest: warning: utility 'log_inverse' is inverse, but --mode e "
+         "wants a direct family; the budget goes to the least promising hypotheses"),
+        ("p-independent", "identity", "activetest: warning: utility 'identity' is direct, but "
+         "--mode p-independent wants an inverse family; the budget goes to the least promising "
+         "hypotheses"),
+    ], ids=["e-log_inverse", "p-independent-identity"])
+    def test_utility_against_mode_warns(self, tmp_path, capsys, mode, family, line):
         rows = ["id,aux,exact\n"] + [f"h{i},{(i + 1) / 50},{(i + 1) / 45}\n" for i in range(40)]
         inp = write(tmp_path / "p.csv", "".join(rows))
         out = tmp_path / "o.csv"
         args = ["run", "--input", inp, "--mode", mode, "--method", "active",
                 "--budget", "8", "--utility", family, "--out", str(out)]
         assert main(args) == 0
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len(err_lines) == 1 and "warning" in err_lines[0] and family in err_lines[0]
+        assert capsys.readouterr().err.splitlines() == [line]
         assert parse_config_header(out.read_text())["utility"] == family
 
     def test_overflowing_utilities_refused(self, tmp_path, capsys):

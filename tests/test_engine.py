@@ -21,7 +21,7 @@ from activetest.engine import (
     xu_query_prob,
 )
 from activetest.errors import DegenerateUtilitiesError, DomainError
-from activetest.rng import SUBSET_DRAW, uniforms
+from activetest.rng import DEFAULT_SEED, QUERY_DRAW, SUBSET_DRAW, uniforms
 
 
 def counted_records(aux, exact):
@@ -104,10 +104,11 @@ def run_all(records, mode=E_VALUES, **kw):
 
 
 class TestActiveDefaultTrace:
-    def test_worked_trace(self):
+    def test_worked_trace(self, monkeypatch):
         records, calls = counted_records([1.0, 2.0, 3.0], [5.0, 20.0, 30.0])
-        out = run_active(records, E_VALUES, 3.0, "identity",
-                         u=np.array([0.9, 0.9, 0.1]))
+        monkeypatch.setattr(engine, "_branch_draws",
+                            lambda hs, seed, rep: np.array([0.9, 0.9, 0.1]))
+        out = run_active(records, E_VALUES, 3.0, "identity")
         np.testing.assert_allclose(out.h, [0.5, 1.0, 1.5])
         assert out.values[0] == 1.0 and not out.queried[0]
         assert out.values[1] == 0.5 * 20.0 and out.queried[1]
@@ -125,10 +126,10 @@ class TestActiveDefaultTrace:
         np.testing.assert_allclose(out.values, 0.5 * np.arange(1.0, n + 1.0))
 
     def test_p_general_trace(self):
+        # levels of 1 query both rows whatever the draw
         records, _ = counted_records([0.5, 0.5], [0.02, 0.8])
-        out = run_active(records, P_GENERAL, 1.0, "identity",
-                         u=np.array([0.1, 0.1]))
-        np.testing.assert_allclose(out.h, [0.5, 0.5])
+        out = run_active(records, P_GENERAL, 2.0, "identity")
+        np.testing.assert_allclose(out.h, [1.0, 1.0])
         assert out.values[0] == pytest.approx(0.04)
         assert out.values[1] == 1.0
 
@@ -170,12 +171,6 @@ class TestRunAll:
         hs = HypothesisSet(aux=[0.5, -1.0], exact=np.array([2.0, 3.0]), ids=["ok", "neg"])
         with pytest.raises(DomainError, match="neg"):
             run_method(hs, MethodSpec(method), mode=E_VALUES, n_b=2.0)
-
-    @pytest.mark.parametrize("method", ["random", "all"])
-    def test_no_branch_draws_to_replay(self, method):
-        records, _ = counted_records([1.0] * 2, [1.0] * 2)
-        with pytest.raises(DomainError, match="replay"):
-            run_method(records, MethodSpec(method), mode=E_VALUES, n_b=1.0, u=[0.5, 0.5])
 
 
 @pytest.mark.parametrize("method", ["active", "active-xu", "xu", "all"])
@@ -313,27 +308,33 @@ class TestRunXu:
         assert xu_query_prob(np.array([5e-324, 1e-310]), 0.5, E_VALUES).tolist() == [0.0, 0.0]
 
     def test_e_mode_no_query_reports_aux(self):
+        # aux below beta: query probability 0
         records, calls = counted_records([0.4], [100.0])
-        out = run_xu(records, beta=0.5, mode=E_VALUES, u=np.array([0.0]))
+        out = run_xu(records, beta=0.5, mode=E_VALUES)
         assert not out.queried[0]
         assert out.values[0] == 0.4
         assert calls["n"] == 0
 
     def test_e_mode_query_scales_exact(self):
-        records, _ = counted_records([2.0], [4.0])
-        out = run_xu(records, beta=0.5, mode=E_VALUES, u=np.array([0.5]))
-        assert out.queried[0]
-        assert out.values[0] == 0.5 * 4.0
+        # query probability 1 - 0.5 / 2 = 0.75 on every row, against the set's own draws
+        exact = np.arange(1.0, 9.0)
+        records, _ = counted_records([2.0] * 8, exact)
+        out = run_xu(records, beta=0.5, mode=E_VALUES)
+        queried = uniforms(DEFAULT_SEED, 0, records.stream_keys(), QUERY_DRAW) < 0.75
+        assert queried.any()
+        np.testing.assert_array_equal(out.queried, queried)
+        np.testing.assert_array_equal(out.values, np.where(queried, 0.5 * exact, 2.0))
 
     def test_p_mode_query_example(self):
-        records, _ = counted_records([0.2], [0.01])
-        out = run_xu(records, beta=0.5, mode=P_INDEPENDENT, u=np.array([0.0]))
+        # aux 0: query probability 1
+        records, _ = counted_records([0.0], [0.01])
+        out = run_xu(records, beta=0.5, mode=P_INDEPENDENT)
         assert out.queried[0]
         assert out.values[0] == pytest.approx(0.02)
 
     def test_p_mode_query_clamped(self):
         records, _ = counted_records([0.0], [0.9])
-        out = run_xu(records, beta=0.5, mode=P_INDEPENDENT, u=np.array([0.0]))
+        out = run_xu(records, beta=0.5, mode=P_INDEPENDENT)
         assert out.values[0] == 1.0
 
     def test_no_budget_queries_grow_with_aux(self):
@@ -347,12 +348,12 @@ class TestRunXu:
 class TestRunActiveXu:
     def test_e_mode_allocation_example(self):
         records, _ = counted_records([1.0, 2.0], [1.0, 1.0])
-        out = run_active_xu(records, beta=0.5, mode=E_VALUES, n_b=1.0, u=np.array([0.99, 0.99]))
+        out = run_active_xu(records, beta=0.5, mode=E_VALUES, n_b=1.0)
         np.testing.assert_allclose(out.h, [0.4, 0.6])
 
     def test_p_mode_allocation_example(self):
         records, _ = counted_records([0.0, 1.0], [0.5, 0.5])
-        out = run_active_xu(records, beta=0.5, mode=P_GENERAL, n_b=1.0, u=np.array([0.99, 0.99]))
+        out = run_active_xu(records, beta=0.5, mode=P_GENERAL, n_b=1.0)
         np.testing.assert_allclose(out.h, [2.0 / 3.0, 1.0 / 3.0])
 
     def test_implied_utility_formulas(self):
@@ -435,9 +436,9 @@ class TestQueryAccounting:
         def exact(idx):
             raise AssertionError("nothing is queried")
 
-        aux = np.array([1.0, 2.0, 4.0])
-        h = xu_query_prob(aux, 0.5, E_VALUES)
-        out = run_xu(HypothesisSet(aux, exact), beta=0.5, mode=E_VALUES, u=h)
+        # aux at or below beta: query probability 0 on every row
+        aux = np.array([0.1, 0.25, 0.5])
+        out = run_xu(HypothesisSet(aux, exact), beta=0.5, mode=E_VALUES)
         assert out.n_queries == 0
         np.testing.assert_array_equal(out.values, aux)
 
@@ -528,24 +529,15 @@ class TestRecordsAndOutput:
         with pytest.raises(DomainError, match=want):
             run_method(hs, MethodSpec("all"), mode=P_INDEPENDENT, n_b=2.0)
 
-    def test_replayed_draws_must_align(self):
-        records, _ = counted_records([1.0, 2.0], [3.0, 4.0])
-        with pytest.raises(DomainError, match="branch draw"):
-            run_xu(records, beta=0.5, mode=E_VALUES, u=np.array([0.1, 0.2, 0.3]))
-
-    @pytest.mark.parametrize("entry", ["active", "active-xu", "xu", "active_values"])
     @pytest.mark.parametrize("u, at", [([-0.5] * 3, 0), ([0.5, np.nan, 0.5], 1),
                                        ([0.5, 0.5, 1.0], 2), ([2.0] * 3, 0)],
-                             ids=["negative", "nan", "one", "above-one"])
-    def test_draws_outside_unit_interval_refused(self, entry, u, at):
+                             ids=[f"{case}-active_values"
+                                  for case in ("negative", "nan", "one", "above-one")])
+    def test_draws_outside_unit_interval_refused(self, u, at):
         hs = HypothesisSet([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
         match = rf"branch draw u must lie in \[0, 1\), got .+ at position {at}$"
         with pytest.raises(DomainError, match=match):
-            if entry == "active_values":
-                active_values(np.full(3, 0.5), u, hs.exact_at, P_INDEPENDENT, 0.5)
-            else:
-                run_method(hs, MethodSpec(entry), mode=P_INDEPENDENT, n_b=1.0,
-                           utility="log_inverse", u=u)
+            active_values(np.full(3, 0.5), u, hs.exact_at, P_INDEPENDENT, 0.5)
 
     @pytest.mark.parametrize("method", engine.METHOD_NAMES)
     def test_budget_above_n_refused_before_any_read(self, method):
@@ -562,8 +554,9 @@ class TestRecordsAndOutput:
         assert out.n_queries == calls["n"]
 
     def test_to_csv_shape(self):
-        records, _ = counted_records([1.0, 2.0], [3.0, 4.0])
-        out = run_active(records, E_VALUES, 1.0, "identity", u=np.array([0.9, 0.1]))
+        # levels 0 and 1: the first row is never queried, the second always
+        records, _ = counted_records([0.0, 2.0], [3.0, 4.0])
+        out = run_active(records, E_VALUES, 1.0, "identity")
         lines = out.to_csv().strip().split("\n")
         assert lines[0] == "id,value,queried,branch,h"
         assert len(lines) == 3

@@ -10,7 +10,7 @@ of the unit tests and the benchmark.
   allocation's expected queries stay within the budget.
 * With ids, permuting the rows permutes every output the same way.
 * A set's memo never leaks: any sequence of runs on one set gives what
-  the same runs give on fresh sets, and a replayed draw is always checked.
+  the same runs give on fresh sets.
 * The bulk table reader returns the same keys and bit-identical values as
   the per-row ``csv.reader`` loop it falls back to.
 * Every domain check refuses exactly when an element mask finds an
@@ -54,6 +54,7 @@ from activetest.engine import (
 )
 from activetest.errors import DegenerateUtilitiesError, DomainError
 from activetest.procedures import bh, by, ebh, harmonic_number
+from activetest.rng import QUERY_DRAW, uniforms
 from activetest.simulate import DgpSpec, _poisson_inverse, run_experiment
 
 MODES = [E_VALUES, P_INDEPENDENT, P_GENERAL]
@@ -70,6 +71,17 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 
 def bits(x) -> bytes:
     return np.float64(x).tobytes()
+
+
+@st.composite
+def streams(draw, n):
+    """A seed, a rep and n ids (or none): what picks a set's own branch draws."""
+    ids = draw(st.none() | st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True))
+    return draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 3)), ids
+
+
+def stream_draws(hs, seed, rep):
+    return uniforms(seed, rep, hs.stream_keys(), QUERY_DRAW)
 
 
 @st.composite
@@ -116,15 +128,18 @@ def test_sure_levels_always_queried(data, mode, beta):
     assert queried[h >= 1.0].all()
 
     n_b = float(data.draw(st.integers(1, n)))
-    hs = HypothesisSet(aux, exact)
+    seed, rep, ids = data.draw(streams(n))
+    hs = HypothesisSet(aux, exact, ids=ids)
     utility = "log1p" if mode.is_e else "log_inverse"
     for method in ("active", "active-xu", "xu"):
         try:
             out = run_method(hs, MethodSpec(method, beta=beta), mode=mode, n_b=n_b,
-                             utility=utility, u=u)
+                             seed=seed, rep=rep, utility=utility)
         except DegenerateUtilitiesError:
             continue  # all-zero utilities are rejected by design
         assert out.queried[out.h >= 1.0].all()
+        np.testing.assert_array_equal(
+            out.queried, stream_draws(hs, seed, rep) < np.minimum(1.0, out.h))
 
 
 def closed_form(method, mode, beta, aux, exact, h, queried):
@@ -173,16 +188,16 @@ def test_run_method_follows_closed_form(data, method, mode, beta):
     else:
         want_h = np.full(n, n_b / n) if method == "random" else np.ones(n)
         query_prob = None
-    u = None if query_prob is None else np.array(
-        data.draw(st.lists(draws, min_size=n, max_size=n)))
-    hs = HypothesisSet(aux, exact, ids=[f"h{i}" for i in range(n)])
+    seed, rep, ids = data.draw(streams(n))
+    hs = HypothesisSet(aux, exact, ids=ids)
 
     out = run_method(hs, MethodSpec(method, beta=beta), mode=mode, n_b=float(n_b),
-                     utility=utility, u=u)
+                     seed=seed, rep=rep, utility=utility)
 
     assert out.h.tobytes() == want_h.tobytes()
-    if u is not None:
-        np.testing.assert_array_equal(out.queried, u < query_prob)
+    if query_prob is not None:
+        np.testing.assert_array_equal(
+            out.queried, stream_draws(hs, seed, rep) < np.minimum(1.0, query_prob))
     want = closed_form(method, mode, beta, aux, exact, out.h, out.queried)
     assert [bits(v) for v in out.values] == [bits(v) for v in want]
     assert out.n_queries == int(np.count_nonzero(out.queried))
@@ -267,7 +282,7 @@ def test_row_order_permutes_outputs(data, method, mode, beta, seed):
 @st.composite
 def run_calls(draw, n):
     """A sequence of run_method keyword sets over every variant, mode, beta,
-    budget (some above n), utility family, seed and rep, some replaying u.
+    budget (some above n), utility family, seed and rep.
     Each call after the first changes one setting of the call before it (or
     none), so runs keep meeting a memo made for settings one step away."""
     fields = {
@@ -278,7 +293,6 @@ def run_calls(draw, n):
         "utility": st.sampled_from(["identity", "log1p", "inverse", "log_inverse"]),
         "seed": st.integers(0, 2),
         "rep": st.integers(0, 1),
-        "u": st.one_of(st.none(), st.lists(draws, min_size=n, max_size=n).map(np.array)),
     }
     settings_ = [{name: draw(field) for name, field in fields.items()}]
     for _ in range(draw(st.integers(1, 24))):
@@ -296,8 +310,7 @@ def run_calls(draw, n):
         elif n_b > n:
             n_b = float(n)
         calls.append(dict(method=MethodSpec(variant, beta=step["beta"]), mode=step["mode"],
-                          n_b=n_b, utility=step["utility"], seed=step["seed"], rep=step["rep"],
-                          u=step["u"] if variant in ("active", "active-xu", "xu") else None))
+                          n_b=n_b, utility=step["utility"], seed=step["seed"], rep=step["rep"]))
     return calls
 
 
@@ -324,17 +337,6 @@ def test_memo_runs_equal_fresh_runs(data, with_ids, aux_mode):
     shared = HypothesisSet(aux, exact, ids=ids)
     for call in data.draw(run_calls(n)):
         assert outcome(shared, call) == outcome(HypothesisSet(aux, exact, ids=ids), call)
-    # the set memoizes its own draws, then is handed bad ones
-    run_method(shared, MethodSpec("xu"), mode=aux_mode, n_b=1.0)
-    for variant in ("active", "active-xu", "xu"):
-        if variant == "active-xu" and not np.any(xu_query_prob(aux, 0.5, aux_mode) > 0.0):
-            continue  # all-zero utilities are rejected before the draws are read
-        for bad in (1.0, np.nan):
-            u = np.full(n, 0.5)
-            u[-1] = bad
-            with pytest.raises(DomainError, match=r"branch draw u must lie in \[0, 1\)"):
-                run_method(shared, MethodSpec(variant), mode=aux_mode, n_b=1.0,
-                           utility="inverse", u=u)
 
 
 # characters csv.reader keeps inside a field but str.splitlines would break on
@@ -504,8 +506,6 @@ TEXT = ["x", "y"]
     (lambda: active_values([0.5], TEXT[:1], lambda i: [1.0] * i.size, E_VALUES, 0.5), "u"),
     (lambda: active_values([0.5], [0.1], lambda i: ["x"] * i.size, E_VALUES, 0.5),
      "exact e-values"),
-    (lambda: run_method(TWO_SETS([1.0, 1.0]), MethodSpec("xu"), mode=E_VALUES, n_b=1,
-                        u=TEXT), "u"),
     (lambda: run_method(TWO_SETS(lambda i: ["x"] * i.size), MethodSpec("all"), mode=E_VALUES,
                         n_b=1), "exact"),
     (lambda: dominance_check((GRID, ["x"] * 50), (GRID, HALF(GRID)), HALF, 0.5), "candidate_a"),
@@ -518,7 +518,7 @@ TEXT = ["x", "y"]
 ], ids=["bh", "by", "ebh", "allocate_utilities", "eval_utility", "xu_query_prob",
         "conformal_p calibration", "conformal_p test", "active_e h", "active_e exact",
         "active_e u None", "active_values h", "active_values u", "active_values fetched",
-        "run_method u", "run_method exact callable", "dominance_check",
+        "run_method exact callable", "dominance_check",
         "mc_evalue_validity aux", "mc_evalue_validity exact", "mc_evalue_validity levels"])
 def test_non_numbers_refused_by_the_argument_name(call, named):
     rule = "lie in" if named == "branch draw u" else "be numbers:"
