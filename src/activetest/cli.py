@@ -63,6 +63,12 @@ def atomic_write_text(path: str, text: str) -> None:
                                    prefix=".tmp-activetest-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        try:  # the mode open(path, "w") would leave: the file's own, or 0o666 less the umask
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            os.umask(umask := os.umask(0o077))  # read by setting it; private in the meantime
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc

@@ -188,17 +188,16 @@ class RunOutput:
         return self.values.size
 
     def to_csv(self) -> str:
-        ids = self.ids if self.ids is not None else np.arange(len(self))
-        branch = list(map(_BRANCH_TEXT.__getitem__, self.queried.tolist()))
+        ids = self.source_ids if self.source_ids is not None else np.arange(len(self))
+        branch = _BRANCH_TEXT[self.queried.view(np.uint8)].tolist()
         return csv_text("id,value,queried,branch,h\n",
                         [ids, self.values, self.queried, branch, self.h])
 
 
-_BRANCH_TEXT = ("no_query", "query")
-# array columns: dtype kind -> text of one element
-_FORMATS = {"f": repr, "b": ("false", "true").__getitem__, "i": str}
+_BRANCH_TEXT = np.array(["no_query", "query"], dtype=object)
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
 _QUOTED_CHARS = (",", '"', "\r", "\n")
-# rows formatted per join: bounds the row strings alive at once
+# rows formatted per join: bounds the cells alive at once
 _ROWS_PER_JOIN = 1 << 14
 
 
@@ -208,6 +207,20 @@ def _quote(field: str) -> str:
     return field
 
 
+def _cells(block) -> list:
+    if not isinstance(block, np.ndarray):
+        return block
+    if block.dtype.kind == "b":
+        return _BOOL_TEXT[block.view(np.uint8)].tolist()
+    if block.dtype.kind != "f":
+        return list(map(str, block.tolist()))
+    # one repr per distinct bit pattern, so -0.0 and 0.0 (and NaN payloads) stay apart
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def csv_text(header: str, columns: Sequence) -> str:
     """Comma-separated text: ``header``, then one line per row of ``columns``.
 
@@ -215,23 +228,24 @@ def csv_text(header: str, columns: Sequence) -> str:
     back to the same float), a bool array as true/false, an integer array
     as its integers, and any other column as text, quoted the way
     ``csv.writer`` quotes a field holding a comma, a quote or a line break.
-    The quoting check runs once per column, so plain text is written as is.
-    Rows are formatted a block at a time.
+    The quoting check runs once per column, and ``repr`` once per distinct
+    float of a block of rows.  Columns of unequal length raise ValueError.
     """
+    n = len(columns[0])
     texts = []
     for column in columns:
-        if isinstance(column, np.ndarray):
-            texts.append((column, _FORMATS[column.dtype.kind]))
-            continue
-        if any(c in "".join(column) for c in _QUOTED_CHARS):
+        if len(column) != n:
+            raise ValueError(f"columns must have equal lengths, got {n} and {len(column)}")
+        if not isinstance(column, np.ndarray) and any(c in "".join(column) for c in _QUOTED_CHARS):
             column = list(map(_quote, column))
-        texts.append((column, None))
+        texts.append(column)
+    row = [None, ","] * (len(texts) - 1) + [None, "\n"]
     parts = [header]
-    for start in range(0, len(texts[0][0]), _ROWS_PER_JOIN):
-        stop = start + _ROWS_PER_JOIN
-        rows = zip(*[column[start:stop] if fmt is None else map(fmt, column[start:stop].tolist())
-                     for column, fmt in texts])
-        parts += ("\n".join(map(",".join, rows)), "\n")
+    for start in range(0, n, _ROWS_PER_JOIN):
+        cells = row * min(_ROWS_PER_JOIN, n - start)
+        for j, column in enumerate(texts):
+            cells[2 * j::len(row)] = _cells(column[start:start + _ROWS_PER_JOIN])
+        parts.append("".join(cells))
     return "".join(parts)
 
 

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -847,6 +848,36 @@ class TestAtomicity:
         err = capsys.readouterr().err
         assert err.endswith(f"{error}: {str(out)!r}\n") and ".tmp" not in err
         assert not [p for p in tmp_path.rglob(".tmp*")]
+
+
+class TestOutputMode:
+    """An output gets the mode ``open(path, "w")`` would give it."""
+
+    def run_to(self, out):
+        inp = write(out.parent / "h.csv", "id,aux,exact\na,0.5,0.2\nb,0.5,0.3\n")
+        assert main(["run", "--input", inp, "--mode", "p-independent", "--method", "all",
+                     "--out", str(out)]) == 0
+        return stat.S_IMODE(out.stat().st_mode)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_new_file_follows_the_umask(self, tmp_path, umask, mode):
+        saved = os.umask(umask)
+        try:
+            assert self.run_to(tmp_path / "new.csv") == mode
+        finally:
+            os.umask(saved)
+
+    def test_overwritten_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "old.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        saved = os.umask(0o022)
+        try:
+            assert self.run_to(out) == 0o640
+        finally:
+            os.umask(saved)
+        assert not out.read_text().startswith("old")
 
 
 class TestNonFiniteArguments:

@@ -765,6 +765,15 @@ class TestCsvText:
         text = csv_text("k,p\n", [("x", "y"), np.array([0.1, 1.0])])
         assert text == "k,p\nx,0.1\ny,1.0\n"
 
+    @pytest.mark.parametrize("columns, lengths", [
+        ([["x", "y"], np.array([0.1])], (2, 1)),
+        ([np.arange(2), np.array([True, False, True])], (2, 3)),
+    ], ids=["text-float", "int-bool"])
+    def test_unequal_lengths_refused(self, columns, lengths):
+        with pytest.raises(ValueError, match=r"^columns must have equal lengths, got %d and %d$"
+                           % lengths):
+            csv_text("a,b\n", columns)
+
     def test_many_rows_match_per_row_format(self):
         n = 40_000  # past one join block
         rng = np.random.default_rng(5)

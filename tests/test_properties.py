@@ -17,6 +17,8 @@ of the unit tests and the benchmark.
   offender, naming the same first offender with the same message, and
   every public call refuses values that are not numbers, and settings
   outside their interval or choices, by the argument's name.
+* ``csv_text`` writes each float as ``repr`` of its ``tolist()`` value,
+  whatever its bits, dtype or stride, and across join blocks.
 * The signal DGP's Poisson sampler equals ``scipy.stats.poisson.ppf`` bit
   for bit, at CDF steps too, and returns for every finite mean.
 """
@@ -50,7 +52,8 @@ from activetest.core import (
 )
 from activetest import pipeline
 from activetest.engine import (
-    METHOD_NAMES, HypothesisSet, MethodSpec, UniqueIds, run_method, xu_query_prob,
+    _ROWS_PER_JOIN, METHOD_NAMES, HypothesisSet, MethodSpec, UniqueIds, csv_text, run_method,
+    xu_query_prob,
 )
 from activetest.errors import DegenerateUtilitiesError, DomainError
 from activetest.procedures import bh, by, ebh, harmonic_number
@@ -398,6 +401,47 @@ def test_bulk_reader_matches_csv_reader(table, block):
     assert type(bulk[0]) is type(rows[0]) is UniqueIds
     for got, ref, want in zip(bulk[1], rows[1], values):
         assert got.tobytes() == ref.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+# bit patterns no drawn word is likely to hit: both zeros, quiet and
+# signalling NaNs with payloads and either sign, both infinities, the
+# smallest and largest subnormals
+FLOAT_EDGE_BITS = [0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                   0x7FF8000000000001, 0x7FF0000000000001, 0xFFF00000DEADBEEF,
+                   0x7FF0000000000000, 0xFFF0000000000000, 0x1, 0x800000000000000F,
+                   0x000FFFFFFFFFFFFF]
+
+
+@st.composite
+def float_columns(draw):
+    """A float column of arbitrary bits and edge values, with both zeros
+    next to each other in either order, maybe a run of one value across
+    the first join-block boundary; float64, float32 or strided."""
+    words = st.integers(0, 2**64 - 1)
+    pieces = [np.array(draw(st.lists(words, max_size=30)), dtype=np.uint64),
+              np.array(draw(st.lists(st.sampled_from(FLOAT_EDGE_BITS), max_size=20)),
+                       dtype=np.uint64),
+              np.array(draw(st.sampled_from([[0x0, 1 << 63], [1 << 63, 0x0]])), dtype=np.uint64)]
+    pieces = [piece.view(np.float64) for piece in draw(st.permutations(pieces))]
+    if draw(st.booleans()):
+        run = np.full(draw(st.integers(2, 40)), np.array(draw(words), dtype=np.uint64).view(
+            np.float64))
+        before = _ROWS_PER_JOIN - draw(st.integers(1, run.size - 1))
+        pieces = [np.arange(before) / 7.0, run] + pieces
+    column = np.concatenate(pieces)
+    form = draw(st.sampled_from(["float64", "float32", "strided"]))
+    if form == "float32":
+        return column.view(np.float32)
+    if form == "strided":
+        return np.stack([column, -column], axis=1).ravel()[::2]
+    return column
+
+
+@PROPERTY
+@given(column=float_columns())
+def test_csv_floats_written_as_repr(column):
+    want = "".join(f"{i},{v!r}\n" for i, v in enumerate(column.tolist()))
+    assert csv_text("i,v\n", [np.arange(column.size), column]) == "i,v\n" + want
 
 
 # the edges of the domain checks: both zeros, subnormals, 1 and its
