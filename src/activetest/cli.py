@@ -56,20 +56,21 @@ class _UsageError(Exception):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write the rendered text, then rename into place; an error names ``path``."""
+    """Write the rendered text, then rename into place; an error names ``path``.
+    A symlink is written through to its target, as ``open(path, "w")`` would."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".tmp-activetest-")
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-activetest-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         try:  # the mode open(path, "w") would leave: the file's own, or 0o666 less the umask
-            mode = os.stat(path).st_mode & 0o7777
+            mode = os.stat(target).st_mode & 0o7777
         except FileNotFoundError:
             os.umask(umask := os.umask(0o077))  # read by setting it; private in the meantime
             mode = 0o666 & ~umask
         os.chmod(tmp, mode)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:

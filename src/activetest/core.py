@@ -1,4 +1,4 @@
-"""Single-hypothesis active statistic constructions and validity checkers.
+"""Single-hypothesis active statistic constructions.
 
 An *active* statistic spends a query on the exact statistic only with
 probability controlled by a cheap auxiliary value.  Writing h for the
@@ -36,9 +36,6 @@ __all__ = [
     "active_e",
     "active_p",
     "active_values",
-    "mc_evalue_validity",
-    "mc_pvalue_superuniformity",
-    "dominance_check",
 ]
 
 
@@ -296,106 +293,9 @@ def check_domain(x, name: str, unit: bool, rows=None) -> np.ndarray:
 
 
 def check_evalues(x: np.ndarray, name: str) -> None:
-    """The e-value rule of e-BH and of a dominance candidate: refuse a value of
-    ``x`` that is not >= 0, NaN included, but take +inf, unlike ``check_domain``."""
+    """The e-value rule of e-BH: refuse a value of ``x`` that is not >= 0,
+    NaN included, but take +inf, unlike ``check_domain``."""
     if x.size and not x.min() >= 0.0:
         i = int((~(x >= 0.0)).argmax())
         raise DomainError(f"{name} must be >= 0, got {float(x.flat[i])!r}", index=i)
 
-
-_MIN_MC_SAMPLES = 10_000
-
-
-def _mc_active_values(sampler, h_fn, beta, mode, n_samples, seed):
-    """Active values of ``mode`` on ``n_samples`` (auxiliary, exact) pairs from ``sampler``."""
-    aux, exact = sampler(n_samples, seed)
-    exact = check_domain(exact, f"sampled exact {mode.kind[0]}-values", mode.is_p)
-    # aux reaches the construction only through h_fn's levels, which are checked
-    h = h_fn(as_floats(aux, "sampled auxiliary values"))
-    from .rng import MC_BRANCH, uniforms  # here, as rng imports this module
-    u = uniforms(seed, 0, np.arange(n_samples, dtype=np.uint64), MC_BRANCH)
-    return active_values(h, u, lambda idx: exact[idx], mode, beta)[0]
-
-
-def mc_evalue_validity(
-    sampler: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-    h_fn: Callable[[np.ndarray], np.ndarray],
-    beta: float,
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E[active e-value] under the sampled null.
-
-    ``sampler(n, seed)`` returns (auxiliary, exact) arrays; ``h_fn`` maps the
-    auxiliary values to allocation levels.  Returns (mean, standard error).
-    A valid construction keeps mean <= 1 up to Monte Carlo noise.
-    """
-    beta = check_beta(beta)
-    n_samples = check_whole("n_samples", n_samples, _MIN_MC_SAMPLES)
-    values = _mc_active_values(sampler, h_fn, beta, E_VALUES, n_samples, seed)
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(n_samples))
-    return mean, se
-
-
-def mc_pvalue_superuniformity(
-    sampler: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-    h_fn: Callable[[np.ndarray], np.ndarray],
-    beta: float,
-    mode: StatMode,
-    s_grid,
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of the active p-value on a grid of levels.
-
-    Returns (ecdf, se) aligned with ``s_grid``; super-uniformity means
-    ecdf(s) <= s up to Monte Carlo noise at every level.
-    """
-    beta = check_beta(beta)
-    check_choice("mode", mode, P_MODES)
-    n_samples = check_whole("n_samples", n_samples, _MIN_MC_SAMPLES)
-    s_grid = check_vector(s_grid, "levels")
-    # min and max are nan when any level is
-    if not (s_grid.min() > 0.0 and s_grid.max() <= 1.0):
-        raise DomainError("levels must lie in (0, 1]")
-    values = _mc_active_values(sampler, h_fn, beta, mode, n_samples, seed)
-    ecdf = np.array([np.mean(values <= s) for s in s_grid])
-    se = np.sqrt(ecdf * (1.0 - ecdf) / n_samples)
-    return ecdf, se
-
-
-_DOMINANCE_RTOL = 1e-12
-
-
-def dominance_check(candidate_a, candidate_b, h_fn, beta: float) -> bool:
-    """Check a candidate (no-query, query-scale) pair against the canonical one.
-
-    ``candidate_a`` and ``candidate_b`` are (grid, values) tables on a common
-    auxiliary grid: a(x) is the no-query e-value and b(x) the query-branch
-    multiplier.  The pair must satisfy the validity envelope
-    sup a(x)(1 - h(x)) <= beta and sup b(x) h(x) <= 1 - beta (checked first;
-    violation raises DomainError).  Returns True iff the canonical pair
-    a*(x) = beta / (1 - h(x)), b*(x) = (1 - beta) / h(x) dominates the
-    candidate pointwise wherever 0 < h(x) < 1.
-    """
-    beta = check_beta(beta)
-    xs_a, a_vals = (as_floats(t, "candidate_a") for t in candidate_a)
-    xs_b, b_vals = (as_floats(t, "candidate_b") for t in candidate_b)
-    if xs_a.shape != xs_b.shape or np.any(xs_a != xs_b):
-        raise DomainError("candidates must be tabulated on a common grid")
-    check_evalues(np.append(a_vals, b_vals), "candidate values")
-    h = check_domain(h_fn(xs_a), "allocation levels", False)
-
-    slack_a = beta * (1.0 + _DOMINANCE_RTOL)
-    slack_b = (1.0 - beta) * (1.0 + _DOMINANCE_RTOL)
-    with np.errstate(invalid="ignore"):  # an infinite a or b meets the envelope at h 1 or 0
-        if np.any(a_vals * np.maximum(0.0, 1.0 - h) > slack_a) or np.any(b_vals * h > slack_b):
-            raise DomainError("candidate violates the validity envelope")
-
-    interior = (h > 0.0) & (h < 1.0)
-    a_star = beta / (1.0 - h[interior])
-    b_star = (1.0 - beta) / h[interior]
-    ok_a = np.all(a_vals[interior] <= a_star * (1.0 + _DOMINANCE_RTOL))
-    ok_b = np.all(b_vals[interior] <= b_star * (1.0 + _DOMINANCE_RTOL))
-    return bool(ok_a and ok_b)

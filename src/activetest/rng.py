@@ -39,8 +39,7 @@ PRIMARY_NOISE = 4  # observation noise on the primary statistic
 PROXY_NOISE = 5    # independent noise component of the auxiliary proxy
 POISSON_DRAW = 6   # auxiliary Poisson counts
 BETA_DRAW = 7      # auxiliary Beta draws
-MC_BRANCH = 8      # branch draws inside the Monte Carlo validity testers
-MC_SAMPLE = 9      # statistic draws inside the Monte Carlo validity testers
+# 8 and 9 are the test helper's Monte Carlo tags
 
 DEFAULT_SEED = 42
 

@@ -20,8 +20,6 @@ from activetest.core import (
     P_GENERAL,
     P_INDEPENDENT,
     active_e,
-    mc_evalue_validity,
-    mc_pvalue_superuniformity,
 )
 from activetest.engine import HypothesisSet, MethodSpec, run_method, xu_query_prob
 from activetest.pipeline import align, conformal_p, oracle_recovery, read_summary_table
@@ -41,6 +39,8 @@ from conftest import (
     P_H_FNS,
     P_SAMPLERS,
     S_GRID,
+    mc_evalue_validity,
+    mc_pvalue_superuniformity,
     oracle_bh,
     oracle_by,
     oracle_ebh,

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 import activetest
 from activetest import __version__
-from activetest.cli import build_parser, main, parse_config_header
+from activetest.cli import _COMMANDS, build_parser, main, parse_config_header
 from activetest.engine import METHOD_NAMES
 from activetest.pipeline import conformal_p
 
@@ -105,10 +106,15 @@ class TestUsage:
         assert main(["--version"]) == 0
         assert "activetest" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["simulate", "run", "gwas", "conformal", "mt"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_subcommand_help_exits_0(self, capsys, command):
         assert main([command, "--help"]) == 0
         assert capsys.readouterr().out.startswith(f"usage: activetest {command} ")
+
+    def test_ci_help_smoke_names_every_subcommand(self):
+        workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+        loops = re.findall(r"for command in ([^;\n]*); do", workflow.read_text(encoding="utf-8"))
+        assert [loop.split() for loop in loops] == [list(_COMMANDS)]
 
     def test_console_script_installed(self):
         proc = run_python(["-m", "activetest", "--version"])
@@ -798,7 +804,7 @@ class TestHeaderEcho:
         "mt": ["k_hat"],
     }
 
-    @pytest.mark.parametrize("command", ["simulate", "run", "gwas", "conformal", "mt"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_header_keys_in_order(self, tmp_path, command):
         out = tmp_path / "o.csv"
         argv = self.argv(command, tmp_path) + ["--out", str(out)]
@@ -811,7 +817,7 @@ class TestHeaderEcho:
         keys = [line[2:].partition(" = ")[0] for line in lines[1:] if line.startswith("#")]
         assert keys == self.PARSED[command] + self.DERIVED[command]
 
-    @pytest.mark.parametrize("command", ["simulate", "run", "gwas", "conformal", "mt"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_every_parsed_option_is_echoed(self, tmp_path, command):
         out = tmp_path / "o.csv"
         argv = self.argv(command, tmp_path) + ["--out", str(out)]
@@ -878,6 +884,27 @@ class TestOutputMode:
         finally:
             os.umask(saved)
         assert not out.read_text().startswith("old")
+
+    def test_symlink_written_through_to_its_target(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "out.csv"
+        link.symlink_to("target.csv")
+        assert self.run_to(link) == 0o640
+        assert link.is_symlink() and os.readlink(link) == "target.csv"
+        assert target.read_text().startswith("# activetest ")
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        link = tmp_path / "out.csv"
+        link.symlink_to("target.csv")
+        saved = os.umask(0o022)
+        try:
+            assert self.run_to(link) == 0o644
+        finally:
+            os.umask(saved)
+        assert link.is_symlink()
+        assert (tmp_path / "target.csv").read_text().startswith("# activetest ")
 
 
 class TestNonFiniteArguments:

@@ -14,13 +14,18 @@ from activetest.core import (
     active_p,
     active_values,
     check_beta,
+)
+from activetest.errors import DomainError
+
+from conftest import (
+    E_H_FNS,
+    E_SAMPLERS,
+    P_SAMPLERS,
+    S_GRID,
     dominance_check,
     mc_evalue_validity,
     mc_pvalue_superuniformity,
 )
-from activetest.errors import DomainError
-
-from conftest import E_H_FNS, E_SAMPLERS, P_SAMPLERS, S_GRID
 
 
 class CountingStat:
@@ -275,20 +280,6 @@ class TestMcEvalueValidity:
         b = mc_evalue_validity(E_SAMPLERS["noisy"], E_H_FNS["constant"], 0.5, 20_000, seed=9)
         assert a == b
 
-    def test_small_sample_count_rejected(self):
-        sampler = lambda n, seed: (np.ones(n), np.ones(n))
-        for n_samples in (9_999, None, 20_000.5):
-            with pytest.raises(DomainError, match="n_samples must be a whole number >= 10000"):
-                mc_evalue_validity(sampler, lambda a: a, 0.5, n_samples, seed=0)
-
-    def test_negative_sampler_output_rejected(self):
-        # refused though level 0 queries no sample
-        for bad in (-1.0, np.nan):
-            sampler = lambda n, seed: (np.ones(n), np.full(n, bad))
-            with pytest.raises(DomainError, match=f"^sampled exact e-values must be finite and "
-                                                  f">= 0, got {bad!r} at index 0$"):
-                mc_evalue_validity(sampler, np.zeros_like, 0.5, 10_000, seed=0)
-
 
 class TestMcPvalueSuperuniformity:
     def test_uniform_independent_example(self):
@@ -333,35 +324,6 @@ class TestMcPvalueSuperuniformity:
         )
         assert np.all(ecdf <= np.array(S_GRID) + 3.0 * se)
 
-    def test_level_domain_checked(self):
-        sampler = lambda n, seed: (np.full(n, 0.5), np.full(n, 0.5))
-        with pytest.raises(DomainError):
-            mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, (0.0, 0.5), 10_000, 0)
-        with pytest.raises(DomainError):
-            mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, (0.5, 1.2), 10_000, 0)
-        # a nan level would read as an ecdf of 0, which looks super-uniform
-        with pytest.raises(DomainError, match=r"levels must lie in \(0, 1\]"):
-            mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, (0.1, np.nan),
-                                      10_000, 0)
-        for grid in ((), ((0.5,),)):
-            with pytest.raises(DomainError, match="levels must form a nonempty vector"):
-                mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, grid, 10_000, 0)
-        with pytest.raises(DomainError, match="n_samples must be a whole number"):
-            mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, P_GENERAL, (0.5,), 1e4 + 0.5, 0)
-
-    def test_e_mode_rejected(self):
-        sampler = lambda n, seed: (np.full(n, 0.5), np.full(n, 0.5))
-        with pytest.raises(DomainError):
-            mc_pvalue_superuniformity(sampler, lambda a: a, 0.5, E_VALUES, (0.5,), 10_000, 0)
-
-    def test_out_of_range_p_rejected(self):
-        # refused though level 0 queries no sample
-        for bad in (1.5, np.nan):
-            sampler = lambda n, seed: (np.full(n, 0.5), np.full(n, bad))
-            with pytest.raises(DomainError, match="^sampled exact p-values must lie in"):
-                mc_pvalue_superuniformity(sampler, np.zeros_like, 0.5, P_GENERAL, (0.5,), 10_000,
-                                          0)
-
 
 class TestDominance:
     def test_constant_candidate_example(self):
@@ -392,22 +354,8 @@ class TestDominance:
         h = h_fn(xs)
         cand_a = (xs, 1.1 * beta / (1.0 - h))
         cand_b = (xs, (1.0 - beta) / np.maximum(h, 1e-9))
-        with pytest.raises(DomainError, match="envelope"):
+        with pytest.raises(ValueError, match="envelope"):
             dominance_check(cand_a, cand_b, h_fn, beta)
-        # NaN levels hide no violation: they are refused before the envelope
-        far = (xs, np.full_like(xs, 99.0))
-        with pytest.raises(DomainError, match="^allocation levels must be finite and >= 0, "
-                                              "got nan at index 0$"):
-            dominance_check(far, far, lambda x: np.full_like(x, np.nan), beta)
-        # NaN candidates hide no violation either
-        nan = (xs, np.full_like(xs, np.nan))
-        with pytest.raises(DomainError, match="^candidate values must be >= 0, "
-                                              "got nan at index 0$"):
-            dominance_check(nan, nan, lambda x: np.full_like(x, 0.5), beta)
-        # counted through candidate_a's values, then candidate_b's
-        with pytest.raises(DomainError, match="^candidate values must be >= 0, "
-                                              "got nan at index 53$"):
-            dominance_check(cand_b, (xs, np.where(xs == xs[3], np.nan, 0.0)), h_fn, beta)
 
     def test_hundred_random_valid_candidates(self):
         rng = np.random.default_rng(23)
@@ -422,12 +370,6 @@ class TestDominance:
             cand_a = (xs, fa * beta / (1.0 - h))
             cand_b = (xs, fb * (1.0 - beta) / h)
             assert dominance_check(cand_a, cand_b, h_fn, beta)
-
-    def test_mismatched_grids_rejected(self):
-        xs = np.linspace(0.0, 1.0, 10)
-        ys = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(DomainError):
-            dominance_check((xs, np.ones(10)), (ys, np.ones(11)), lambda x: x, 0.5)
 
 
 class TestTypes:

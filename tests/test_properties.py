@@ -46,9 +46,6 @@ from activetest.core import (
     active_p,
     active_values,
     check_domain,
-    dominance_check,
-    mc_evalue_validity,
-    mc_pvalue_superuniformity,
 )
 from activetest import pipeline
 from activetest.engine import (
@@ -527,8 +524,6 @@ def test_procedure_and_utility_checks_refuse_as_the_element_mask(x):
         assert got == want
 
 
-GRID = np.linspace(0.0, 5.0, 50)
-HALF = lambda x: np.full(len(x), 0.5)
 TWO_SETS = lambda exact: HypothesisSet([1.0, 2.0], exact)
 TEXT = ["x", "y"]
 
@@ -552,18 +547,10 @@ TEXT = ["x", "y"]
      "exact e-values"),
     (lambda: run_method(TWO_SETS(lambda i: ["x"] * i.size), MethodSpec("all"), mode=E_VALUES,
                         n_b=1), "exact"),
-    (lambda: dominance_check((GRID, ["x"] * 50), (GRID, HALF(GRID)), HALF, 0.5), "candidate_a"),
-    (lambda: mc_evalue_validity(lambda n, s: (["x"] * n, np.ones(n)), HALF, 0.5, 10_000),
-     "sampled auxiliary values"),
-    (lambda: mc_evalue_validity(lambda n, s: (np.ones(n), ["x"] * n), HALF, 0.5, 10_000),
-     "sampled exact e-values"),
-    (lambda: mc_evalue_validity(lambda n, s: (np.ones(n), np.ones(n)),
-                                lambda x: ["x"] * len(x), 0.5, 10_000), "h"),
 ], ids=["bh", "by", "ebh", "allocate_utilities", "eval_utility", "xu_query_prob",
         "conformal_p calibration", "conformal_p test", "active_e h", "active_e exact",
         "active_e u None", "active_values h", "active_values u", "active_values fetched",
-        "run_method exact callable", "dominance_check",
-        "mc_evalue_validity aux", "mc_evalue_validity exact", "mc_evalue_validity levels"])
+        "run_method exact callable"])
 def test_non_numbers_refused_by_the_argument_name(call, named):
     rule = "lie in" if named == "branch draw u" else "be numbers:"
     with pytest.raises(DomainError, match=f"^{named} must {rule} "):
@@ -601,9 +588,6 @@ ALIGNED = lambda: pipeline.align(
     (lambda: active_p(0.5, 0.5, 0.5, "p_general", 0.1),
      f"mode must be one of {P_MODE_CHOICES}, got 'p_general'"),
     (lambda: xu_query_prob([0.5], 0.5, "e"), f"mode must be one of {MODE_CHOICES}, got 'e'"),
-    (lambda: mc_pvalue_superuniformity(lambda n, s: (np.ones(n), np.ones(n)), HALF, 0.5,
-                                       mode="p_general", s_grid=[0.1]),
-     f"mode must be one of {P_MODE_CHOICES}, got 'p_general'"),
     (lambda: run_method(TWO_SETS([1.0, 1.0]), "all", mode=E_VALUES, n_b=1),
      "method must be a MethodSpec, got 'all'"),
     (lambda: active_e(1.0, [0.1, 0.2], 0.5, 0.3), "h must be one number"),
@@ -641,7 +625,7 @@ ALIGNED = lambda: pipeline.align(
 ], ids=["run_method bool budget", "run_method inf budget", "run_experiment bool reps",
         "DgpSpec bool pi", "DgpSpec bool sigma", "run_method list utility",
         "eval_utility list family", "run_method text mode", "active_values text mode",
-        "active_p text mode", "xu_query_prob text mode", "mc_pvalue_superuniformity text mode",
+        "active_p text mode", "xu_query_prob text mode",
         "run_method text method", "active_e list h", "active_e list u", "run_method bool seed",
         "run_method bool rep", "run_experiment bool seed", "oracle_recovery bool seed",
         "DgpSpec n past float range", "DgpSpec n past array size",

@@ -11,13 +11,13 @@ from activetest import rng
 from activetest.errors import DomainError
 from activetest.rng import (
     DEFAULT_SEED,
-    MC_BRANCH,
-    MC_SAMPLE,
     QUERY_DRAW,
     SUBSET_DRAW,
     keys_for_ids,
     uniforms,
 )
+
+from conftest import MC_BRANCH, MC_SAMPLE
 
 
 class TestDeterminism:
@@ -47,6 +47,14 @@ class TestDeterminism:
         assert table.shape == (4, 50)
         for j, purpose in enumerate(purposes):
             assert table[j].tobytes() == uniforms(9, 4, idx, purpose).tobytes()
+
+    def test_purpose_tags_are_distinct(self):
+        # a tag shared by two purposes would give them one stream
+        tags = {name: value for name, value in vars(rng).items()
+                if name.endswith(("_DRAW", "_NOISE")) and type(value) is int}
+        assert {"QUERY_DRAW", "SUBSET_DRAW", "PRIMARY_NOISE", "BETA_DRAW"} <= tags.keys()
+        tags.update(MC_BRANCH=MC_BRANCH, MC_SAMPLE=MC_SAMPLE)
+        assert len(set(tags.values())) == len(tags), tags
 
     @pytest.mark.parametrize("field", ["seed", "rep", "index", "purpose"])
     @pytest.mark.parametrize("bad", [1.7, 0.2, np.array([0.2, 0.9, 1.0]), float("nan"),
