@@ -142,7 +142,7 @@ def build_parser() -> _Parser:
     gwas.add_argument("--aux", required=True, help="cheap auxiliary summary statistics file")
     gwas.add_argument("--key-col", default="rsid")
     gwas.add_argument("--p-col", default="pval")
-    gwas.add_argument("--budget", type=float, required=True)
+    gwas.add_argument("--budget", type=float, default=None)
     gwas.add_argument("--beta", type=float, default=0.5)
     gwas.add_argument("--alpha", type=float, default=0.1)
     gwas.add_argument("--method", choices=METHOD_NAMES, default="active")
@@ -185,10 +185,20 @@ def _cmd_simulate(args) -> int:
     return _EXIT_OK
 
 
+def _budget_rule(args):
+    """Check ``--budget`` before any input is read; return the run's budget as a function
+    of its row count n.  active, active-xu and random need one; xu and all spend none and
+    default to n.  The run checks a given budget against its table."""
+    if args.budget is None:
+        if args.method in ("active", "active-xu", "random"):
+            raise _UsageError(f"--budget is required for method {args.method!r}")
+        return lambda n: float(n)
+    check_method_budget(args.method, args.budget)
+    return lambda n: args.budget
+
+
 def _cmd_run(args) -> int:
-    needs_budget = args.method in ("active", "active-xu", "random")
-    if needs_budget and args.budget is None:
-        raise _UsageError(f"--budget is required for method {args.method!r}")
+    budget = _budget_rule(args)
     mode = StatMode(args.mode.replace("-", "_"))
     fitting = "direct" if mode.is_e else "inverse"
     utility = args.utility or DEFAULT_FAMILY[fitting]
@@ -197,12 +207,9 @@ def _cmd_run(args) -> int:
               f"--mode {args.mode} wants {'an' if fitting == 'inverse' else 'a'} {fitting} "
               "family; the budget goes to the least promising hypotheses", file=sys.stderr)
     method = MethodSpec(args.method, beta=args.beta)
-    # the budget must also fit the table, which run_method checks
-    if args.budget is not None:
-        check_method_budget(args.method, args.budget)
     table = _read_run_input(args.input)
-    n_b = args.budget if args.budget is not None else float(len(table))
-    out = run_method(table, method, mode=mode, n_b=n_b, seed=args.seed, utility=utility)
+    out = run_method(table, method, mode=mode, n_b=budget(len(table)), seed=args.seed,
+                     utility=utility)
     header = config_header(args, utility=utility, n_queries=out.n_queries)
     atomic_write_text(args.out, header + out.to_csv())
     return _EXIT_OK
@@ -214,15 +221,14 @@ def _read_run_input(path: str) -> HypothesisSet:
 
 
 def _cmd_gwas(args) -> int:
-    # the budget must also fit the joined table, which oracle_recovery checks
+    budget = _budget_rule(args)
     check_beta(args.beta)
-    check_method_budget(args.method, args.budget)
     check_alpha(args.alpha)
     target = read_summary_table(args.target, args.key_col, args.p_col)
     aux = read_summary_table(args.aux, args.key_col, args.p_col)
     aligned = align(target, aux)
-    result = oracle_recovery(aligned, n_b=args.budget, beta=args.beta, method=args.method,
-                             alpha=args.alpha, seed=args.seed)
+    result = oracle_recovery(aligned, n_b=budget(len(aligned)), beta=args.beta,
+                             method=args.method, alpha=args.alpha, seed=args.seed)
     header = config_header(args, n_queries=result.n_queries, oracle_size=result.oracle.size,
                            recovered_size=result.recovered.size,
                            efficiency=result.efficiency)

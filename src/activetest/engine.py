@@ -83,13 +83,14 @@ class HypothesisSet:
     no run can rewrite the ids its stream keys were hashed from.
 
     A set memoizes what its runs compute from ``aux`` and ``ids`` alone, in
-    one ``_memo`` read through ``_cached``, one value per slot: the stream
-    keys; each domain ``aux`` has passed; the branch draws of the last
+    one ``_memo`` of ``_cached``'s (key, value) entries, one per slot: the
+    stream keys; each domain ``aux`` has passed; the branch draws of the last
     (seed, rep); per active variant, the allocation of the last budget and
     utility family (or beta and mode); and, once that allocation runs again,
     the no-query values of the last beta and e-or-p domain (8 bytes per
-    row), dropped when the variant's levels change.  Each is read-only, so
-    no run can change another's inputs.
+    row), dropped when the variant's levels change; and, in a
+    ``pipeline.AlignedPair``, the oracle rejection set per ``alpha``.  Each
+    is read-only, so no run can change another's inputs.
     """
 
     def __init__(self, aux, exact, ids=None):
@@ -267,19 +268,14 @@ def _allocation(hs: HypothesisSet, variant: str, key: tuple, n_b: float,
     set that runs each allocation once, as a CLI run or a replication does,
     keeps no plan.
     """
-    first = False
-
-    def levels() -> AllocationResult:
-        nonlocal first
-        first = True
+    entry = hs._memo.get(variant)
+    if entry is None or entry[0] != key:
         hs._memo.pop(("plan", variant), None)
         alloc = allocate_utilities(utilities(), n_b)
         _read_only(alloc.h)
-        return alloc
-
-    alloc = _cached(hs._memo, variant, key, levels)
-    if first:
+        hs._memo[variant] = (key, alloc)
         return alloc, _active_plan(alloc.h, mode, beta)
+    alloc = entry[1]
     plan = _cached(hs._memo, ("plan", variant), (key, mode.is_e, beta),
                    lambda: _read_only(_active_plan(alloc.h, mode, beta)))
     return alloc, plan.copy()
@@ -297,7 +293,7 @@ def check_method_budget(variant: str, n_b: float, n: float = float("inf")) -> No
 
 
 def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
-    """Query mask of a uniform subset of exactly ``n_b`` positions.
+    """Query mask of a uniform subset of exactly ``n_b`` positions; 0 or n take no draw.
 
     A partial Fisher-Yates over positions, driven by its own purpose tag:
     step i swaps position i with j_i = i + floor(u_i (n - i)) and picks
@@ -309,8 +305,8 @@ def _random_subset(n: int, n_b: float, seed: int, rep: int) -> np.ndarray:
     them with whole-array operations.
     """
     n_b = int(n_b)
-    queried = np.zeros(n, dtype=bool)
-    if not n_b:
+    queried = np.full(n, n_b == n)
+    if n_b in (0, n):
         return queried
     steps = np.arange(n_b)
     draws = uniforms(seed, rep, steps, SUBSET_DRAW)
@@ -400,13 +396,10 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
             rule = ((lambda exact: (1.0 - beta) * exact) if mode.is_e
                     else (lambda exact: exact / (1.0 - beta)))
         else:
-            # random and all report the exact statistic unchanged, 1 elsewhere
-            if variant == "random":
-                queried = _random_subset(n, n_b, seed, rep)
-                h = np.full(n, int(n_b) / n)
-            else:
-                queried = np.ones(n, dtype=bool)
-                h = np.ones(n)
+            # random and all (the subset of every row) report the exact value, 1 elsewhere
+            k = n if variant == "all" else int(n_b)
+            queried = _random_subset(n, k, seed, rep)
+            h = np.full(n, k / n)
             values, rule = np.ones(n), (lambda exact: exact)
         if alloc is None:
             _construct(values, np.flatnonzero(queried), hs.exact_at, mode, rule)

@@ -11,7 +11,7 @@ the one sanctioned full read and is not counted as queries.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Sequence
 
@@ -252,42 +252,29 @@ def read_summary_table(path: str, key_col: str, stat_col: str) -> SummaryTable:
     return SummaryTable(keys=keys, stats=stats, source=path)
 
 
-@dataclass(frozen=True)
-class AlignedPair:
+class AlignedPair(HypothesisSet):
     """Inner join of a target and an auxiliary table, in target row order.
 
-    Runs read the target statistics through ``to_hypotheses``, once per run
-    at the queried rows; the oracle pass alone reads them all.
-
-    ``keys`` is held as ``UniqueIds``, like ``SummaryTable.keys``.  Per-id
-    work is done once per pair, in one ``_memo`` read through
-    ``engine._cached``: ``to_hypotheses`` returns one HypothesisSet that
-    shares ``keys`` and both columns (and memoizes its id-hashed stream
-    keys), and the oracle rejection set is kept per ``alpha``.  Both
-    statistic columns are value columns (``core._column``), so no write
-    through the pair can desync those caches.
+    The pair is the hypothesis set of its runs: ``aux`` holds the auxiliary
+    statistics, the exact values are the target statistics and ``ids`` the
+    keys, read as ``aux_stats``, ``target_stats`` and ``keys``.  Runs read
+    the target statistics once per run, at the queried rows; the oracle
+    pass alone reads them all.  Both columns are value columns
+    (``core._column``), and the set's memo also keeps the oracle rejection
+    set per ``alpha``.
     """
 
-    keys: UniqueIds
-    aux_stats: np.ndarray
-    target_stats: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, keys, aux_stats, target_stats):
+        super().__init__(aux=_column(aux_stats, "aux_stats"),
+                         exact=_column(target_stats, "target_stats"), ids=keys)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", UniqueIds(self.keys))
-        for name in ("aux_stats", "target_stats"):
-            object.__setattr__(self, name, _column(getattr(self, name), name))
-        n = len(self.keys)
-        if not self.aux_stats.shape == self.target_stats.shape == (n,):
-            raise DataError(f"aligned pair columns must have one length: keys {n}, aux_stats "
-                            f"{self.aux_stats.size}, target_stats {self.target_stats.size}")
-
-    def __len__(self) -> int:
-        return len(self.keys)
+    keys = property(lambda self: self.ids)
+    aux_stats = property(lambda self: self.aux)
+    target_stats = property(lambda self: self._exact)
 
     def to_hypotheses(self) -> HypothesisSet:
-        return _cached(self._memo, "hypotheses", None, lambda: HypothesisSet(
-            aux=self.aux_stats, exact=self.target_stats, ids=self.keys))
+        """The pair itself."""
+        return self
 
     def _oracle(self, alpha: float) -> np.ndarray:
         """Read-only BY rejection set on every target p-value, per alpha."""
@@ -354,15 +341,15 @@ def oracle_recovery(
     through the same BY procedure.  Efficiency is |recovered and oracle| /
     n_queries (0 when nothing was queried).  Both tables of p-values are
     assumed to come from distinct sources, hence the independent
-    construction; for the general one, call ``run_method`` on
-    ``aligned.to_hypotheses()``.  Repeated calls on one pair reuse its
-    hashed ids and its oracle for ``alpha``.
+    construction; for the general one, call ``run_method`` on the pair,
+    which is a HypothesisSet.  Repeated calls on one pair reuse its memo:
+    its hashed ids, and its oracle for ``alpha``.
     """
     spec = MethodSpec(str(method), beta=beta)
     check_method_budget(spec.variant, n_b, len(aligned))
     alpha = check_alpha(alpha)
     oracle = aligned._oracle(alpha)
-    out = run_method(aligned.to_hypotheses(), spec, mode=P_INDEPENDENT, n_b=n_b, seed=seed,
+    out = run_method(aligned, spec, mode=P_INDEPENDENT, n_b=n_b, seed=seed,
                      utility=DEFAULT_FAMILY["inverse"])
     recovered = by(out.values, alpha).rejected
     overlap = np.intersect1d(recovered, oracle, assume_unique=True).size
@@ -379,7 +366,9 @@ def oracle_recovery(
 def read_score_rows(path: str) -> tuple[np.ndarray, list]:
     """Read a single-column numeric UTF-8 file, tolerating a leading
     byte-order mark and one optional header row; returns the values and
-    the line number of each."""
+    the line number of each.  Line 1 is a header only when its first field
+    cannot start a number: it is nonempty and begins with none of ``0-9 + - .``.
+    """
     values = []
     lines = []
     try:
@@ -393,7 +382,7 @@ def read_score_rows(path: str) -> tuple[np.ndarray, list]:
                     values.append(float(field))
                     lines.append(lineno)
                 except ValueError:
-                    if lineno == 1:
+                    if lineno == 1 and field and field[0] not in "0123456789+-.":
                         continue  # header row
                     raise DataError(f"{path}: line {lineno}: malformed numeric value {field!r}")
     except UnicodeDecodeError as exc:

@@ -90,6 +90,15 @@ class TestMt:
         assert main(["mt", "--procedure", "bh", "--input", inp]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_typo_on_line_one_exits_2(self, tmp_path, capsys):
+        # a first line that starts like a number is a value, not a header
+        inp = write(tmp_path / "p.csv", "0.o1\n0.2\n0.03\n")
+        assert main(["mt", "--procedure", "bh", "--input", inp]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"activetest: error: {inp}: line 1: malformed numeric value '0.o1'\n")
+
 
 class TestUsage:
     def test_unknown_flag_listed(self, capsys):
@@ -623,6 +632,25 @@ class TestGwas:
         assert not out.exists()
         assert main(args + ["--budget", "50"]) == 0
 
+    @pytest.mark.parametrize("method", ["all", "xu"])
+    def test_unbudgeted_methods_default_to_the_joined_rows(self, tmp_path, method):
+        target, aux = self.make_tables(tmp_path)
+        args = ["gwas", "--target", target, "--aux", aux, "--method", method]
+        bodies = []
+        for budget in ([], ["--budget", "50"]):
+            out = tmp_path / f"g{len(budget)}.csv"
+            assert main(args + budget + ["--out", str(out)]) == 0
+            bodies.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+        assert bodies[0] == bodies[1] and len(bodies[0]) == 51
+
+    def test_budget_required_for_budgeted_methods(self, tmp_path, capsys):
+        target, aux = self.make_tables(tmp_path)
+        args = ["gwas", "--target", target, "--aux", aux, "--method", "active",
+                "--out", str(tmp_path / "g.csv")]
+        assert main(args) == 1
+        assert "--budget is required for method 'active'" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
     def test_active_method_respects_budget(self, tmp_path):
         target, aux = self.make_tables(tmp_path)
         out = tmp_path / "g.csv"
@@ -697,6 +725,14 @@ class TestConformal:
         config = parse_config_header(out.read_text())
         assert config["n_calibration"] == "2"
         assert config["n_test"] == "1"
+
+    def test_typo_on_line_one_exits_2(self, tmp_path, capsys):
+        cal = write(tmp_path / "cal.csv", "0.o1\n0.5\n")
+        test = write(tmp_path / "test.csv", "0.25\n")
+        out = tmp_path / "p.csv"
+        assert main(["conformal", "--cal", cal, "--test", test, "--out", str(out)]) == 2
+        assert f"{cal}: line 1: malformed numeric value '0.o1'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def write_with_bom(path, text):

@@ -198,6 +198,14 @@ class TestRunRandom:
         np.testing.assert_array_equal(out.values, exact)
         assert out.n_queries == 4
 
+    @pytest.mark.parametrize("method", ["random", "all"])
+    def test_full_subset_takes_no_draw(self, monkeypatch, method):
+        monkeypatch.setattr(engine, "uniforms", lambda *args: pytest.fail("drew"))
+        hs = HypothesisSet(aux=[0.5] * 3, exact=np.array([0.1, 0.2, 0.3]))
+        out = run_method(hs, MethodSpec(method), mode=P_GENERAL, n_b=3.0, seed=3)
+        assert out.queried.all() and out.queried.dtype == bool
+        np.testing.assert_array_equal(out.h, np.ones(3))
+
     def test_carries_ids_and_mode(self):
         hs = HypothesisSet(aux=[0.5, 0.5], exact=np.array([0.1, 0.2]), ids=["x", "y"])
         out = run_method(hs, MethodSpec("random"), mode=P_GENERAL, n_b=1.0, seed=3)

@@ -5,7 +5,8 @@ import pytest
 
 from activetest import pipeline
 from activetest.allocation import DEFAULT_FAMILY
-from activetest.engine import METHOD_NAMES, UniqueIds, run_method
+from activetest.core import P_GENERAL, P_INDEPENDENT
+from activetest.engine import METHOD_NAMES, HypothesisSet, MethodSpec, UniqueIds, run_method
 from activetest.errors import DataError, DomainError
 from activetest.pipeline import (
     AlignedPair,
@@ -198,14 +199,28 @@ class TestAlign:
             with pytest.raises(DomainError, match=f"^{column} must be numbers: "):
                 AlignedPair(keys=["a", "b"], **columns)
 
-    @pytest.mark.parametrize("keys, aux, target, lengths", [
-        (["a", "b", "c"], [0.1, 0.2], [0.3, 0.4, 0.5], "keys 3, aux_stats 2, target_stats 3"),
-        (["a", "b"], [0.1, 0.2], [0.3], "keys 2, aux_stats 2, target_stats 1"),
-        (["a"], [0.1, 0.2], [0.3, 0.4], "keys 1, aux_stats 2, target_stats 2"),
+    @pytest.mark.parametrize("keys, aux, target, message", [
+        (["a", "b", "c"], [0.1, 0.2], [0.3, 0.4, 0.5], "ids must align with aux"),
+        (["a", "b"], [0.1, 0.2], [0.3], "exact values must align with aux"),
+        (["a"], [0.1, 0.2], [0.3, 0.4], "ids must align with aux"),
     ], ids=["aux", "target", "keys"])
-    def test_aligned_pair_columns_must_have_one_length(self, keys, aux, target, lengths):
-        with pytest.raises(DataError, match=f"aligned pair columns must have one length: {lengths}$"):
+    def test_aligned_pair_columns_must_have_one_length(self, keys, aux, target, message):
+        # the set's own check, as for any HypothesisSet
+        with pytest.raises(DomainError, match=f"^{message}$"):
             AlignedPair(keys=keys, aux_stats=aux, target_stats=target)
+
+    def test_aligned_pair_length_refused_before_repeat(self):
+        # HypothesisSet and SummaryTable check the length first too
+        with pytest.raises(DomainError, match="^ids must align with aux$"):
+            AlignedPair(keys=["a", "a", "b"], aux_stats=[0.1, 0.2], target_stats=[0.3, 0.4])
+
+    def test_aligned_pair_is_its_hypothesis_set(self):
+        pair = align(table(["a", "b", "c"], [0.1, 0.2, 0.3]), table(["c", "a"], [0.4, 0.5]))
+        assert isinstance(pair, HypothesisSet)
+        assert pair.to_hypotheses() is pair
+        assert pair.ids is pair.keys and pair.aux is pair.aux_stats
+        np.testing.assert_array_equal(pair.exact_at(np.arange(2)), pair.target_stats)
+        assert "hypotheses" not in pair._memo
 
 
 class TestConformal:
@@ -384,6 +399,16 @@ class TestAlignedPairMemo:
         joined = synthetic_pair()
         assert joined.to_hypotheses() is joined.to_hypotheses()
 
+    @pytest.mark.parametrize("mode", [P_INDEPENDENT, P_GENERAL], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_on_the_pair_matches_a_plain_set(self, method, mode):
+        joined = synthetic_pair(seed=2)
+        plain = HypothesisSet(np.array(joined.aux_stats), np.array(joined.target_stats),
+                              ids=list(joined.keys))
+        runs = [run_method(hs, MethodSpec(method), mode=mode, n_b=60, seed=4,
+                           utility=DEFAULT_FAMILY["inverse"]) for hs in (joined, plain)]
+        assert runs[0].to_csv() == runs[1].to_csv()
+
     def test_runs_on_one_pair_keep_separate_ledgers(self):
         joined = synthetic_pair()
         first = oracle_recovery(joined, n_b=100, beta=0.5, method="active", alpha=0.1, seed=1)
@@ -426,6 +451,19 @@ class TestAlignedPairMemo:
         for seed in range(3):
             for method in ("active", "active-xu", "xu"):
                 oracle_recovery(joined, n_b=50, beta=0.5, method=method, alpha=0.1, seed=seed)
+        assert hashed == [len(joined)]
+
+    def test_ids_hashed_once_over_run_method_and_oracle_recovery(self, monkeypatch):
+        import activetest.engine
+
+        hashed = []
+        original = activetest.engine.keys_for_ids
+        monkeypatch.setattr(activetest.engine, "keys_for_ids",
+                            lambda ids: hashed.append(len(ids)) or original(ids))
+        joined = synthetic_pair()
+        for seed in range(2):
+            run_method(joined, MethodSpec("xu"), mode=P_GENERAL, n_b=50, seed=seed)
+            oracle_recovery(joined, n_b=50, beta=0.5, method="active", alpha=0.1, seed=seed)
         assert hashed == [len(joined)]
 
     def test_oracle_memoized_per_alpha(self):
@@ -499,3 +537,21 @@ class TestReadScoreColumn:
         f.write_text("header_only\n")
         with pytest.raises(DataError, match="no numeric rows"):
             read_score_rows(str(f))[0]
+
+    @pytest.mark.parametrize("first", ["0.o1", "-x", ",0.5", "+", ".e"],
+                             ids=["typo", "sign", "empty-field", "plus", "dot"])
+    def test_line_one_that_starts_a_number_is_refused(self, tmp_path, first):
+        f = tmp_path / "s.csv"
+        f.write_text(f"{first}\n0.2\n0.03\n")
+        field = first.split(",")[0]
+        with pytest.raises(DataError, match=re.escape(
+                f"{f}: line 1: malformed numeric value {field!r}")):
+            read_score_rows(str(f))
+
+    @pytest.mark.parametrize("header", ["score", "p_value", "header_only,x"])
+    def test_line_one_header_skipped(self, tmp_path, header):
+        f = tmp_path / "s.csv"
+        f.write_text(f"{header}\n0.2\n0.03\n")
+        values, lines = read_score_rows(str(f))
+        np.testing.assert_array_equal(values, [0.2, 0.03])
+        assert lines == [2, 3]
