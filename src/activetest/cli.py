@@ -55,15 +55,22 @@ class _UsageError(Exception):
     pass
 
 
+# characters encoded per write: bounds the bytes alive beside the text
+_WRITE_SLICE = 1 << 16
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write the rendered text, then rename into place; an error names ``path``.
-    A symlink is written through to its target, as ``open(path, "w")`` would."""
+    A symlink is written through to its target, as ``open(path, "w")`` would.
+    The text goes out ``_WRITE_SLICE`` characters at a time, so no more than
+    one slice is encoded at once; a slice never splits a character."""
     tmp = None
     try:
         target = os.path.realpath(path)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-activetest-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start:start + _WRITE_SLICE])
         try:  # the mode open(path, "w") would leave: the file's own, or 0o666 less the umask
             mode = os.stat(target).st_mode & 0o7777
         except FileNotFoundError:
@@ -180,8 +187,8 @@ def _cmd_simulate(args) -> int:
                             seed=args.seed, mode=args.mode, threads=args.threads)
     header = config_header(args, methods=",".join(methods), tau_sq=spec.tau_sq,
                            **{"lambda": spec.lam})
-    atomic_write_text(args.out, header + result.per_rep_csv())
-    atomic_write_text(agg_out, header + result.aggregate_csv())
+    atomic_write_text(args.out, result.per_rep_csv(header))
+    atomic_write_text(agg_out, result.aggregate_csv(header))
     return _EXIT_OK
 
 
@@ -211,7 +218,7 @@ def _cmd_run(args) -> int:
     out = run_method(table, method, mode=mode, n_b=budget(len(table)), seed=args.seed,
                      utility=utility)
     header = config_header(args, utility=utility, n_queries=out.n_queries)
-    atomic_write_text(args.out, header + out.to_csv())
+    atomic_write_text(args.out, out.to_csv(header))
     return _EXIT_OK
 
 
@@ -232,9 +239,8 @@ def _cmd_gwas(args) -> int:
     header = config_header(args, n_queries=result.n_queries, oracle_size=result.oracle.size,
                            recovered_size=result.recovered.size,
                            efficiency=result.efficiency)
-    body = csv_text("key,active_p,queried\n",
-                    [aligned.keys, result.run.values, result.run.queried])
-    atomic_write_text(args.out, header + body)
+    atomic_write_text(args.out, csv_text(header + "key,active_p,queried\n",
+                                         [aligned.keys, result.run.values, result.run.queried]))
     return _EXIT_OK
 
 
@@ -258,8 +264,7 @@ def _cmd_conformal(args) -> int:
     with _located((args.cal, cal_lines), (args.test, test_lines)):
         p = conformal_p(cal, test)
     header = config_header(args, n_calibration=cal.size, n_test=test.size)
-    body = csv_text("index,p_value\n", [np.arange(p.size), p])
-    atomic_write_text(args.out, header + body)
+    atomic_write_text(args.out, csv_text(header + "index,p_value\n", [np.arange(p.size), p]))
     return _EXIT_OK
 
 

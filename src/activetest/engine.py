@@ -188,10 +188,12 @@ class RunOutput:
     def __len__(self) -> int:
         return self.values.size
 
-    def to_csv(self) -> str:
+    def to_csv(self, lead: str = "") -> str:
+        """One row per hypothesis under the line ``id,value,queried,branch,h``;
+        ``lead``, such as a '#' header, is the text before that line."""
         ids = self.source_ids if self.source_ids is not None else np.arange(len(self))
         branch = _BRANCH_TEXT[self.queried.view(np.uint8)].tolist()
-        return csv_text("id,value,queried,branch,h\n",
+        return csv_text(lead + "id,value,queried,branch,h\n",
                         [ids, self.values, self.queried, branch, self.h])
 
 
@@ -206,6 +208,12 @@ def _quote(field: str) -> str:
     if any(c in field for c in _QUOTED_CHARS):
         return '"' + field.replace('"', '""') + '"'
     return field
+
+
+def _needs_quotes(column) -> bool:
+    # one join per column; the joined text is dropped before any row is formatted
+    joined = "".join(column)
+    return any(c in joined for c in _QUOTED_CHARS)
 
 
 def _cells(block) -> list:
@@ -225,11 +233,13 @@ def _cells(block) -> list:
 def csv_text(header: str, columns: Sequence) -> str:
     """Comma-separated text: ``header``, then one line per row of ``columns``.
 
-    A float array is written with ``repr`` (the shortest string that reads
+    ``header`` is the first text of the one join that makes the result, so
+    a caller's '#' lines given there cost no second copy of the table.  A
+    float array is written with ``repr`` (the shortest string that reads
     back to the same float), a bool array as true/false, an integer array
     as its integers, and any other column as text, quoted the way
     ``csv.writer`` quotes a field holding a comma, a quote or a line break.
-    The quoting check runs once per column, and ``repr`` once per distinct
+    The quoting check joins a text column once, and ``repr`` once per distinct
     float of a block of rows.  Columns of unequal length raise ValueError.
     """
     n = len(columns[0])
@@ -237,7 +247,7 @@ def csv_text(header: str, columns: Sequence) -> str:
     for column in columns:
         if len(column) != n:
             raise ValueError(f"columns must have equal lengths, got {n} and {len(column)}")
-        if not isinstance(column, np.ndarray) and any(c in "".join(column) for c in _QUOTED_CHARS):
+        if not isinstance(column, np.ndarray) and _needs_quotes(column):
             column = list(map(_quote, column))
         texts.append(column)
     row = [None, ","] * (len(texts) - 1) + [None, "\n"]

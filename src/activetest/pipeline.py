@@ -265,6 +265,8 @@ class AlignedPair(HypothesisSet):
     """
 
     def __init__(self, keys, aux_stats, target_stats):
+        if keys is None:  # the set would take None as "no ids" and key draws by position
+            raise DomainError("an aligned pair needs its keys, got None")
         super().__init__(aux=_column(aux_stats, "aux_stats"),
                          exact=_column(target_stats, "target_stats"), ids=keys)
 

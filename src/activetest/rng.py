@@ -15,7 +15,8 @@ The kernel makes that same stream with few temporaries: leading scalar
 words (seed, and rep when it is one number) fold in Python ints, and the
 array words are absorbed in place, into a state array and a scratch array
 made when the first array word arrives and again at each later array word,
-so a large draw allocates no array per operation.
+so a large draw allocates no array per operation.  The float tail shifts
+that state array in place and converts it through its int64 view.
 """
 
 from __future__ import annotations
@@ -134,7 +135,12 @@ def uniforms(seed, rep, index, purpose) -> np.ndarray:
     each rep its own draws, bit for bit.
     """
     s = _state(seed, rep, index, purpose)
-    u = (s >> _SHIFT11).astype(np.float64)
+    if s.ndim:
+        # s is this call's own array: shift it in place; the 53 bits left read as int64
+        s >>= _SHIFT11
+        u = s.view(np.int64).astype(np.float64)
+    else:
+        u = (s >> _SHIFT11).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
     if u.ndim:

@@ -297,17 +297,19 @@ class ExperimentResult:
         return [AggregateMetrics(method, *map(float, values))
                 for method, values in zip(self.methods, zip(*self._aggregate_columns()))]
 
-    def per_rep_csv(self) -> str:
-        # a row per (rep, method): rep by rep, the methods in order within each
+    def per_rep_csv(self, lead: str = "") -> str:
+        """A row per (rep, method), rep by rep and the methods in order within
+        each; ``lead``, such as a '#' header, is the text before the column line."""
         reps = self._columns["fdp"].shape[1]
-        return csv_text("method,rep,fdp,tpp,queries,efficiency\n",
+        return csv_text(lead + "method,rep,fdp,tpp,queries,efficiency\n",
                         [self.methods * reps, np.repeat(np.arange(reps), len(self.methods)),
                          *(self._columns[name].T.ravel()
                            for name in ("fdp", "tpp", "queries", "efficiency"))])
 
-    def aggregate_csv(self) -> str:
+    def aggregate_csv(self, lead: str = "") -> str:
+        """A row of ``aggregate`` per method, after ``lead`` and the column line."""
         return csv_text(
-            "method,fdr,fdr_se,tpr,tpr_se,queries_mean,efficiency_mean,efficiency_se\n",
+            lead + "method,fdr,fdr_se,tpr,tpr_se,queries_mean,efficiency_mean,efficiency_se\n",
             [self.methods, *self._aggregate_columns()])
 
 

@@ -8,6 +8,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 
 import activetest
 from activetest import __version__
-from activetest.cli import _COMMANDS, build_parser, main, parse_config_header
+from activetest.cli import (_COMMANDS, _WRITE_SLICE, atomic_write_text, build_parser, main,
+                            parse_config_header)
 from activetest.engine import METHOD_NAMES
 from activetest.pipeline import conformal_p
 
@@ -890,6 +892,37 @@ class TestAtomicity:
         err = capsys.readouterr().err
         assert err.endswith(f"{error}: {str(out)!r}\n") and ".tmp" not in err
         assert not [p for p in tmp_path.rglob(".tmp*")]
+
+
+class TestWritePath:
+    """``atomic_write_text`` encodes one slice of the text at a time."""
+
+    def test_large_text_written_without_a_whole_encode(self, tmp_path):
+        text = "rs123456,0.25,true\n" * ((8 << 20) // 19)  # 8 MB of rows
+        out = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            atomic_write_text(str(out), text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1 << 20
+        assert out.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("text", [
+        "", "a", "a" * (_WRITE_SLICE - 1), "a" * _WRITE_SLICE, "a" * (_WRITE_SLICE + 1),
+        "a" * (_WRITE_SLICE - 1) + "\u00e9" + "b" * 5,
+        "a" * (_WRITE_SLICE - 1) + "\U0001f600" + "b" * 5,
+        "\u00e9" * (2 * _WRITE_SLICE + 3),
+    ], ids=["0", "1", "slice-1", "slice", "slice+1", "2-byte-at-edge", "4-byte-at-edge",
+            "2-byte-throughout"])
+    def test_slice_edges_read_back_as_the_encoded_text(self, tmp_path, text):
+        assert _WRITE_SLICE == 1 << 16
+        out = tmp_path / "out.txt"
+        atomic_write_text(str(out), text)
+        assert out.read_bytes() == text.encode("utf-8")
 
 
 class TestOutputMode:

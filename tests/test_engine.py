@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from activetest import engine
+from activetest.allocation import DEFAULT_FAMILY
 from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT, active_values
 from activetest.engine import (
     HypothesisSet,
@@ -782,6 +783,12 @@ class TestCsvText:
                            % lengths):
             csv_text("a,b\n", columns)
 
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+    def test_each_quoted_char_alone_quotes_its_field(self, char):
+        field = f"x{char}y"
+        want = 'k\nplain\n"' + field.replace('"', '""') + '"\n'
+        assert csv_text("k\n", [["plain", field]]) == want
+
     def test_many_rows_match_per_row_format(self):
         n = 40_000  # past one join block
         rng = np.random.default_rng(5)
@@ -790,3 +797,14 @@ class TestCsvText:
         want = "".join(f"{ids[i]},{float(values[i])!r},{'true' if flags[i] else 'false'}\n"
                        for i in range(n))
         assert csv_text("", [ids, values, flags]) == want
+
+
+@pytest.mark.parametrize("mode", [E_VALUES, P_INDEPENDENT, P_GENERAL], ids=lambda m: m.kind)
+@pytest.mark.parametrize("method", engine.METHOD_NAMES)
+def test_to_csv_lead_is_the_text_before_the_table(method, mode):
+    hs = HypothesisSet(aux=np.linspace(0.05, 0.95, 12), exact=np.linspace(0.9, 0.02, 12),
+                       ids=[f"h{i}" for i in range(11)] + ["a,b"])
+    utility = DEFAULT_FAMILY["direct" if mode.is_e else "inverse"]
+    out = run_method(hs, MethodSpec(method), mode=mode, n_b=4, seed=3, utility=utility)
+    lead = "# activetest\n# key = a,b\n"
+    assert out.to_csv(lead) == lead + out.to_csv()

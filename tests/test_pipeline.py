@@ -209,6 +209,11 @@ class TestAlign:
         with pytest.raises(DomainError, match=f"^{message}$"):
             AlignedPair(keys=keys, aux_stats=aux, target_stats=target)
 
+    def test_aligned_pair_refuses_missing_keys(self):
+        # a set takes None as "no ids", and the pair would key its draws by position
+        with pytest.raises(DomainError, match="^an aligned pair needs its keys, got None$"):
+            AlignedPair(keys=None, aux_stats=[0.1], target_stats=[0.2])
+
     def test_aligned_pair_length_refused_before_repeat(self):
         # HypothesisSet and SummaryTable check the length first too
         with pytest.raises(DomainError, match="^ids must align with aux$"):

@@ -272,6 +272,16 @@ def test_kernel_equals_the_frozen_per_operation_version(words):
         assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
 
 
+def test_large_keyed_draw_matches_the_reference():
+    # the float tail shifts the state array in place: the key column stays as it was
+    keys = keys_for_ids([f"rs{i}" for i in range(100_000)])
+    before = keys.tobytes()
+    got = uniforms(DEFAULT_SEED, 3, keys, QUERY_DRAW)
+    want = _ref_uniforms(DEFAULT_SEED, 3, keys, QUERY_DRAW)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert keys.tobytes() == before
+
+
 def test_block_of_reps_draws_each_reps_own_stream():
     idx = np.arange(7, dtype=np.uint64)
     purposes = np.array([[3], [4], [5]], dtype=np.uint64)

@@ -201,6 +201,15 @@ def test_block_draws_equal_per_rep_draws(monkeypatch, kind, extra, mode, n, bloc
                     assert a.dtype == w.dtype and a.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("mode", ["e", "p"])
+def test_csv_lead_is_the_text_before_the_table(mode):
+    spec = DgpSpec("signal", n=300, pi=0.1)
+    result = run_experiment(spec, METHOD_NAMES, n_b=20, reps=3, seed=41, mode=mode)
+    lead = "# activetest\n# methods = active,random\n"
+    assert result.per_rep_csv(lead) == lead + result.per_rep_csv()
+    assert result.aggregate_csv(lead) == lead + result.aggregate_csv()
+
+
 @pytest.mark.parametrize("kind,extra", DGP_CELLS)
 def test_block_runs_equal_one_rep_runs(monkeypatch, kind, extra):
     # the same experiment with a block of one rep per call gives the same bytes
