@@ -135,12 +135,10 @@ def uniforms(seed, rep, index, purpose) -> np.ndarray:
     each rep its own draws, bit for bit.
     """
     s = _state(seed, rep, index, purpose)
-    if s.ndim:
-        # s is this call's own array: shift it in place; the 53 bits left read as int64
-        s >>= _SHIFT11
-        u = s.view(np.int64).astype(np.float64)
-    else:
-        u = (s >> _SHIFT11).astype(np.float64)
+    # s is this call's own array (or a scalar, which >>= rebinds): shift it
+    # in place; the 53 bits left read as int64
+    s >>= _SHIFT11
+    u = s.view(np.int64).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
     if u.ndim:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from activetest import engine
-from activetest.allocation import DEFAULT_FAMILY
 from activetest.core import E_VALUES, P_GENERAL, P_INDEPENDENT, active_values
 from activetest.engine import (
     HypothesisSet,
@@ -571,6 +570,9 @@ class TestRecordsAndOutput:
         assert len(lines) == 3
         assert lines[1].startswith("h0,") and ",false,no_query," in lines[1]
         assert lines[2].startswith("h1,") and ",true,query," in lines[2]
+        # a leading text is the text before the column line
+        lead = "# activetest\n# key = a,b\n"
+        assert out.to_csv(lead) == lead + out.to_csv()
         # a set without ids writes the row numbers
         plain = run_method(HypothesisSet([1.0, 2.0, 3.0], [3.0, 4.0, 5.0]), MethodSpec("all"),
                            mode=E_VALUES, n_b=1.0)
@@ -797,14 +799,3 @@ class TestCsvText:
         want = "".join(f"{ids[i]},{float(values[i])!r},{'true' if flags[i] else 'false'}\n"
                        for i in range(n))
         assert csv_text("", [ids, values, flags]) == want
-
-
-@pytest.mark.parametrize("mode", [E_VALUES, P_INDEPENDENT, P_GENERAL], ids=lambda m: m.kind)
-@pytest.mark.parametrize("method", engine.METHOD_NAMES)
-def test_to_csv_lead_is_the_text_before_the_table(method, mode):
-    hs = HypothesisSet(aux=np.linspace(0.05, 0.95, 12), exact=np.linspace(0.9, 0.02, 12),
-                       ids=[f"h{i}" for i in range(11)] + ["a,b"])
-    utility = DEFAULT_FAMILY["direct" if mode.is_e else "inverse"]
-    out = run_method(hs, MethodSpec(method), mode=mode, n_b=4, seed=3, utility=utility)
-    lead = "# activetest\n# key = a,b\n"
-    assert out.to_csv(lead) == lead + out.to_csv()
