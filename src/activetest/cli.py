@@ -274,7 +274,7 @@ def _cmd_mt(args) -> int:
     procedure = {"bh": bh, "by": by, "ebh": ebh}[args.procedure]
     with _located((args.input, lines)):
         result = procedure(values, args.alpha)
-    text = config_header(args, k_hat=result.k_hat) + "".join(f"{i}\n" for i in result.rejected)
+    text = csv_text(config_header(args, k_hat=result.k_hat), [result.rejected])
     if args.out:
         atomic_write_text(args.out, text)
     else:

@@ -208,10 +208,11 @@ def active_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized active construction.
 
-    ``fetch_exact`` receives the integer indices of the query branch only
-    and returns the exact statistics for those positions.  Returns
-    (values, queried) aligned with ``h``.  ``active_e`` / ``active_p`` are
-    its one-element form.
+    ``h`` must form a nonempty vector (``check_vector``), and ``u`` must
+    align with it.  ``fetch_exact`` receives the integer indices of the
+    query branch only and returns the exact statistics for those positions.
+    Returns (values, queried) aligned with ``h``.  ``active_e`` /
+    ``active_p`` are its one-element form.
 
     ``plan`` is the engine's: an array of the no-query values
     ``_active_plan`` made from these ``h``, ``mode`` and ``beta``, passed
@@ -221,7 +222,7 @@ def active_values(
     """
     beta = check_beta(beta)
     check_choice("mode", mode, MODES)
-    h = as_floats(h, "h")
+    h = check_vector(h, "h")
     if plan is None:
         u = check_draws(u)
         if h.shape != u.shape:
@@ -251,10 +252,12 @@ def _active_plan(h: np.ndarray, mode: StatMode, beta: float) -> np.ndarray:
     out of domain) is queried, and the construction overwrites it.
     """
     check_domain(h, "allocation levels", False)
+    values = np.subtract(1.0, h)
     if mode.is_e:
         with np.errstate(divide="ignore"):
-            return beta / (1.0 - h)
-    return np.minimum(1.0, (1.0 - h) / beta)
+            return np.divide(beta, values, out=values)
+    values /= beta
+    return np.minimum(values, 1.0, out=values)
 
 
 def _construct(values: np.ndarray, query_idx: np.ndarray, fetch_exact: Callable, mode: StatMode,

@@ -83,14 +83,14 @@ class HypothesisSet:
     no run can rewrite the ids its stream keys were hashed from.
 
     A set memoizes what its runs compute from ``aux`` and ``ids`` alone, in
-    one ``_memo`` of ``_cached``'s (key, value) entries, one per slot: the
-    stream keys; each domain ``aux`` has passed; the branch draws of the last
-    (seed, rep); per active variant, the allocation of the last budget and
-    utility family (or beta and mode); and, once that allocation runs again,
-    the no-query values of the last beta and e-or-p domain (8 bytes per
-    row), dropped when the variant's levels change; and, in a
-    ``pipeline.AlignedPair``, the oracle rejection set per ``alpha``.  Each
-    is read-only, so no run can change another's inputs.
+    one ``_memo`` of ``_cached``'s (key, value) entries, one per named slot,
+    so it never outgrows the slot names: the stream keys; the last domain
+    (e or p) ``aux`` has passed; the branch draws of the last (seed, rep);
+    per active variant, the allocation of the last budget and utility family
+    (or beta and mode); and, once that allocation runs again, the no-query
+    values of the last beta and e-or-p domain (8 bytes per row), dropped when
+    the variant's levels change; and, in a ``pipeline.AlignedPair``, the
+    oracle rejection set of the last ``alpha``.  Each is read-only.
     """
 
     def __init__(self, aux, exact, ids=None):
@@ -385,7 +385,7 @@ def run_method(hs: HypothesisSet, method: MethodSpec, *, mode: StatMode, n_b: fl
     check_choice("mode", mode, MODES)
     variant, beta, seed, rep = method.variant, method.beta, _word(seed), _word(rep)
     try:
-        _cached(hs._memo, ("aux", mode.is_p), None,
+        _cached(hs._memo, "aux", mode.is_p,
                 lambda: check_domain(hs.aux, f"aux {mode.kind[0]}-values", mode.is_p))
         n = len(hs)
         check_method_budget(variant, n_b, n)

@@ -261,7 +261,7 @@ class AlignedPair(HypothesisSet):
     the target statistics once per run, at the queried rows; the oracle
     pass alone reads them all.  Both columns are value columns
     (``core._column``), and the set's memo also keeps the oracle rejection
-    set per ``alpha``.
+    set of the last ``alpha``.
     """
 
     def __init__(self, keys, aux_stats, target_stats):
@@ -279,8 +279,8 @@ class AlignedPair(HypothesisSet):
         return self
 
     def _oracle(self, alpha: float) -> np.ndarray:
-        """Read-only BY rejection set on every target p-value, per alpha."""
-        return _cached(self._memo, ("oracle", alpha), None,
+        """Read-only BY rejection set on every target p-value, kept for the last alpha."""
+        return _cached(self._memo, "oracle", alpha,
                        lambda: _read_only(by(self.target_stats, alpha).rejected))
 
 
@@ -345,7 +345,7 @@ def oracle_recovery(
     assumed to come from distinct sources, hence the independent
     construction; for the general one, call ``run_method`` on the pair,
     which is a HypothesisSet.  Repeated calls on one pair reuse its memo:
-    its hashed ids, and its oracle for ``alpha``.
+    its hashed ids, and its oracle for the last ``alpha``.
     """
     spec = MethodSpec(str(method), beta=beta)
     check_method_budget(spec.variant, n_b, len(aligned))

@@ -282,8 +282,10 @@ class ExperimentResult:
                              efficiency=_ratio(true, queries))
 
     def column(self, method: str, name: str) -> np.ndarray:
-        """The values of metric ``name`` for ``method``, one per rep in rep order."""
-        return self._columns[name][self.methods.index(method)]
+        """The values of metric ``name`` for ``method``, one per rep in rep order;
+        a method or a metric the result does not hold is refused by ``check_choice``."""
+        row = self.methods.index(check_choice("method", method, tuple(self.methods)))
+        return self._columns[check_choice("metric", name, tuple(self._columns))][row]
 
     def _aggregate_columns(self) -> list[np.ndarray]:
         fdp, tpp, eff = (self._columns[name] for name in ("fdp", "tpp", "efficiency"))

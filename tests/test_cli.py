@@ -71,6 +71,27 @@ class TestMt:
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert body == ["0"]
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("procedure, values, k_hat, rows", [
+        ("bh", "0.001\n0.04\n0.5\n", 2, "0\n1\n"),
+        ("by", "0.001\n0.04\n0.5\n", 1, "0\n"),
+        ("ebh", "40.0\n30.0\n1.0\n", 2, "0\n1\n"),
+        ("bh", "0.9\n0.8\n", 0, ""),
+    ], ids=["bh", "by", "ebh", "bh none rejected"])
+    def test_output_bytes(self, tmp_path, monkeypatch, capsys, procedure, values, k_hat, rows,
+                          to_file):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "in.csv", values)
+        want = (f"# activetest {__version__}\n# command = mt\n# procedure = {procedure}\n"
+                f"# alpha = 0.1\n# input = in.csv\n# k_hat = {k_hat}\n{rows}")
+        argv = ["mt", "--procedure", procedure, "--input", "in.csv"]
+        assert main(argv + (["--out", "rej.txt"] if to_file else [])) == 0
+        out = capsys.readouterr().out
+        if to_file:
+            assert out == "" and (tmp_path / "rej.txt").read_bytes() == want.encode()
+        else:
+            assert out == want
+
     def test_missing_required_flag_exits_1(self, tmp_path, capsys):
         assert main(["mt", "--procedure", "bh"]) == 1
         err = capsys.readouterr().err

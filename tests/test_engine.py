@@ -715,7 +715,7 @@ class TestSetMemoBounds:
             # a plan is kept from the second run of the same levels on, and
             # dropped when they change
             plans = {("plan", v) for v in variants} if step in (1, 3) else set()
-            assert set(hs._memo) == {"keys", ("aux", True), "draws", *variants, *plans}
+            assert set(hs._memo) == {"keys", "aux", "draws", *variants, *plans}
 
     def test_plan_made_while_the_levels_change_is_not_paired_with_them(self, monkeypatch):
         # replays one interleaving of two threads: a second run of budget 5

@@ -10,7 +10,7 @@ of the unit tests and the benchmark.
   allocation's expected queries stay within the budget.
 * With ids, permuting the rows permutes every output the same way.
 * A set's memo never leaks: any sequence of runs on one set gives what
-  the same runs give on fresh sets.
+  the same runs give on fresh sets, and the memo holds only its named slots.
 * The bulk table reader returns the same keys and bit-identical values as
   the per-row ``csv.reader`` loop it falls back to.
 * Every domain check refuses exactly when an element mask finds an
@@ -339,6 +339,30 @@ def test_memo_runs_equal_fresh_runs(data, with_ids, aux_mode):
         assert outcome(shared, call) == outcome(HypothesisSet(aux, exact, ids=ids), call)
 
 
+MEMO_SLOTS = {"keys", "aux", "draws", "active", "active-xu", ("plan", "active"),
+              ("plan", "active-xu"), "oracle"}
+
+
+@PROPERTY
+@given(data=st.data())
+def test_memo_holds_only_its_named_slots(data):
+    # what varies between runs (mode, alpha, budget, seed) is a slot's key, never its name
+    aux, target = data.draw(hypotheses(P_GENERAL, max_size=12))
+    pair = pipeline.AlignedPair([f"k{i}" for i in range(aux.size)], aux, target)
+    for call in data.draw(run_calls(aux.size)):
+        if data.draw(st.booleans()):
+            outcome(pair, call)
+        else:
+            alpha = data.draw(st.sampled_from([0.05, 0.1, 0.2]))
+            try:
+                pipeline.oracle_recovery(pair, n_b=call["n_b"], beta=call["method"].beta,
+                                         method=call["method"].variant, alpha=alpha,
+                                         seed=call["seed"])
+            except DomainError:
+                pass  # a budget above n is refused
+        assert set(pair._memo) <= MEMO_SLOTS
+
+
 # characters csv.reader keeps inside a field but str.splitlines would break on
 LINE_LIKE = " \x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\u00e9"
 
@@ -563,6 +587,15 @@ P_MODE_CHOICES = "(StatMode(kind='p_independent'), StatMode(kind='p_general'))"
 FAMILIES = "('identity', 'log1p', 'inverse', 'log_inverse')"
 WORDS = "seed, rep, index and purpose must be whole numbers, got"
 TOP = np.iinfo(np.intp).max  # the largest array size
+RESULT = lambda: run_experiment(DgpSpec("signal", n=50, pi=0.1), ["active"], n_b=5, reps=1)
+METRICS = ("('n_rejected', 'n_true_discoveries', 'queries', 'n_signals', 'expected_queries', "
+           "'fdp', 'tpp', 'efficiency')")
+
+
+def no_fetch(idx):
+    raise AssertionError(f"fetched {idx}")
+
+
 ALIGNED = lambda: pipeline.align(
     pipeline.SummaryTable(keys=("a", "b"), stats=np.array([0.1, 0.5])),
     pipeline.SummaryTable(keys=("a", "b"), stats=np.array([0.2, 0.4])))
@@ -622,6 +655,12 @@ ALIGNED = lambda: pipeline.align(
      f"utility family must be one of {FAMILIES}, got a value too long to show (int)"),
     (lambda: allocate_utilities([1.0, 1.0], Fraction(-1, 10**5000)),
      "budget must lie in (0, inf), got a value too long to show (Fraction)"),
+    (lambda: active_values(np.full((2, 2), 0.5), np.full((2, 2), 0.1), no_fetch, E_VALUES, 0.5),
+     "h must form a nonempty vector"),
+    (lambda: active_values(0.5, 0.1, no_fetch, E_VALUES, 0.5), "h must form a nonempty vector"),
+    (lambda: active_values([], [], no_fetch, E_VALUES, 0.5), "h must form a nonempty vector"),
+    (lambda: RESULT().column("xu", "fdp"), "method must be one of ('active',), got 'xu'"),
+    (lambda: RESULT().column("active", "power"), f"metric must be one of {METRICS}, got 'power'"),
 ], ids=["run_method bool budget", "run_method inf budget", "run_experiment bool reps",
         "DgpSpec bool pi", "DgpSpec bool sigma", "run_method list utility",
         "eval_utility list family", "run_method text mode", "active_values text mode",
@@ -633,7 +672,9 @@ ALIGNED = lambda: pipeline.align(
         "DgpSpec n past digit limit", "run_method random budget past digit limit",
         "run_method active budget past digit limit",
         "allocate_utilities negative budget past digit limit",
-        "eval_utility family past digit limit", "allocate_utilities fraction past digit limit"])
+        "eval_utility family past digit limit", "allocate_utilities fraction past digit limit",
+        "active_values 2-D h", "active_values 0-d h", "active_values empty h",
+        "column method not run", "column unknown metric"])
 def test_bad_settings_refused_by_the_argument_name(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
